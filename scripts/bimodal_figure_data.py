@@ -13,22 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from boostvi import (
-    ExperimentConfig,
-    FwConfig,
-    LambdaSchedule,
-    LmoConfig,
-    Variant,
-    run_experiment,
-)
-
-VARIANT_SETTINGS = {
-    Variant.FIXED_STEP: dict(delta=1.0, schedule=LambdaSchedule(), lmo_steps=1200),
-    Variant.LINE_SEARCH: dict(delta=0.5, schedule=LambdaSchedule("constant", 0.2),
-                              lmo_steps=1200),
-    Variant.FULLY_CORRECTIVE: dict(delta=0.5, schedule=LambdaSchedule("constant", 0.2),
-                                   lmo_steps=2000),
-}
+from boostvi import ExperimentConfig, Variant, run_experiment, variant_config
 
 
 def main(argv=None) -> int:
@@ -39,15 +24,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     print(f"{'variant':<18} {'mean final KL':>14} {'std':>8}")
-    for variant, s in VARIANT_SETTINGS.items():
+    for variant in Variant:
         cfg = ExperimentConfig(
             model="bimodal",
             n_seeds=args.seeds,
             out_dir=str(Path(args.out) / variant.value),
-            fw=FwConfig(
-                variant=variant, max_iters=args.iters, delta=s["delta"], seed=1,
-                lmo=LmoConfig(n_steps=s["lmo_steps"], lambda_schedule=s["schedule"]),
-            ),
+            fw=variant_config(variant, seed=1, max_iters=args.iters),
         )
         summary = run_experiment(cfg)
         print(f"{variant.value:<18} {summary.mean['kl_oracle']:>14.4f} "

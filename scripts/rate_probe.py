@@ -15,31 +15,14 @@ import sys
 
 import numpy as np
 
-from boostvi import (
-    FwConfig,
-    LambdaSchedule,
-    LmoConfig,
-    QuadratureGrid,
-    Variant,
-    run_boosting,
-    synthetic_bimodal_target,
-)
-
-ORACLE_GRID = QuadratureGrid(-12.0, 12.0, 4001)
+from boostvi import Variant, run_boosting, synthetic_bimodal_target, variant_config
 
 
 def mean_curve(variant: Variant, iters: int, seeds) -> np.ndarray:
     model = synthetic_bimodal_target()
     curves = []
     for seed in seeds:
-        if variant is Variant.FIXED_STEP:
-            cfg = FwConfig(variant=variant, max_iters=iters, delta=1.0, seed=seed,
-                           lmo=LmoConfig(n_steps=1200))
-        else:
-            cfg = FwConfig(variant=variant, max_iters=iters, delta=0.5, seed=seed,
-                           lmo=LmoConfig(n_steps=2000,
-                                         lambda_schedule=LambdaSchedule("constant", 0.2)))
-        _, trace = run_boosting(model, cfg)
+        _, trace = run_boosting(model, variant_config(variant, seed, iters))
         kl = [r.kl_oracle for r in trace.records]
         if variant is Variant.FIXED_STEP:
             kl = np.minimum.accumulate(kl)  # best iterate so far

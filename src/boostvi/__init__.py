@@ -6,12 +6,8 @@ from .densities import (
     Family,
     Mixture,
     QuadratureGrid,
-    base_log_prob,
-    entropy_closed_form,
     kl_gaussian_closed,
-    mixture_log_prob,
     quadrature_kl,
-    sup_norm,
 )
 from .models import (
     Dataset,
@@ -42,12 +38,12 @@ from .boosting import (
     Variant,
     certificate_gap,
     curvature_probe,
-    duality_gap_estimate,
     fixed_step_gamma,
     fully_corrective_weights,
     line_search_gamma,
     mixture_step,
     run_boosting,
+    variant_config,
 )
 from .harness import (
     ExperimentConfig,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -23,6 +23,7 @@ from .densities import (
     Family,
     Mixture,
     QuadratureGrid,
+    log_weights,
     quadrature_kl,
     standard_noise,
     _trapezoid,
@@ -55,8 +56,6 @@ class FwConfig:
     gap_samples: int = 2048
     seed: int = 0
     lmo: LmoConfig = field(default_factory=LmoConfig)
-    line_search_grid: int = 21
-    corrective_iters: int = 200
 
     def __post_init__(self):
         if self.max_iters < 0:
@@ -80,16 +79,7 @@ class IterationRecord:
     wallclock: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "gamma": self.gamma,
-            "train_ll": self.train_ll,
-            "relbo_estimate": self.relbo_estimate,
-            "gap_estimate": self.gap_estimate,
-            "gap_stderr": self.gap_stderr,
-            "kl_oracle": self.kl_oracle,
-            "wallclock": self.wallclock,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -121,6 +111,28 @@ class BoostTrace:
             "best_iteration": self.best_iteration,
             "stopped_early": self.stopped_early,
         }
+
+
+def mixture_from_dict(d: dict) -> Mixture:
+    """Inverse of one ``mixtures`` entry of :meth:`BoostTrace.to_dict`; the
+    weights are renormalized."""
+    atoms = [
+        BaseDensity(Family(a["family"]), a["loc"], a["scale"]) for a in d["atoms"]
+    ]
+    return Mixture.from_unnormalized(atoms, d["weights"])
+
+
+def variant_config(variant: Variant, seed: int, max_iters: int = 10) -> FwConfig:
+    """Per-variant settings of the bimodal benchmark runs: the fixed step
+    with the 1/sqrt(t+1) entropy schedule, the line-search and corrective
+    variants with delta = 0.5 and a constant entropy weight of 0.2."""
+    if variant is Variant.FIXED_STEP:
+        return FwConfig(variant=variant, max_iters=max_iters, delta=1.0, seed=seed,
+                        lmo=LmoConfig(n_steps=1200))
+    residual = LambdaSchedule("constant", 0.2)
+    n_steps = 1200 if variant is Variant.LINE_SEARCH else 2000
+    return FwConfig(variant=variant, max_iters=max_iters, delta=0.5, seed=seed,
+                    lmo=LmoConfig(n_steps=n_steps, lambda_schedule=residual))
 
 
 def fixed_step_gamma(t: int, delta: float) -> float:
@@ -190,19 +202,6 @@ def _crn_mixture_sampler(atoms: list[BaseDensity], n: int, seed):
     return sample
 
 
-def _neg_elbo_of_weights(
-    atoms: list[BaseDensity], model: TargetModel, sampler
-) -> Callable[[np.ndarray], float]:
-    """KL-up-to-a-constant surrogate E_q[log q - log p] under CRN sampling."""
-
-    def objective(weights: np.ndarray) -> float:
-        q = Mixture.from_unnormalized(atoms, weights)
-        z = sampler(weights)
-        return float(np.mean(q.log_prob(z) - log_joint_batch(model, z)))
-
-    return objective
-
-
 def line_search_gamma(
     q_t: Mixture,
     s: BaseDensity,
@@ -216,13 +215,16 @@ def line_search_gamma(
     broken toward smaller gamma."""
     atoms = list(q_t.atoms) + [s]
     sampler = _crn_mixture_sampler(atoms, n_samples, seed)
-    objective = _neg_elbo_of_weights(atoms, model, sampler)
 
-    def blend_weights(gamma: float) -> np.ndarray:
-        return np.concatenate([q_t.weights * (1.0 - gamma), [gamma]])
+    def objective(gamma: float) -> float:
+        # KL up to a constant, E_q[log q - log p], on common random numbers
+        weights = np.concatenate([q_t.weights * (1.0 - gamma), [gamma]])
+        q = Mixture.from_unnormalized(atoms, weights)
+        z = sampler(weights)
+        return float(np.mean(q.log_prob(z) - log_joint_batch(model, z)))
 
     gammas = np.linspace(0.0, 1.0, n_grid)
-    values = np.array([objective(blend_weights(g)) for g in gammas])
+    values = np.array([objective(g) for g in gammas])
     best = int(np.argmin(values))  # argmin takes the first minimum: small-gamma tie-break
     if values[best] >= values[0] - 1e-12:
         return 0.0
@@ -232,18 +234,18 @@ def line_search_gamma(
     a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
-    fc, fd = objective(blend_weights(c)), objective(blend_weights(d))
+    fc, fd = objective(c), objective(d)
     for _ in range(40):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
-            fc = objective(blend_weights(c))
+            fc = objective(c)
         else:
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
-            fd = objective(blend_weights(d))
+            fd = objective(d)
     refined = (a + b) / 2.0
-    if objective(blend_weights(refined)) < values[best]:
+    if objective(refined) < values[best]:
         return float(refined)
     return float(gammas[best])
 
@@ -284,8 +286,7 @@ def fully_corrective_weights(
         logp[i] = log_joint_batch(model, z)
 
     def direct_grad(w: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            logw = np.where(w > 0, np.log(np.maximum(w, 1e-300)), -np.inf)
+        logw = log_weights(w)
         grad = np.empty(k)
         for i in range(k):
             shifted = comp_logs[i] + logw
@@ -333,27 +334,6 @@ class GapEstimate(NamedTuple):
     stderr: float
 
 
-def duality_gap_estimate(
-    q_t: Mixture, s_t: BaseDensity, model: TargetModel, n: int, seed
-) -> GapEstimate:
-    """Monte-Carlo estimate of <q_t - s_t, log(q_t / p)> with its standard error.
-
-    ``p`` enters only through the unnormalized log-joint; the normalizer
-    cancels between the two expectations.
-    """
-    if q_t.dim != model.dim or s_t.dim != model.dim:
-        raise ValueError("dimension mismatch")
-    ss = np.random.SeedSequence(entropy=(_entropy_int(seed), 1618))
-    sq, ssamp = ss.spawn(2)
-    zq = q_t.sample(n, sq)
-    zs = s_t.sample(n, ssamp)
-    aq = q_t.log_prob(zq) - log_joint_batch(model, zq)
-    as_ = q_t.log_prob(zs) - log_joint_batch(model, zs)
-    value = float(np.mean(aq) - np.mean(as_))
-    stderr = float(math.sqrt(np.var(aq) / n + np.var(as_) / n))
-    return GapEstimate(value, stderr)
-
-
 def certificate_gap(
     q_t: Mixture,
     candidates: list[BaseDensity],
@@ -363,6 +343,10 @@ def certificate_gap(
     spike_probe: bool = True,
 ) -> tuple[GapEstimate, int]:
     """Best Monte-Carlo gap over a candidate atom pool.
+
+    Each candidate s gets an estimate of <q_t - s, log(q_t / p)> with its
+    standard error.  ``p`` enters only through the unnormalized log-joint;
+    the normalizer cancels between the two expectations.
 
     The true duality gap is a supremum over all atoms; any finite pool gives a
     lower estimate, so the pool max is the tightest certificate available.
@@ -461,7 +445,7 @@ def run_boosting(
     metric_seed = ss.spawn(1)[0]
 
     def solve(q: Optional[Mixture], t: int) -> LmoResult:
-        lmo_cfg = replace(cfg.lmo, seed=int(lmo_seeds[t].generate_state(1)[0]))
+        lmo_cfg = replace(cfg.lmo, seed=_entropy_int(lmo_seeds[t]))
         if q is None:
             # initial iterate is a plain black-box VI fit: full entropy weight
             lmo_cfg = replace(lmo_cfg, lambda_schedule=LambdaSchedule("constant", 1.0))
@@ -474,60 +458,10 @@ def run_boosting(
             return float(model.train_log_likelihood(z))
         return float(np.mean(log_joint_batch(model, z) - q.log_prob(z)))
 
-    t_start = time.perf_counter()
-    res0 = solve(None, 0)
-    q = Mixture.single(res0.atom)
-    records = [
-        IterationRecord(
-            t=0,
-            gamma=1.0,
-            train_ll=train_ll(q),
-            relbo_estimate=res0.relbo_estimate,
-            kl_oracle=_kl_oracle(model, q),
-            wallclock=time.perf_counter() - t_start,
-        )
-    ]
-    mixtures = [q]
-    if progress:
-        progress(records[0])
-    stopped = False
+    records: list[IterationRecord] = []
+    mixtures: list[Mixture] = []
 
-    for t in range(1, cfg.max_iters + 1):
-        t_iter = time.perf_counter()
-        res = solve(q, t)
-        candidates = [res.atom] + list(q.atoms)
-        gap, best_cand = certificate_gap(
-            q, candidates, model, cfg.gap_samples,
-            int(gap_seeds[t].generate_state(1)[0]),
-        )
-        records[-1].gap_estimate = gap.value
-        records[-1].gap_stderr = gap.stderr
-        # gap_tolerance = 0 disables stopping: the MC gap estimate of an
-        # approximate LMO can dip below zero even when the primal error is not
-        if cfg.gap_tolerance > 0.0 and gap.value / cfg.delta <= cfg.gap_tolerance:
-            stopped = True
-            break
-        step_seed = int(step_seeds[t - 1].generate_state(1)[0])
-        # the step direction is the pool's best-gap atom: exact Frank-Wolfe
-        # restricted to {fresh atom} + current support
-        direction = candidates[best_cand]
-        if cfg.variant is Variant.FIXED_STEP:
-            gamma = fixed_step_gamma(t, cfg.delta)
-            q = mixture_step(q, direction, gamma)
-        elif cfg.variant is Variant.LINE_SEARCH:
-            gamma = line_search_gamma(
-                q, direction, model,
-                n_grid=cfg.line_search_grid, n_samples=cfg.gap_samples, seed=step_seed,
-            )
-            q = mixture_step(q, direction, gamma)
-        else:
-            trial = mixture_step(q, res.atom, 0.5)  # appends/merges the atom
-            weights = fully_corrective_weights(
-                trial.atoms, model,
-                n_samples=cfg.gap_samples, seed=step_seed, inner_iters=cfg.corrective_iters,
-            )
-            q = Mixture(trial.atoms, weights)
-            gamma = float(weights[-1]) if len(weights) == len(trial.atoms) else 0.0
+    def record(t: int, gamma: float, q: Mixture, res: LmoResult, t_iter: float) -> None:
         records.append(
             IterationRecord(
                 t=t,
@@ -542,16 +476,58 @@ def run_boosting(
         if progress:
             progress(records[-1])
 
-    if not stopped and cfg.max_iters > 0:
-        # certificate for the final iterate needs one extra LMO solve
-        final_t = len(records)
-        res_fin = solve(q, final_t)
-        gap, _ = certificate_gap(
-            q, [res_fin.atom] + list(q.atoms), model, cfg.gap_samples,
-            int(gap_seeds[final_t].generate_state(1)[0]),
+    def certify(q: Mixture, atom: BaseDensity, t: int) -> tuple[GapEstimate, BaseDensity]:
+        """Gap of q over {atom} + its support, stored on the last record; also
+        returns the pool's best-gap atom."""
+        candidates = [atom] + list(q.atoms)
+        gap, best_cand = certificate_gap(
+            q, candidates, model, cfg.gap_samples, _entropy_int(gap_seeds[t])
         )
         records[-1].gap_estimate = gap.value
         records[-1].gap_stderr = gap.stderr
+        return gap, candidates[best_cand]
+
+    t_start = time.perf_counter()
+    res = solve(None, 0)
+    q = Mixture.single(res.atom)
+    record(0, 1.0, q, res, t_start)
+    stopped = False
+
+    for t in range(1, cfg.max_iters + 1):
+        t_iter = time.perf_counter()
+        res = solve(q, t)
+        # the step direction is the pool's best-gap atom: exact Frank-Wolfe
+        # restricted to {fresh atom} + current support
+        gap, direction = certify(q, res.atom, t)
+        # gap_tolerance = 0 disables stopping: the MC gap estimate of an
+        # approximate LMO can dip below zero even when the primal error is not
+        if cfg.gap_tolerance > 0.0 and gap.value / cfg.delta <= cfg.gap_tolerance:
+            stopped = True
+            break
+        step_seed = _entropy_int(step_seeds[t - 1])
+        if cfg.variant is Variant.FIXED_STEP:
+            gamma = fixed_step_gamma(t, cfg.delta)
+            q = mixture_step(q, direction, gamma)
+        elif cfg.variant is Variant.LINE_SEARCH:
+            gamma = line_search_gamma(
+                q, direction, model, n_samples=cfg.gap_samples, seed=step_seed
+            )
+            q = mixture_step(q, direction, gamma)
+        else:
+            trial = mixture_step(q, res.atom, 0.5)  # appends/merges the atom
+            weights = fully_corrective_weights(
+                trial.atoms, model, n_samples=cfg.gap_samples, seed=step_seed
+            )
+            q = Mixture(trial.atoms, weights)
+            # the fresh atom's weight, at the index it merged into or was appended at
+            fresh = next(i for i, a in enumerate(trial.atoms) if _atoms_equal(a, res.atom))
+            gamma = float(weights[fresh])
+        record(t, gamma, q, res, t_iter)
+
+    if not stopped and cfg.max_iters > 0:
+        # certificate for the final iterate needs one extra LMO solve
+        final_t = len(records)
+        certify(q, solve(q, final_t).atom, final_t)
 
     best = int(np.argmax([r.train_ll for r in records]))
     trace = BoostTrace(

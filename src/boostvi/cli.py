@@ -11,13 +11,10 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 
-import numpy as np
-
-from .boosting import FwConfig, Variant
-from .densities import BaseDensity, Family, Mixture, QuadratureGrid, kl_gaussian_closed
-from .harness import DENSITY_GRID, ExperimentConfig, run_experiment
+from .boosting import FwConfig, Variant, curvature_probe, mixture_from_dict
+from .densities import Family
+from .harness import ExperimentConfig, run_experiment, write_density_csv
 from .lmo import LambdaSchedule, LmoConfig
 from .probes import (
     PROBE_GRID,
@@ -27,7 +24,6 @@ from .probes import (
     gap_bound_probe,
     gaussian_pair_grid,
 )
-from .boosting import curvature_probe
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -132,26 +128,17 @@ def _experiment_config(args) -> ExperimentConfig:
         if val is not None:
             settings[key] = val
 
-    model = settings.get("model", "bimodal")
-    if model not in ("bimodal", "logistic", "matrix_factorization"):
-        raise CliError(f"invalid model {model!r}")
     variant_key = settings.get("variant", "fixed")
     if variant_key not in VARIANTS:
         raise CliError(f"invalid variant {variant_key!r}: expected one of {sorted(VARIANTS)}")
-    family = settings.get("family", "gaussian")
-    if family not in ("gaussian", "laplace"):
-        raise CliError(f"invalid family {family!r}")
     schedule = settings.get("lambda", "sqrt")
     if isinstance(schedule, str):
         schedule = _parse_lambda(schedule)
     else:
         raise CliError("invalid lambda: expected a string like 'sqrt' or 'const:0.5'")
-    delta = float(settings.get("delta", 1.0))
-    if not 0.0 < delta <= 1.0:
-        raise CliError("invalid delta: must lie in (0, 1]")
     try:
         lmo = LmoConfig(
-            family=Family(family),
+            family=Family(settings.get("family", "gaussian")),
             n_mc_samples=int(settings.get("mc_samples", 32)),
             n_steps=int(settings.get("lmo_steps", 2000)),
             lambda_schedule=schedule,
@@ -160,13 +147,13 @@ def _experiment_config(args) -> ExperimentConfig:
         fw = FwConfig(
             variant=VARIANTS[variant_key],
             max_iters=int(settings.get("iters", 10)),
-            delta=delta,
+            delta=float(settings.get("delta", 1.0)),
             gap_tolerance=float(settings.get("gap_tol", 0.0)),
             seed=int(settings.get("seed", 0)),
             lmo=lmo,
         )
         return ExperimentConfig(
-            model=model,
+            model=settings.get("model", "bimodal"),
             model_params=settings.get("model_params", {}),
             data_path=settings.get("data_path"),
             split_fraction=float(settings.get("split_fraction", 0.7)),
@@ -226,13 +213,6 @@ def cmd_probe(args) -> int:
     return EXIT_OK if ok else EXIT_PROBE
 
 
-def _mixture_from_dict(d: dict) -> Mixture:
-    atoms = [
-        BaseDensity(Family(a["family"]), a["loc"], a["scale"]) for a in d["atoms"]
-    ]
-    return Mixture.from_unnormalized(atoms, d["weights"])
-
-
 def cmd_plotdata(args) -> int:
     run_dir = args.run
     trace_path = os.path.join(run_dir, "trace.json")
@@ -251,35 +231,17 @@ def cmd_plotdata(args) -> int:
     with open(series_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "gamma", "kl", "gap", "gap_stderr", "train_ll"])
+        # csv writes None (a missing oracle or gap) as an empty cell
         for rec in trace["records"]:
-            writer.writerow([
-                rec["t"], rec["gamma"],
-                rec["kl_oracle"] if rec["kl_oracle"] is not None else "",
-                rec["gap_estimate"] if rec["gap_estimate"] is not None else "",
-                rec["gap_stderr"] if rec["gap_stderr"] is not None else "",
-                rec["train_ll"],
-            ])
+            writer.writerow([rec[k] for k in ("t", "gamma", "kl_oracle", "gap_estimate",
+                                              "gap_stderr", "train_ll")])
 
     if config["model"] == "bimodal":
-        from .models import synthetic_bimodal_target
-
-        p = config.get("model_params", {})
-        model = synthetic_bimodal_target(
-            mu=p.get("mu", (-1.0, 1.0)),
-            sigma=p.get("sigma", (0.5, 0.5)),
-            pi=p.get("pi", (0.4, 0.6)),
+        write_density_csv(
+            config.get("model_params", {}),
+            [mixture_from_dict(m) for m in trace["mixtures"]],
+            os.path.join(out_dir, "plot_density.csv"),
         )
-        z = DENSITY_GRID.points()
-        cols = [("z", z), ("target", np.exp(model.posterior_log_pdf(z)))]
-        for i, mdict in enumerate(trace["mixtures"]):
-            m = _mixture_from_dict(mdict)
-            cols.append((f"q_{i}", np.exp(m.log_prob(z.reshape(-1, 1)))))
-        density_path = os.path.join(out_dir, "plot_density.csv")
-        with open(density_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([name for name, _ in cols])
-            for row in zip(*(vals for _, vals in cols)):
-                writer.writerow([repr(float(v)) for v in row])
     return EXIT_OK
 
 

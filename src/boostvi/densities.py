@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,6 +67,22 @@ class CoarseGridError(ValueError):
     """Raised when doubling the quadrature resolution moves the result too much."""
 
 
+def _check_points(z, dim: int) -> tuple[np.ndarray, bool]:
+    """Points as an (n, D) array, and whether a single point (D,) was given."""
+    Z = np.asarray(z, dtype=float)
+    squeeze = Z.ndim == 1
+    Z = np.atleast_2d(Z)
+    if Z.shape[1] != dim:
+        raise ValueError(f"expected points of dimension {dim}, got {Z.shape[1]}")
+    return Z, squeeze
+
+
+def log_weights(w: np.ndarray) -> np.ndarray:
+    """Elementwise log of nonnegative weights, -inf at zero without a warning."""
+    with np.errstate(divide="ignore"):
+        return np.where(w > 0, np.log(np.maximum(w, 1e-300)), -np.inf)
+
+
 def _as_vector(x, name: str) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if arr.ndim != 1:
@@ -112,17 +128,9 @@ class BaseDensity:
     def dim(self) -> int:
         return self.loc.shape[0]
 
-    def _check_points(self, z) -> np.ndarray:
-        Z = np.asarray(z, dtype=float)
-        squeeze = Z.ndim == 1
-        Z = np.atleast_2d(Z)
-        if Z.shape[1] != self.dim:
-            raise ValueError(f"expected points of dimension {self.dim}, got {Z.shape[1]}")
-        return Z, squeeze
-
     def log_prob(self, z):
         """Log density at ``z``; accepts one point of shape (D,) or a batch (n, D)."""
-        Z, squeeze = self._check_points(z)
+        Z, squeeze = _check_points(z, self.dim)
         u = (Z - self.loc) / self.scale
         if self.family is Family.GAUSSIAN:
             lp = -0.5 * LOG_2PI - np.log(self.scale) - 0.5 * u * u
@@ -133,7 +141,7 @@ class BaseDensity:
 
     def grad_log_prob(self, z):
         """Gradient of the log density in z, batched like :meth:`log_prob`."""
-        Z, squeeze = self._check_points(z)
+        Z, squeeze = _check_points(z, self.dim)
         u = (Z - self.loc) / self.scale
         if self.family is Family.GAUSSIAN:
             g = -u / self.scale
@@ -175,20 +183,6 @@ def standard_noise(family: Family, n: int, dim: int, rng: np.random.Generator) -
     return -np.sign(u) * np.log1p(-2.0 * np.abs(u))
 
 
-# convenience free functions mirroring the method API
-
-def base_log_prob(d: BaseDensity, z):
-    return d.log_prob(z)
-
-
-def entropy_closed_form(d: BaseDensity) -> float:
-    return d.entropy()
-
-
-def sup_norm(d: BaseDensity) -> float:
-    return d.sup_norm()
-
-
 def kl_gaussian_closed(p: BaseDensity, q: BaseDensity) -> float:
     """KL(p || q) for two diagonal Gaussians of equal dimension."""
     if p.family is not Family.GAUSSIAN or q.family is not Family.GAUSSIAN:
@@ -225,9 +219,7 @@ class Mixture:
         w.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", w)
-        with np.errstate(divide="ignore"):
-            logw = np.where(w > 0, np.log(np.maximum(w, 1e-300)), -np.inf)
-        object.__setattr__(self, "_log_weights", logw)
+        object.__setattr__(self, "_log_weights", log_weights(w))
         # one family throughout: evaluate all atoms at once on stacked (K, D)
         # parameters instead of atom by atom
         family = atoms[0].family
@@ -255,14 +247,6 @@ class Mixture:
     def dim(self) -> int:
         return self.atoms[0].dim
 
-    def _check_points(self, z) -> tuple[np.ndarray, bool]:
-        Z = np.asarray(z, dtype=float)
-        squeeze = Z.ndim == 1
-        Z = np.atleast_2d(Z)
-        if Z.shape[1] != self.dim:
-            raise ValueError(f"expected points of dimension {self.dim}, got {Z.shape[1]}")
-        return Z, squeeze
-
     def _standardized(self, Z: np.ndarray) -> np.ndarray:
         _, locs, scales, _ = self._stacked
         return (Z[:, None, :] - locs) / scales  # (n, K, D)
@@ -288,7 +272,7 @@ class Mixture:
         return -np.sign(u) / scales
 
     def log_prob(self, z):
-        Z, squeeze = self._check_points(z)
+        Z, squeeze = _check_points(z, self.dim)
         comp = self._component_log_probs(Z)
         out = logsumexp(comp + self._log_weights, axis=1)
         return float(out[0]) if squeeze else out
@@ -301,7 +285,7 @@ class Mixture:
     def log_prob_and_grad(self, z):
         """:meth:`log_prob` and :meth:`grad_log_prob` at once, sharing the
         component evaluation."""
-        Z, squeeze = self._check_points(z)
+        Z, squeeze = _check_points(z, self.dim)
         logits = self._component_log_probs(Z) + self._log_weights
         lse = logsumexp(logits, axis=1, keepdims=True)
         resp = np.exp(logits - lse)  # (n, K)
@@ -320,10 +304,6 @@ class Mixture:
             if m:
                 out[sel] = atom.transform(standard_noise(atom.family, m, self.dim, rng))
         return out
-
-
-def mixture_log_prob(m: Mixture, z):
-    return m.log_prob(z)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -43,7 +42,7 @@ def load_csv(path: str, schema: str = "classification") -> Dataset:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file, expected a header row")
-        rows = []
+        rows, row_numbers = [], []
         for r, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -56,6 +55,7 @@ def load_csv(path: str, schema: str = "classification") -> Dataset:
                         f"{path}: non-numeric cell at row {r}, column {c} ({cell!r})"
                     )
             rows.append(parsed)
+            row_numbers.append(r)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     data = np.asarray(rows)
@@ -65,10 +65,22 @@ def load_csv(path: str, schema: str = "classification") -> Dataset:
         return Dataset(features=data[:, :-1], labels=data[:, -1])
     if data.shape[1] != 3:
         raise ValueError(f"{path}: matrix schema expects exactly (i, j, r) columns")
+    index = data[:, :2]
+    non_integer = ~np.isfinite(index) | (index != np.floor(index))
+    if non_integer.any():
+        r = row_numbers[int(np.argmax(non_integer.any(axis=1)))]
+        raise ValueError(f"{path}: non-integer matrix index at row {r}")
     ii = data[:, 0].astype(int)
     jj = data[:, 1].astype(int)
     if np.any(ii < 0) or np.any(jj < 0):
         raise ValueError(f"{path}: matrix indices must be nonnegative")
+    first_row = {}
+    for r, cell in zip(row_numbers, zip(ii.tolist(), jj.tolist())):
+        if cell in first_row:
+            raise ValueError(
+                f"{path}: repeated cell {cell} at row {r} (first given at row {first_row[cell]})"
+            )
+        first_row[cell] = r
     matrix = np.zeros((ii.max() + 1, jj.max() + 1))
     mask = np.zeros_like(matrix, dtype=bool)
     matrix[ii, jj] = data[:, 2]
@@ -200,6 +212,14 @@ def _aggregate(per_seed: list[dict]) -> tuple[dict, dict]:
     return mean, std
 
 
+def bimodal_target(model_params: dict) -> TargetModel:
+    """The bimodal target of a config's ``model_params``; absent keys take
+    the defaults of :func:`synthetic_bimodal_target`."""
+    return synthetic_bimodal_target(
+        **{k: model_params[k] for k in ("mu", "sigma", "pi") if k in model_params}
+    )
+
+
 def _build_dataset(cfg: ExperimentConfig, seed: int) -> Optional[Dataset]:
     p = cfg.model_params
     if cfg.model == "bimodal":
@@ -231,11 +251,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, progress=None):
     fw = replace(cfg.fw, seed=seed, lmo=replace(cfg.fw.lmo, seed=seed))
     data = _build_dataset(cfg, seed)
     if cfg.model == "bimodal":
-        model = synthetic_bimodal_target(
-            mu=p.get("mu", (-1.0, 1.0)),
-            sigma=p.get("sigma", (0.5, 0.5)),
-            pi=p.get("pi", (0.4, 0.6)),
-        )
+        model = bimodal_target(p)
         posterior, trace = run_boosting(model, fw, progress=progress)
         metrics = {
             "kl_oracle": trace.records[trace.best_iteration].kl_oracle,
@@ -281,45 +297,6 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> RunSummary:
     return summary
 
 
-def _config_dict(cfg: ExperimentConfig) -> dict:
-    """Fully resolved configuration snapshot (reconstructible run)."""
-    fw = cfg.fw
-    lmo = fw.lmo
-    return {
-        "model": cfg.model,
-        "model_params": cfg.model_params,
-        "data_path": cfg.data_path,
-        "split_fraction": cfg.split_fraction,
-        "n_seeds": cfg.n_seeds,
-        "out_dir": cfg.out_dir,
-        "fw": {
-            "variant": fw.variant.value,
-            "max_iters": fw.max_iters,
-            "delta": fw.delta,
-            "gap_tolerance": fw.gap_tolerance,
-            "gap_samples": fw.gap_samples,
-            "seed": fw.seed,
-            "line_search_grid": fw.line_search_grid,
-            "corrective_iters": fw.corrective_iters,
-            "lmo": {
-                "family": lmo.family.value,
-                "n_mc_samples": lmo.n_mc_samples,
-                "n_steps": lmo.n_steps,
-                "step_size": lmo.step_size,
-                "estimator": lmo.estimator.value,
-                "lambda_schedule": {
-                    "kind": lmo.lambda_schedule.kind,
-                    "value": lmo.lambda_schedule.value,
-                },
-                "scale_floor": lmo.scale_floor,
-                "param_box": lmo.param_box,
-                "init": lmo.init.value,
-                "seed": lmo.seed,
-            },
-        },
-    }
-
-
 DENSITY_GRID = QuadratureGrid(-6.0, 6.0, 601)
 
 
@@ -333,7 +310,7 @@ def write_artifacts(cfg: ExperimentConfig, summary: RunSummary) -> None:
     with open(os.path.join(cfg.out_dir, "trace.json"), "w") as fh:
         json.dump(trace_payload, fh, indent=2, sort_keys=True)
     summary_payload = {
-        "config": _config_dict(cfg),
+        "config": asdict(cfg),
         "per_seed": summary.per_seed,
         "aggregate": {"mean": summary.mean, "std": summary.std},
         "best_iterations": summary.best_iterations,
@@ -341,20 +318,16 @@ def write_artifacts(cfg: ExperimentConfig, summary: RunSummary) -> None:
     with open(os.path.join(cfg.out_dir, "summary.json"), "w") as fh:
         json.dump(summary_payload, fh, indent=2, sort_keys=True)
     if cfg.model == "bimodal":
-        write_density_csv(cfg, summary.traces[0], os.path.join(cfg.out_dir, "density.csv"))
+        write_density_csv(cfg.model_params, summary.traces[0].mixtures,
+                          os.path.join(cfg.out_dir, "density.csv"))
 
 
-def write_density_csv(cfg: ExperimentConfig, trace: BoostTrace, path: str) -> None:
-    p = cfg.model_params
-    model = synthetic_bimodal_target(
-        mu=p.get("mu", (-1.0, 1.0)),
-        sigma=p.get("sigma", (0.5, 0.5)),
-        pi=p.get("pi", (0.4, 0.6)),
-    )
+def write_density_csv(model_params: dict, mixtures: list[Mixture], path: str) -> None:
+    """The bimodal target and each mixture's density on ``DENSITY_GRID``."""
     z = DENSITY_GRID.points()
-    target = np.exp(model.posterior_log_pdf(z))
+    target = np.exp(bimodal_target(model_params).posterior_log_pdf(z))
     columns = [("z", z), ("target", target)]
-    for i, m in enumerate(trace.mixtures):
+    for i, m in enumerate(mixtures):
         columns.append((f"q_{i}", np.exp(m.log_prob(z.reshape(-1, 1)))))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -145,7 +145,7 @@ def _relbo_grad_parts(
 ):
     """Returns (g_loc, g_log_scale, relbo_value, residual_mean)."""
     reparam = estimator is Estimator.REPARAMETERIZATION
-    if reparam and model.grad_log_joint is None:
+    if reparam and model.grad_log_joint_batch is None:
         raise ValueError("reparameterization estimator needs the model gradient")
     eps, z = _draw(s, n, seed)
     f = log_joint_batch(model, z)  # residual integrand: log p - log q_t

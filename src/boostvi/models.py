@@ -1,14 +1,14 @@
 """Target models exposing an unnormalized log-joint and, where cheap, its gradient.
 
 Every model is a :class:`TargetModel`: a latent dimension, a log-joint
-callable over single points, vectorized batch versions, and optional extras
-(a normalized 1-D posterior density for quadrature oracles, a training
-log-likelihood for iterate selection).
+callable over a batch of points (n, D), optionally its gradient, and optional
+extras (a normalized 1-D posterior density for quadrature oracles, a training
+log-likelihood for iterate selection).  Single-point calls are derived from
+the batch callables.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -16,40 +16,42 @@ import numpy as np
 from scipy.special import expit, log_expit
 from scipy.stats import rankdata
 
-from .densities import LOG_2PI, Mixture, logsumexp
+from .densities import LOG_2PI, Mixture, log_weights, logsumexp
 
 
 @dataclass(frozen=True)
 class TargetModel:
     dim: int
-    log_joint: Callable[[np.ndarray], float]
-    grad_log_joint: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    description: str = ""
-    log_joint_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    log_joint_batch: Callable[[np.ndarray], np.ndarray]
     grad_log_joint_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    description: str = ""
     # normalized log pdf for 1-D models where the target is itself a density
     posterior_log_pdf: Optional[Callable[[np.ndarray], np.ndarray]] = None
     # mean training log-likelihood from posterior samples (n, D) -> float
     train_log_likelihood: Optional[Callable[[np.ndarray], float]] = None
     kind: str = "generic"
 
+    def log_joint(self, z: np.ndarray) -> float:
+        """Log-joint at one point (D,)."""
+        return float(self.log_joint_batch(np.atleast_2d(z))[0])
+
+    def grad_log_joint(self, z: np.ndarray) -> np.ndarray:
+        """Gradient of the log-joint at one point (D,)."""
+        return self.grad_log_joint_batch(np.atleast_2d(z))[0]
+
 
 def log_joint_batch(model: TargetModel, Z: np.ndarray) -> np.ndarray:
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     if Z.shape[1] != model.dim:
         raise ValueError(f"expected dimension {model.dim}, got {Z.shape[1]}")
-    if model.log_joint_batch is not None:
-        return np.asarray(model.log_joint_batch(Z))
-    return np.array([model.log_joint(z) for z in Z])
+    return np.asarray(model.log_joint_batch(Z))
 
 
 def grad_log_joint_batch(model: TargetModel, Z: np.ndarray) -> np.ndarray:
-    if model.grad_log_joint is None:
+    if model.grad_log_joint_batch is None:
         raise ValueError("model does not provide a gradient")
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    if model.grad_log_joint_batch is not None:
-        return np.asarray(model.grad_log_joint_batch(Z))
-    return np.stack([model.grad_log_joint(z) for z in Z])
+    return np.asarray(model.grad_log_joint_batch(Z))
 
 
 @dataclass(frozen=True)
@@ -94,28 +96,27 @@ def synthetic_bimodal_target(
     pi = np.asarray(pi, dtype=float)
     if np.any(sigma <= 0) or np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-12:
         raise ValueError("need positive sigmas and simplex mixing weights")
-    with np.errstate(divide="ignore"):
-        log_pi = np.where(pi > 0, np.log(np.maximum(pi, 1e-300)), -np.inf)
+    log_pi = log_weights(pi)
+
+    def component_logits(z: np.ndarray) -> np.ndarray:
+        comp = -0.5 * LOG_2PI - np.log(sigma) - 0.5 * ((z - mu) / sigma) ** 2
+        return comp + log_pi
 
     def log_pdf(z_flat: np.ndarray) -> np.ndarray:
         z = np.asarray(z_flat, dtype=float).reshape(-1, 1)
-        comp = -0.5 * LOG_2PI - np.log(sigma) - 0.5 * ((z - mu) / sigma) ** 2
-        return logsumexp(comp + log_pi, axis=1)
+        return logsumexp(component_logits(z), axis=1)
 
     def batch(Z: np.ndarray) -> np.ndarray:
         return log_pdf(Z[:, 0])
 
     def grad_batch(Z: np.ndarray) -> np.ndarray:
         z = Z[:, :1]
-        comp = -0.5 * LOG_2PI - np.log(sigma) - 0.5 * ((z - mu) / sigma) ** 2
-        logits = comp + log_pi
+        logits = component_logits(z)
         resp = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
         return np.sum(resp * (-(z - mu) / sigma**2), axis=1, keepdims=True)
 
     return TargetModel(
         dim=1,
-        log_joint=lambda z: float(batch(np.atleast_2d(z))[0]),
-        grad_log_joint=lambda z: grad_batch(np.atleast_2d(z))[0],
         description=f"two-Gaussian target mu={mu.tolist()} sigma={sigma.tolist()} pi={pi.tolist()}",
         log_joint_batch=batch,
         grad_log_joint_batch=grad_batch,
@@ -156,8 +157,6 @@ def logistic_regression_model(data: Dataset) -> TargetModel:
 
     return TargetModel(
         dim=n_feat,
-        log_joint=lambda w: float(batch(np.atleast_2d(w))[0]),
-        grad_log_joint=lambda w: grad_batch(np.atleast_2d(w))[0],
         description=f"Bayesian logistic regression, N={X.shape[0]}, F={n_feat}",
         log_joint_batch=batch,
         grad_log_joint_batch=grad_batch,
@@ -210,8 +209,6 @@ def matrix_factorization_model(data: Dataset, latent_dim: int) -> TargetModel:
 
     return TargetModel(
         dim=dim,
-        log_joint=lambda z: float(batch(np.atleast_2d(z))[0]),
-        grad_log_joint=lambda z: grad_batch(np.atleast_2d(z))[0],
         description=f"Bayesian matrix factorization {rows}x{cols}, latent_dim={latent_dim}",
         log_joint_batch=batch,
         grad_log_joint_batch=grad_batch,

@@ -4,7 +4,7 @@ curvature boundedness, and the duality-gap bound on the primal error."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +15,6 @@ from .densities import (
     Mixture,
     QuadratureGrid,
     kl_gaussian_closed,
-    quadrature_kl,
     _trapezoid,
 )
 from .lmo import LmoConfig

@@ -19,7 +19,6 @@ from boostvi import (
     Estimator,
     Family,
     FwConfig,
-    LambdaSchedule,
     LmoConfig,
     Mixture,
     QuadratureGrid,
@@ -32,6 +31,7 @@ from boostvi import (
     relbo_grad,
     run_boosting,
     synthetic_bimodal_target,
+    variant_config,
 )
 from boostvi.cli import EXIT_OK, main as cli_main
 from boostvi.harness import ExperimentConfig, run_single_seed
@@ -48,21 +48,6 @@ from oracles import (
 SEEDS = (1, 2, 3)
 ORACLE_GRID = QuadratureGrid(-12.0, 12.0, 4001)
 PROBE_GRID = QuadratureGrid(-16.0, 16.0, 8001)
-
-# per-variant boosting configurations used for the bimodal benchmark runs
-RESIDUAL_SCHEDULE = LambdaSchedule("constant", 0.2)
-
-
-def variant_config(variant: Variant, seed: int, max_iters: int = 10) -> FwConfig:
-    if variant is Variant.FIXED_STEP:
-        return FwConfig(variant=variant, max_iters=max_iters, delta=1.0, seed=seed,
-                        lmo=LmoConfig(n_steps=1200))
-    if variant is Variant.LINE_SEARCH:
-        return FwConfig(variant=variant, max_iters=max_iters, delta=0.5, seed=seed,
-                        lmo=LmoConfig(n_steps=1200, lambda_schedule=RESIDUAL_SCHEDULE))
-    return FwConfig(variant=variant, max_iters=max_iters, delta=0.5, seed=seed,
-                    lmo=LmoConfig(n_steps=2000, lambda_schedule=RESIDUAL_SCHEDULE))
-
 
 def report(criterion: int, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"

@@ -10,12 +10,12 @@ from boostvi import (
     Family,
     FwConfig,
     LmoConfig,
+    LmoResult,
     Mixture,
     QuadratureGrid,
     Variant,
     certificate_gap,
     curvature_probe,
-    duality_gap_estimate,
     fixed_step_gamma,
     fully_corrective_weights,
     kl_gaussian_closed,
@@ -40,9 +40,7 @@ def density_model(q: Mixture) -> TargetModel:
     """Target whose log-joint is the (normalized) log density of ``q``."""
     return TargetModel(
         dim=q.dim,
-        log_joint=lambda z: float(q.log_prob(z)),
         log_joint_batch=lambda Z: q.log_prob(Z),
-        grad_log_joint=lambda z: q.grad_log_prob(z),
         grad_log_joint_batch=lambda Z: q.grad_log_prob(Z),
     )
 
@@ -95,6 +93,27 @@ class TestMixtureStep:
     def test_invalid_gamma(self):
         with pytest.raises(ValueError):
             mixture_step(Mixture.single(gaussian(0, 1)), gaussian(1, 1), 1.5)
+
+    @given(gamma=st.floats(min_value=0.0, max_value=1.0),
+           raw=st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1, max_size=5),
+           pick=st.integers(min_value=0, max_value=4))
+    @settings(max_examples=60, deadline=None)
+    def test_weights_stay_on_simplex_and_merge(self, gamma, raw, pick):
+        atoms = [gaussian(float(k), 0.5 + 0.1 * k) for k in range(len(raw))]
+        q = Mixture.from_unnormalized(atoms, raw)
+        for s in (gaussian(-3.0, 0.7), atoms[pick % len(atoms)]):
+            out = mixture_step(q, s, gamma)
+            assert np.all(out.weights >= 0.0)
+            assert out.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        # below gamma = 1 (which collapses to the atom), a step toward an atom
+        # of q keeps the atoms and adds gamma to the atom's scaled weight
+        if gamma < 1.0:
+            k = pick % len(atoms)
+            out = mixture_step(q, atoms[k], gamma)
+            assert len(out.atoms) == len(atoms)
+            expected = (1.0 - gamma) * q.weights
+            expected[k] += gamma
+            np.testing.assert_allclose(out.weights, expected, rtol=1e-12, atol=1e-15)
 
 
 class TestLineSearch:
@@ -188,24 +207,28 @@ class TestFullyCorrective:
         np.testing.assert_allclose(m.log_prob(z), a.log_prob(z), rtol=1e-10)
 
 
+def gap_estimate(q, s, model, n, seed):
+    """Monte-Carlo gap of one candidate atom, without the spike probe."""
+    return certificate_gap(q, [s], model, n, seed, spike_probe=False)[0]
+
+
 class TestDualityGap:
     def test_zero_when_target_equals_iterate(self):
         q = Mixture((gaussian(-1, 0.5), gaussian(1, 0.5)), np.array([0.4, 0.6]))
         model = density_model(q)
-        est = duality_gap_estimate(q, q.atoms[0], model, 4096, seed=0)
+        est = gap_estimate(q, q.atoms[0], model, 4096, seed=0)
         assert abs(est.value) < 4 * est.stderr + 1e-9
 
     def test_normalizer_invariance(self):
         model = synthetic_bimodal_target()
         shifted = TargetModel(
             dim=1,
-            log_joint=lambda z: model.log_joint(z) + 57.0,
             log_joint_batch=lambda Z: model.log_joint_batch(Z) + 57.0,
         )
         q = Mixture.single(gaussian(0.2, 1.0))
         s = gaussian(-1.0, 0.5)
-        a = duality_gap_estimate(q, s, model, 1024, seed=4)
-        b = duality_gap_estimate(q, s, shifted, 1024, seed=4)
+        a = gap_estimate(q, s, model, 1024, seed=4)
+        b = gap_estimate(q, s, shifted, 1024, seed=4)
         assert a.value == pytest.approx(b.value, abs=1e-8)
 
     def test_matches_quadrature_oracle(self):
@@ -217,7 +240,7 @@ class TestDualityGap:
         ls = s.log_prob(z.reshape(-1, 1))
         r = lq - bimodal_logpdf(z)
         oracle = np.trapezoid(np.exp(lq) * r, z) - np.trapezoid(np.exp(ls) * r, z)
-        est = duality_gap_estimate(q, s, model, 8192, seed=5)
+        est = gap_estimate(q, s, model, 8192, seed=5)
         assert est.value == pytest.approx(oracle, abs=4 * est.stderr)
 
     def test_certificate_pool_max(self):
@@ -225,7 +248,7 @@ class TestDualityGap:
         q = Mixture.single(gaussian(0.2, 1.0))
         cands = [gaussian(-1.0, 0.5), gaussian(0.2, 1.0), gaussian(1.0, 0.5)]
         best, idx = certificate_gap(q, cands, model, 2048, seed=6, spike_probe=False)
-        singles = [duality_gap_estimate(q, s, model, 2048, seed=6) for s in cands]
+        singles = [gap_estimate(q, s, model, 2048, seed=6) for s in cands]
         assert 0 <= idx < len(cands)
         # the pool max dominates the same-seed atom estimate of the winner
         assert best.value >= max(s.value for s in singles) - 4 * best.stderr
@@ -310,6 +333,24 @@ class TestRunBoosting:
         _, trace = run_boosting(model, cfg)
         assert trace.stopped_early
         assert len(trace.records) == 1
+
+    def test_corrective_gamma_is_weight_of_merged_atom(self, monkeypatch):
+        # the LMO returns A, B, then A again: at t=2 the fresh atom merges
+        # into A, so the recorded step is A's weight, not the last atom's
+        a, b = gaussian(-1.0, 0.5), gaussian(1.0, 0.5)
+        atoms = iter([a, b, a, a])
+        monkeypatch.setattr(
+            "boostvi.boosting.lmo_solve",
+            lambda model, q, t, cfg: LmoResult(next(atoms), 0.0, True, 0),
+        )
+        cfg = FwConfig(variant=Variant.FULLY_CORRECTIVE, max_iters=2, seed=0,
+                       gap_samples=512)
+        _, trace = run_boosting(synthetic_bimodal_target(), cfg)
+        final = trace.mixtures[2]
+        assert len(final.atoms) == 2
+        assert final.atoms[0] is a
+        assert trace.records[2].gamma == final.weights[0]
+        assert trace.records[2].gamma != final.weights[1]
 
     def test_trace_serialization_roundtrip_fields(self):
         model = synthetic_bimodal_target()

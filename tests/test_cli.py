@@ -114,6 +114,23 @@ class TestPlotData:
         assert header[:2] == ["z", "target"]
         assert len(header) == 2 + n_mixtures
 
+    def test_plot_density_matches_run_density(self, tmp_path):
+        # plotdata rebuilds the mixtures from trace.json, where the weights
+        # are renormalized on reading, so the two files agree to rounding
+        out = tmp_path / "run"
+        assert run_cli("run", "--model", "bimodal", "--variant", "fullycorrective",
+                       "--lambda", "const:0.2", "--delta", "0.5",
+                       "--seed", "3", "--out", str(out), *FAST) == EXIT_OK
+        assert run_cli("plotdata", "--run", str(out)) == EXIT_OK
+        with open(out / "density.csv") as fh:
+            run_rows = list(csv.reader(fh))
+        with open(out / "plot_density.csv") as fh:
+            plot_rows = list(csv.reader(fh))
+        assert run_rows[0] == plot_rows[0]
+        assert len(run_rows[0]) == 2 + 3  # z, target and q_0 .. q_2
+        np.testing.assert_allclose(np.array(plot_rows[1:], dtype=float),
+                                   np.array(run_rows[1:], dtype=float), rtol=1e-12, atol=0)
+
     def test_gap_series_nonnegative_within_noise(self, tmp_path):
         out = tmp_path / "run"
         assert run_cli("run", "--model", "bimodal", "--variant", "fixed",

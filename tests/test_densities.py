@@ -11,12 +11,8 @@ from boostvi import (
     Family,
     Mixture,
     QuadratureGrid,
-    base_log_prob,
-    entropy_closed_form,
     kl_gaussian_closed,
-    mixture_log_prob,
     quadrature_kl,
-    sup_norm,
 )
 
 from boostvi.densities import logsumexp
@@ -44,13 +40,13 @@ locs = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
 class TestBaseLogProb:
     def test_standard_normal_at_zero(self):
-        assert base_log_prob(gaussian(0.0, 1.0), [0.0]) == pytest.approx(-0.918939, abs=1e-6)
+        assert gaussian(0.0, 1.0).log_prob([0.0]) == pytest.approx(-0.918939, abs=1e-6)
 
     def test_standard_laplace_at_zero(self):
-        assert base_log_prob(laplace(0.0, 1.0), [0.0]) == pytest.approx(-0.693147, abs=1e-6)
+        assert laplace(0.0, 1.0).log_prob([0.0]) == pytest.approx(-0.693147, abs=1e-6)
 
     def test_narrow_gaussian_at_mode(self):
-        assert base_log_prob(gaussian(1.0, 0.5), [1.0]) == pytest.approx(-0.225791, abs=1e-6)
+        assert gaussian(1.0, 0.5).log_prob([1.0]) == pytest.approx(-0.225791, abs=1e-6)
 
     def test_batch_shape(self):
         d = gaussian([0.0, 1.0], [1.0, 2.0])
@@ -64,13 +60,13 @@ class TestBaseLogProb:
     @given(loc=locs, scale=scales, z=locs)
     @settings(max_examples=50, deadline=None)
     def test_matches_reference_gaussian(self, loc, scale, z):
-        got = base_log_prob(gaussian(loc, scale), [z])
+        got = gaussian(loc, scale).log_prob([z])
         assert got == pytest.approx(float(gaussian_logpdf(z, loc, scale)), rel=1e-12)
 
     @given(loc=locs, scale=scales, z=locs)
     @settings(max_examples=50, deadline=None)
     def test_matches_reference_laplace(self, loc, scale, z):
-        got = base_log_prob(laplace(loc, scale), [z])
+        got = laplace(loc, scale).log_prob([z])
         assert got == pytest.approx(float(laplace_logpdf(z, loc, scale)), rel=1e-12)
 
 
@@ -98,13 +94,13 @@ class TestMixtureLogProb:
     def test_duplicate_atoms_symmetry(self):
         a = gaussian(0.3, 0.8)
         m = Mixture((a, a), np.array([0.5, 0.5]))
-        assert mixture_log_prob(m, [0.1]) == pytest.approx(a.log_prob([0.1]), rel=1e-12)
+        assert m.log_prob([0.1]) == pytest.approx(a.log_prob([0.1]), rel=1e-12)
 
     def test_bimodal_two_term_sum(self):
         m = Mixture(
             (gaussian(-1.0, 0.5), gaussian(1.0, 0.5)), np.array([0.4, 0.6])
         )
-        assert mixture_log_prob(m, [0.0]) == pytest.approx(BIMODAL_LOGPDF_AT_0, abs=1e-12)
+        assert m.log_prob([0.0]) == pytest.approx(BIMODAL_LOGPDF_AT_0, abs=1e-12)
 
     def test_weight_sum_validation(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -236,14 +232,14 @@ class TestSampling:
 
 class TestEntropyAndSupNorm:
     def test_entropy_values(self):
-        assert entropy_closed_form(gaussian(0, 1)) == pytest.approx(1.418939, abs=1e-6)
-        assert entropy_closed_form(laplace(0, 1)) == pytest.approx(1.693147, abs=1e-6)
-        assert entropy_closed_form(gaussian([0, 0], [1, 1])) == pytest.approx(2.837877, abs=1e-6)
+        assert gaussian(0, 1).entropy() == pytest.approx(1.418939, abs=1e-6)
+        assert laplace(0, 1).entropy() == pytest.approx(1.693147, abs=1e-6)
+        assert gaussian([0, 0], [1, 1]).entropy() == pytest.approx(2.837877, abs=1e-6)
 
     def test_sup_norm_values(self):
-        assert sup_norm(gaussian(0, 0.5)) == pytest.approx(0.797885, abs=1e-6)
-        assert sup_norm(laplace(0, 1)) == pytest.approx(0.5, abs=1e-12)
-        assert sup_norm(gaussian(0, 1)) == pytest.approx(0.398942, abs=1e-6)
+        assert gaussian(0, 0.5).sup_norm() == pytest.approx(0.797885, abs=1e-6)
+        assert laplace(0, 1).sup_norm() == pytest.approx(0.5, abs=1e-12)
+        assert gaussian(0, 1).sup_norm() == pytest.approx(0.398942, abs=1e-6)
 
     @given(
         family=st.sampled_from([Family.GAUSSIAN, Family.LAPLACE]),

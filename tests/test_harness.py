@@ -45,6 +45,18 @@ class TestLoadCsv:
         assert data.mask.sum() == 2
         assert data.labels[1, 2] == -0.5
 
+    def test_non_integer_matrix_index_rejected(self, tmp_path):
+        p = tmp_path / "frac.csv"
+        p.write_text("i,j,r\n0,0,1.0\n1.5,2,-0.5\n")
+        with pytest.raises(ValueError, match=r"frac\.csv: non-integer matrix index at row 3"):
+            load_csv(str(p), schema="matrix")
+
+    def test_repeated_matrix_cell_rejected(self, tmp_path):
+        p = tmp_path / "dup.csv"
+        p.write_text("i,j,r\n0,0,3.0\n1,1,2.0\n0,0,4.0\n")
+        with pytest.raises(ValueError, match=r"dup\.csv: repeated cell \(0, 0\) at row 4"):
+            load_csv(str(p), schema="matrix")
+
     def test_roundtrip_classification(self, tmp_path):
         rng = np.random.default_rng(0)
         data = Dataset(features=rng.standard_normal((5, 3)),

@@ -65,8 +65,7 @@ class TestRelboEstimate:
         # log p identical to log q_t: the joint and residual terms cancel and
         # the estimate is the Monte-Carlo entropy of s
         q_t = Mixture.single(gaussian(0.5, 1.3))
-        model = TargetModel(dim=1, log_joint=lambda z: float(q_t.log_prob(z)),
-                            log_joint_batch=lambda Z: q_t.log_prob(Z))
+        model = TargetModel(dim=1, log_joint_batch=lambda Z: q_t.log_prob(Z))
         s = gaussian(-0.2, 0.8)
         n = 100_000
         est = relbo_estimate(s, model, q_t, 1.0, n, seed=5)
@@ -103,8 +102,7 @@ class TestRelboGrad:
     def test_score_function_zero_mean_for_constant_objective(self):
         # constant integrand: the score part has expectation zero, leaving
         # only the analytic entropy gradient (lam per log-scale coordinate)
-        model = TargetModel(dim=2, log_joint=lambda z: 1.0,
-                            log_joint_batch=lambda Z: np.ones(len(Z)))
+        model = TargetModel(dim=2, log_joint_batch=lambda Z: np.ones(len(Z)))
         s = BaseDensity(Family.GAUSSIAN, [0.0, 0.5], [1.0, 2.0])
         n = 100_000
         g_loc, g_ls = relbo_grad(
@@ -141,8 +139,7 @@ class TestRelboGrad:
             assert relative_error(g_ls, fd_ls) < 0.05, estimator
 
     def test_reparameterization_needs_model_gradient(self):
-        model = TargetModel(dim=1, log_joint=lambda z: 0.0,
-                            log_joint_batch=lambda Z: np.zeros(len(Z)))
+        model = TargetModel(dim=1, log_joint_batch=lambda Z: np.zeros(len(Z)))
         with pytest.raises(ValueError, match="gradient"):
             relbo_grad(gaussian(0, 1), model, None, 1.0, 8, seed=0)
 
