@@ -90,6 +90,28 @@ def _as_vector(x, name: str) -> np.ndarray:
     return arr
 
 
+def log_normalizer(family: Family, scale: np.ndarray) -> np.ndarray:
+    """Per-coordinate log normalizing constant of a location-scale density."""
+    if family is Family.GAUSSIAN:
+        return -0.5 * LOG_2PI - np.log(scale)
+    return -np.log(2.0 * scale)
+
+
+def coordinate_log_prob(family: Family, norm: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per-coordinate log density at standardized points ``u = (z - loc) / scale``,
+    given the :func:`log_normalizer` ``norm``."""
+    if family is Family.GAUSSIAN:
+        return norm - 0.5 * u * u
+    return norm - np.abs(u)
+
+
+def coordinate_score(family: Family, u: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """d log density / dz per coordinate at standardized points ``u``."""
+    if family is Family.GAUSSIAN:
+        return -u / scale
+    return -np.sign(u) / scale
+
+
 @dataclass(frozen=True)
 class BaseDensity:
     """A single mean-field atom: independent Gaussian or Laplace per coordinate.
@@ -132,21 +154,14 @@ class BaseDensity:
         """Log density at ``z``; accepts one point of shape (D,) or a batch (n, D)."""
         Z, squeeze = _check_points(z, self.dim)
         u = (Z - self.loc) / self.scale
-        if self.family is Family.GAUSSIAN:
-            lp = -0.5 * LOG_2PI - np.log(self.scale) - 0.5 * u * u
-        else:
-            lp = -np.log(2.0 * self.scale) - np.abs(u)
+        lp = coordinate_log_prob(self.family, log_normalizer(self.family, self.scale), u)
         out = lp.sum(axis=1)
         return float(out[0]) if squeeze else out
 
     def grad_log_prob(self, z):
         """Gradient of the log density in z, batched like :meth:`log_prob`."""
         Z, squeeze = _check_points(z, self.dim)
-        u = (Z - self.loc) / self.scale
-        if self.family is Family.GAUSSIAN:
-            g = -u / self.scale
-        else:
-            g = -np.sign(u) / self.scale
+        g = coordinate_score(self.family, (Z - self.loc) / self.scale, self.scale)
         return g[0] if squeeze else g
 
     def entropy(self) -> float:
@@ -226,10 +241,7 @@ class Mixture:
         if all(a.family is family for a in atoms):
             locs = np.stack([a.loc for a in atoms])
             scales = np.stack([a.scale for a in atoms])
-            if family is Family.GAUSSIAN:
-                norm = -0.5 * LOG_2PI - np.log(scales)
-            else:
-                norm = -np.log(2.0 * scales)
+            norm = log_normalizer(family, scales)
             object.__setattr__(self, "_stacked", (family, locs, scales, norm))
         else:
             object.__setattr__(self, "_stacked", None)
@@ -247,33 +259,21 @@ class Mixture:
     def dim(self) -> int:
         return self.atoms[0].dim
 
-    def _standardized(self, Z: np.ndarray) -> np.ndarray:
-        _, locs, scales, _ = self._stacked
-        return (Z[:, None, :] - locs) / scales  # (n, K, D)
-
-    def _component_log_probs(self, Z: np.ndarray) -> np.ndarray:
+    def _components(self, Z: np.ndarray, grads: bool):
+        """Per-atom log densities (n, K) and, with ``grads``, per-atom scores
+        (n, K, D), else None; the stacked path standardizes ``Z`` once for both."""
         if self._stacked is None:
-            return np.stack([a.log_prob(Z) for a in self.atoms], axis=1)  # (n, K)
-        family, _, _, norm = self._stacked
-        u = self._standardized(Z)
-        if family is Family.GAUSSIAN:
-            lp = norm - 0.5 * u * u
-        else:
-            lp = norm - np.abs(u)
-        return lp.sum(axis=2)
-
-    def _component_grads(self, Z: np.ndarray) -> np.ndarray:
-        if self._stacked is None:
-            return np.stack([a.grad_log_prob(Z) for a in self.atoms], axis=1)  # (n, K, D)
-        family, _, scales, _ = self._stacked
-        u = self._standardized(Z)
-        if family is Family.GAUSSIAN:
-            return -u / scales
-        return -np.sign(u) / scales
+            lp = np.stack([a.log_prob(Z) for a in self.atoms], axis=1)
+            g = np.stack([a.grad_log_prob(Z) for a in self.atoms], axis=1) if grads else None
+            return lp, g
+        family, locs, scales, norm = self._stacked
+        u = (Z[:, None, :] - locs) / scales  # (n, K, D)
+        g = coordinate_score(family, u, scales) if grads else None
+        return coordinate_log_prob(family, norm, u).sum(axis=2), g
 
     def log_prob(self, z):
         Z, squeeze = _check_points(z, self.dim)
-        comp = self._component_log_probs(Z)
+        comp, _ = self._components(Z, grads=False)
         out = logsumexp(comp + self._log_weights, axis=1)
         return float(out[0]) if squeeze else out
 
@@ -286,10 +286,11 @@ class Mixture:
         """:meth:`log_prob` and :meth:`grad_log_prob` at once, sharing the
         component evaluation."""
         Z, squeeze = _check_points(z, self.dim)
-        logits = self._component_log_probs(Z) + self._log_weights
+        comp, comp_grads = self._components(Z, grads=True)
+        logits = comp + self._log_weights
         lse = logsumexp(logits, axis=1, keepdims=True)
         resp = np.exp(logits - lse)  # (n, K)
-        grad = np.einsum("nk,nkd->nd", resp, self._component_grads(Z))
+        grad = np.einsum("nk,nkd->nd", resp, comp_grads)
         return (float(lse[0, 0]), grad[0]) if squeeze else (lse[:, 0], grad)
 
     def sample(self, n: int, seed) -> np.ndarray:

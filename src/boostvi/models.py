@@ -47,13 +47,6 @@ def log_joint_batch(model: TargetModel, Z: np.ndarray) -> np.ndarray:
     return np.asarray(model.log_joint_batch(Z))
 
 
-def grad_log_joint_batch(model: TargetModel, Z: np.ndarray) -> np.ndarray:
-    if model.grad_log_joint_batch is None:
-        raise ValueError("model does not provide a gradient")
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    return np.asarray(model.grad_log_joint_batch(Z))
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Feature/label data for classification, or a masked matrix for factorization.
@@ -140,12 +133,12 @@ def logistic_regression_model(data: Dataset) -> TargetModel:
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise ValueError("labels must be binary (0/1)")
     n_feat = X.shape[1]
+    # y log sigma(l) + (1 - y) log sigma(-l) = log sigma(sign * l) for y in {0, 1}
+    sign = 2.0 * y - 1.0
 
     def batch(W: np.ndarray) -> np.ndarray:
         prior = -0.5 * np.sum(W * W, axis=1) - 0.5 * n_feat * LOG_2PI
-        logits = W @ X.T  # (n, N)
-        ll = y * log_expit(logits) + (1.0 - y) * log_expit(-logits)
-        return prior + ll.sum(axis=1)
+        return prior + log_expit((W @ X.T) * sign).sum(axis=1)
 
     def grad_batch(W: np.ndarray) -> np.ndarray:
         logits = W @ X.T

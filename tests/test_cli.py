@@ -78,6 +78,13 @@ class TestRun:
         assert code == EXIT_CONFIG
         assert "delta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_nonpositive_lmo_steps_rejected(self, tmp_path, capsys, steps):
+        code = run_cli("run", "--model", "bimodal", "--lmo-steps", steps,
+                       "--out", str(tmp_path / "o"))
+        assert code == EXIT_CONFIG
+        assert "n_steps" in capsys.readouterr().err
+
 
 class TestProbe:
     def test_entropy_probe_passes(self, capsys):

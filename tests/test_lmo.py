@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,8 @@ from boostvi import (
     relbo_grad,
     synthetic_bimodal_target,
 )
+from boostvi.densities import standard_noise
+from boostvi.lmo import _Adam, _initial_params
 from boostvi.models import Dataset, TargetModel, logistic_regression_model
 
 from oracles import RESIDUAL_ATOM_OPT, SINGLE_GAUSSIAN_FIT, relative_error
@@ -195,3 +198,101 @@ class TestLmoSolve:
             LmoConfig(step_size=-0.1)
         with pytest.raises(ValueError):
             LmoConfig(scale_floor=0.0)
+        for steps in (0, -3):
+            with pytest.raises(ValueError, match="n_steps"):
+                LmoConfig(n_steps=steps)
+
+    def test_one_atom_built_per_solve(self, monkeypatch):
+        # the step loop works on raw arrays: the returned atom is the only
+        # validated BaseDensity, also when the non-finite retry ran
+        built = []
+        post_init = BaseDensity.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        base = synthetic_bimodal_target()
+        calls = []
+
+        def nan_on_first_call(Z):
+            calls.append(len(Z))
+            out = base.log_joint_batch(Z)
+            return out * np.nan if len(calls) == 1 else out
+
+        flaky = TargetModel(dim=1, log_joint_batch=nan_on_first_call,
+                            grad_log_joint_batch=base.grad_log_joint_batch)
+        cfg = LmoConfig(seed=1, n_steps=40)
+        monkeypatch.setattr(BaseDensity, "__post_init__", counting)
+        clean = lmo_solve(base, None, 0, cfg)
+        assert len(built) == 1 and built[0] is clean.atom
+        retried = lmo_solve(flaky, None, 0, cfg)
+        assert len(calls) == 1 + cfg.n_steps  # one failed step, then a clean attempt
+        assert len(built) == 2 and built[1] is retried.atom
+        assert np.isfinite(retried.relbo_estimate)
+
+
+def _reference_solve(model, q_t, t, cfg):
+    """lmo_solve rebuilt from public pieces: a validated BaseDensity and a
+    relbo_grad call per step, the RELBO value from the atom's own log_prob,
+    the same seed layout and the same Adam, EMA and box steps."""
+    lam = lambda_at(t, cfg.lambda_schedule)
+    d, n, box, floor = model.dim, cfg.n_mc_samples, cfg.param_box, cfg.scale_floor
+    ss = np.random.SeedSequence(entropy=(cfg.seed, t))
+    init_rng = np.random.default_rng(ss.spawn(1)[0])
+    step_seeds = ss.spawn(cfg.n_steps + 1)
+    loc, u = _initial_params(model, q_t, cfg, init_rng)
+    opt = _Adam(2 * d, cfg.step_size)
+    ema = baseline = checkpoint = best = None
+    best_ema = -np.inf
+    for k in range(cfg.n_steps):
+        scale = floor + np.logaddexp(0.0, u)
+        s = BaseDensity(cfg.family, loc, scale, floor, box)
+        g_loc, g_log_scale = relbo_grad(s, model, q_t, lam, n, step_seeds[k],
+                                        cfg.estimator, baseline)
+        rng = np.random.default_rng(step_seeds[k])
+        z = s.transform(standard_noise(cfg.family, n, d, rng))
+        f = model.log_joint_batch(z)
+        if q_t is not None:
+            f = f - q_t.log_prob(z)
+        value = float(np.mean(f) - lam * np.mean(s.log_prob(z)))
+        f_mean = float(np.mean(f))
+        baseline = f_mean if baseline is None else 0.9 * baseline + 0.1 * f_mean
+        ema = value if ema is None else 0.9 * ema + 0.1 * value
+        if k >= min(20, cfg.n_steps // 10) and ema > best_ema:
+            best_ema, best = ema, (loc.copy(), u.copy())
+        if k == (3 * cfg.n_steps) // 4:
+            checkpoint = ema
+        g_u = g_log_scale * expit(u) / scale
+        delta = opt.step(np.concatenate([g_loc, g_u]))
+        loc = np.clip(loc + delta[:d], -box, box)
+        u = u + delta[d:]
+    loc, u = best
+    atom = BaseDensity(cfg.family, loc, floor + np.logaddexp(0.0, u), floor, box)
+    converged = abs(best_ema - checkpoint) <= 1e-2 * (1.0 + abs(best_ema))
+    return atom, best_ema, converged
+
+
+class TestSolverMatchesReferenceLoop:
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("estimator", list(Estimator))
+    @pytest.mark.parametrize("n_atoms", [None, 3])
+    def test_bit_identical(self, family, estimator, n_atoms):
+        model = _random_logistic_model(seed=2, n=40, n_feat=3)
+        q_t = None
+        if n_atoms is not None:
+            rng = np.random.default_rng(12)
+            q_t = Mixture.from_unnormalized(
+                [BaseDensity(family, rng.standard_normal(3), rng.uniform(0.3, 1.5, 3))
+                 for _ in range(n_atoms)],
+                rng.uniform(0.5, 1.5, n_atoms),
+            )
+        cfg = LmoConfig(family=family, estimator=estimator, n_steps=80,
+                        n_mc_samples=16, step_size=0.05, seed=4)
+        res = lmo_solve(model, q_t, 2, cfg)
+        atom, relbo, converged = _reference_solve(model, q_t, 2, cfg)
+        np.testing.assert_array_equal(res.atom.loc, atom.loc)
+        np.testing.assert_array_equal(res.atom.scale, atom.scale)
+        assert res.relbo_estimate == relbo
+        assert res.converged == converged
+        assert res.atom.family is family

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import log_expit
 
 from boostvi import (
     Dataset,
@@ -12,8 +13,8 @@ from boostvi import (
     predictive_metrics,
     synthetic_bimodal_target,
 )
-from boostvi.densities import BaseDensity, Family
-from boostvi.models import grad_log_joint_batch, log_joint_batch
+from boostvi.densities import LOG_2PI, BaseDensity, Family
+from boostvi.models import log_joint_batch
 
 from oracles import BIMODAL_LOGPDF_AT_0, finite_difference, gaussian_logpdf, relative_error
 
@@ -86,6 +87,22 @@ class TestLogisticRegression:
         singles = np.array([model.log_joint(w) for w in W])
         np.testing.assert_allclose(batched, singles, rtol=1e-12)
 
+    def test_log_joint_equals_two_term_bernoulli_sum(self):
+        # the one-pass kernel log sigma(sign * l) must reproduce the two-term
+        # sum y log sigma(l) + (1 - y) log sigma(-l) bit for bit, both label
+        # classes and saturated logits included
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((40, 3)) * np.array([1.0, 10.0, 300.0])
+        y = np.tile([0.0, 1.0], 20)
+        model = logistic_regression_model(Dataset(features=X, labels=y))
+        W = rng.standard_normal((16, 3))
+        W[:, 2] *= 3.0  # logits out to |l| ~ 800
+        logits = W @ X.T
+        assert np.abs(logits).max() > 700
+        prior = -0.5 * np.sum(W * W, axis=1) - 0.5 * 3 * LOG_2PI
+        ll = y * log_expit(logits) + (1.0 - y) * log_expit(-logits)
+        np.testing.assert_array_equal(log_joint_batch(model, W), prior + ll.sum(axis=1))
+
     def test_nonbinary_labels_rejected(self):
         with pytest.raises(ValueError, match="binary"):
             logistic_regression_model(
@@ -128,7 +145,7 @@ class TestMatrixFactorization:
         model = matrix_factorization_model(data, latent_dim=2)
         Z = rng.standard_normal((5, model.dim))
         np.testing.assert_allclose(
-            grad_log_joint_batch(model, Z),
+            model.grad_log_joint_batch(Z),
             np.stack([model.grad_log_joint(z) for z in Z]),
             rtol=1e-12,
         )
