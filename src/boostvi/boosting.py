@@ -31,8 +31,6 @@ from .densities import (
 from .lmo import LambdaSchedule, LmoConfig, LmoResult, lmo_solve
 from .models import TargetModel, log_joint_batch
 
-ATOM_MERGE_TOL = 1e-9
-
 
 def _entropy_int(seed) -> int:
     """Fold a seed-like value into an integer usable as SeedSequence entropy."""
@@ -144,15 +142,6 @@ def fixed_step_gamma(t: int, delta: float) -> float:
     return 2.0 / (delta * t + 2.0)
 
 
-def _atoms_equal(a: BaseDensity, b: BaseDensity) -> bool:
-    return (
-        a.family is b.family
-        and a.dim == b.dim
-        and np.max(np.abs(a.loc - b.loc)) <= ATOM_MERGE_TOL
-        and np.max(np.abs(a.scale - b.scale)) <= ATOM_MERGE_TOL
-    )
-
-
 def mixture_step(q_t: Mixture, s: BaseDensity, gamma: float) -> Mixture:
     """Convex step (1 - gamma) * q_t + gamma * s, merging duplicate atoms."""
     if not 0.0 <= gamma <= 1.0:
@@ -161,43 +150,31 @@ def mixture_step(q_t: Mixture, s: BaseDensity, gamma: float) -> Mixture:
         return q_t
     if gamma == 1.0:
         return Mixture.single(s)
-    atoms = list(q_t.atoms)
-    weights = list(q_t.weights * (1.0 - gamma))
-    for i, a in enumerate(atoms):
-        if _atoms_equal(a, s):
-            weights[i] += gamma
-            break
-    else:
-        atoms.append(s)
-        weights.append(gamma)
-    return Mixture.from_unnormalized(atoms, weights)
+    weights = q_t.weights * (1.0 - gamma)
+    i = q_t.index_of(s)
+    if i is None:
+        return Mixture.from_unnormalized(q_t.atoms + (s,), np.append(weights, gamma))
+    weights[i] += gamma
+    return Mixture.from_unnormalized(q_t.atoms, weights)
 
 
-def _crn_mixture_sampler(atoms: list[BaseDensity], n: int, seed):
-    """Common-random-number sampler over a fixed atom list.
+def _crn_mixture_sampler(family: Family, dim: int, n: int, seed):
+    """Common-random-number sampler for mixtures of one family and dimension.
 
     Draws one uniform per sample for component selection and one standardized
-    noise row per (sample, atom family) so that evaluations at different
-    weight vectors are paired.
+    noise row per sample, so that draws at different weights are paired.
+    ``sample(q, weights)`` selects among ``q``'s atoms by ``weights``, taken
+    before normalization so that its rounding cannot move a selection.
     """
     rng = np.random.default_rng(seed)
-    dim = atoms[0].dim
     u = rng.uniform(size=n)
-    noise = {}
-    for fam in {a.family for a in atoms}:
-        noise[fam] = standard_noise(fam, n, dim, rng)
+    noise = standard_noise(family, n, dim, rng)
 
-    def sample(weights: np.ndarray) -> np.ndarray:
+    def sample(q: Mixture, weights: np.ndarray) -> np.ndarray:
         edges = np.cumsum(weights)
         edges[-1] = 1.0
-        idx = np.searchsorted(edges, u, side="right")
-        idx = np.minimum(idx, len(atoms) - 1)
-        out = np.empty((n, dim))
-        for k, atom in enumerate(atoms):
-            sel = idx == k
-            if np.any(sel):
-                out[sel] = atom.transform(noise[atom.family][sel])
-        return out
+        idx = np.minimum(np.searchsorted(edges, u, side="right"), len(weights) - 1)
+        return q.locs[idx] + q.scales[idx] * noise
 
     return sample
 
@@ -213,14 +190,14 @@ def line_search_gamma(
     """Variant-1 step size: grid search plus golden-section refinement of the
     blended negative ELBO, with common random numbers across gamma.  Ties are
     broken toward smaller gamma."""
-    atoms = list(q_t.atoms) + [s]
-    sampler = _crn_mixture_sampler(atoms, n_samples, seed)
+    atoms = q_t.atoms + (s,)
+    sampler = _crn_mixture_sampler(s.family, s.dim, n_samples, seed)
 
     def objective(gamma: float) -> float:
         # KL up to a constant, E_q[log q - log p], on common random numbers
         weights = np.concatenate([q_t.weights * (1.0 - gamma), [gamma]])
         q = Mixture.from_unnormalized(atoms, weights)
-        z = sampler(weights)
+        z = sampler(q, weights)
         return float(np.mean(q.log_prob(z) - log_joint_batch(model, z)))
 
     gammas = np.linspace(0.0, 1.0, n_grid)
@@ -271,18 +248,18 @@ def fully_corrective_weights(
     stopping test within its rounding error; the returned weights are those
     of the direct solve.
     """
-    atoms = list(atoms)
     k = len(atoms)
     if k == 1:
         return np.array([1.0])
+    q = Mixture.from_unnormalized(atoms, np.ones(k))  # the atoms stacked once
     ss = np.random.SeedSequence(entropy=(_entropy_int(seed), 1414))
-    seeds = ss.spawn(k)
-    # per-atom fixed samples and cached log densities
+    # fixed samples of each atom, from its own stream, and cached log densities
     comp_logs = np.empty((k, n_samples, k))  # comp_logs[i]: log s_j under atom i's samples
     logp = np.empty((k, n_samples))
-    for i, atom in enumerate(atoms):
-        z = atom.sample(n_samples, seeds[i])
-        comp_logs[i] = np.stack([a.log_prob(z) for a in atoms], axis=1)
+    for i, s in enumerate(ss.spawn(k)):
+        noise = standard_noise(q.family, n_samples, q.dim, np.random.default_rng(s))
+        z = q.locs[i] + q.scales[i] * noise
+        comp_logs[i] = q.components(z)[0]
         logp[i] = log_joint_batch(model, z)
 
     def direct_grad(w: np.ndarray) -> np.ndarray:
@@ -362,13 +339,16 @@ def certificate_gap(
     """
     if not candidates:
         raise ValueError("need at least one candidate atom")
+    if any(s.family is not q_t.family or s.dim != q_t.dim for s in candidates):
+        raise ValueError("candidates must share the mixture's family and dimension")
     ss = np.random.SeedSequence(entropy=(_entropy_int(seed), 1618))
     seeds = ss.spawn(len(candidates) + 2)
     zq = q_t.sample(n, seeds[0])
     aq = q_t.log_prob(zq) - log_joint_batch(model, zq)
 
     def atom_estimate(s: BaseDensity, s_seed) -> GapEstimate:
-        zs = s.sample(n, s_seed)
+        noise = standard_noise(q_t.family, n, q_t.dim, np.random.default_rng(s_seed))
+        zs = s.loc + s.scale * noise
         as_ = q_t.log_prob(zs) - log_joint_batch(model, zs)
         return GapEstimate(
             float(np.mean(aq) - np.mean(as_)),
@@ -387,8 +367,7 @@ def certificate_gap(
         probe = BaseDensity(
             anchor.family,
             z_star,
-            np.maximum(0.1 * np.mean([a.scale for a in q_t.atoms], axis=0),
-                       anchor.scale_floor),
+            np.maximum(0.1 * q_t.scales.mean(axis=0), anchor.scale_floor),
             anchor.scale_floor,
             anchor.param_box,
         )
@@ -520,8 +499,7 @@ def run_boosting(
             )
             q = Mixture(trial.atoms, weights)
             # the fresh atom's weight, at the index it merged into or was appended at
-            fresh = next(i for i, a in enumerate(trial.atoms) if _atoms_equal(a, res.atom))
-            gamma = float(weights[fresh])
+            gamma = float(weights[trial.index_of(res.atom)])
         record(t, gamma, q, res, t_iter)
 
     if not stopped and cfg.max_iters > 0:

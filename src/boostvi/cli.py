@@ -166,10 +166,8 @@ def _experiment_config(args) -> ExperimentConfig:
 
 
 def _progress_line(record):
-    gap = "-" if record.gap_estimate is None else f"{record.gap_estimate:.4f}"
-    print(
-        f"t={record.t} gamma={record.gamma:.3f} gap={gap} train_ll={record.train_ll:.4f}"
-    )
+    # iterate t's gap is only estimated in iteration t + 1, after this line
+    print(f"t={record.t} gamma={record.gamma:.3f} train_ll={record.train_ll:.4f}")
 
 
 def cmd_run(args) -> int:

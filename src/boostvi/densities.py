@@ -18,6 +18,7 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 DEFAULT_SCALE_FLOOR = 1e-3
 DEFAULT_PARAM_BOX = 1e3
+ATOM_MERGE_TOL = 1e-9  # max-norm distance at which two atoms count as one
 
 # trapezoid was renamed in numpy 2.0
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -211,7 +212,8 @@ def kl_gaussian_closed(p: BaseDensity, q: BaseDensity) -> float:
 
 @dataclass(frozen=True)
 class Mixture:
-    """Convex combination of atoms with simplex weights."""
+    """Convex combination of atoms of one ``family`` with simplex weights,
+    evaluated, sampled and matched through their stacked ``locs``, ``scales`` (K, D)."""
 
     atoms: tuple[BaseDensity, ...]
     weights: np.ndarray
@@ -231,20 +233,20 @@ class Mixture:
         dims = {a.dim for a in atoms}
         if len(dims) != 1:
             raise ValueError("all atoms must share one dimension")
-        w.setflags(write=False)
+        family = atoms[0].family
+        if any(a.family is not family for a in atoms):
+            raise ValueError("all atoms must share one family")
+        locs = np.stack([a.loc for a in atoms])
+        scales = np.stack([a.scale for a in atoms])
+        for arr in (w, locs, scales):
+            arr.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "locs", locs)
+        object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "_log_weights", log_weights(w))
-        # one family throughout: evaluate all atoms at once on stacked (K, D)
-        # parameters instead of atom by atom
-        family = atoms[0].family
-        if all(a.family is family for a in atoms):
-            locs = np.stack([a.loc for a in atoms])
-            scales = np.stack([a.scale for a in atoms])
-            norm = log_normalizer(family, scales)
-            object.__setattr__(self, "_stacked", (family, locs, scales, norm))
-        else:
-            object.__setattr__(self, "_stacked", None)
+        object.__setattr__(self, "_norm", log_normalizer(family, scales))
 
     @classmethod
     def from_unnormalized(cls, atoms, weights) -> "Mixture":
@@ -257,23 +259,28 @@ class Mixture:
 
     @property
     def dim(self) -> int:
-        return self.atoms[0].dim
+        return self.locs.shape[1]
 
-    def _components(self, Z: np.ndarray, grads: bool):
-        """Per-atom log densities (n, K) and, with ``grads``, per-atom scores
-        (n, K, D), else None; the stacked path standardizes ``Z`` once for both."""
-        if self._stacked is None:
-            lp = np.stack([a.log_prob(Z) for a in self.atoms], axis=1)
-            g = np.stack([a.grad_log_prob(Z) for a in self.atoms], axis=1) if grads else None
-            return lp, g
-        family, locs, scales, norm = self._stacked
-        u = (Z[:, None, :] - locs) / scales  # (n, K, D)
-        g = coordinate_score(family, u, scales) if grads else None
-        return coordinate_log_prob(family, norm, u).sum(axis=2), g
+    def index_of(self, s: BaseDensity) -> int | None:
+        """Index of the first atom of ``s``'s family whose loc and scale are
+        each within ``ATOM_MERGE_TOL`` of ``s``'s (max norm), else None."""
+        if s.family is not self.family or s.dim != self.dim:
+            return None
+        match = ((np.abs(self.locs - s.loc).max(axis=1) <= ATOM_MERGE_TOL)
+                 & (np.abs(self.scales - s.scale).max(axis=1) <= ATOM_MERGE_TOL))
+        hits = np.flatnonzero(match)
+        return int(hits[0]) if hits.size else None
+
+    def components(self, Z: np.ndarray, grads: bool = False):
+        """Per-atom log densities (n, K) at ``Z`` (n, D) and, with ``grads``,
+        per-atom scores (n, K, D), else None, from one standardization of ``Z``."""
+        u = (Z[:, None, :] - self.locs) / self.scales  # (n, K, D)
+        g = coordinate_score(self.family, u, self.scales) if grads else None
+        return coordinate_log_prob(self.family, self._norm, u).sum(axis=2), g
 
     def log_prob(self, z):
         Z, squeeze = _check_points(z, self.dim)
-        comp, _ = self._components(Z, grads=False)
+        comp, _ = self.components(Z)
         out = logsumexp(comp + self._log_weights, axis=1)
         return float(out[0]) if squeeze else out
 
@@ -286,7 +293,7 @@ class Mixture:
         """:meth:`log_prob` and :meth:`grad_log_prob` at once, sharing the
         component evaluation."""
         Z, squeeze = _check_points(z, self.dim)
-        comp, comp_grads = self._components(Z, grads=True)
+        comp, comp_grads = self.components(Z, grads=True)
         logits = comp + self._log_weights
         lse = logsumexp(logits, axis=1, keepdims=True)
         resp = np.exp(logits - lse)  # (n, K)
@@ -298,13 +305,11 @@ class Mixture:
             raise ValueError("n must be >= 1")
         rng = np.random.default_rng(seed)
         idx = rng.choice(len(self.atoms), size=n, p=self.weights)
-        out = np.empty((n, self.dim))
-        for k, atom in enumerate(self.atoms):
-            sel = idx == k
-            m = int(sel.sum())
-            if m:
-                out[sel] = atom.transform(standard_noise(atom.family, m, self.dim, rng))
-        return out
+        # one noise draw, its rows dealt to atom 0's samples first, then atom
+        # 1's, and so on: the stream of one draw per atom in turn
+        noise = np.empty((n, self.dim))
+        noise[np.argsort(idx, kind="stable")] = standard_noise(self.family, n, self.dim, rng)
+        return self.locs[idx] + self.scales[idx] * noise
 
 
 @dataclass(frozen=True)

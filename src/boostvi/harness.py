@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
@@ -49,11 +50,16 @@ def load_csv(path: str, schema: str = "classification") -> Dataset:
             parsed = []
             for c, cell in enumerate(row, start=1):
                 try:
-                    parsed.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise ValueError(
                         f"{path}: non-numeric cell at row {r}, column {c} ({cell!r})"
                     )
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"{path}: non-finite cell at row {r}, column {c} ({cell!r})"
+                    )
+                parsed.append(value)
             rows.append(parsed)
             row_numbers.append(r)
     if not rows:
@@ -66,7 +72,7 @@ def load_csv(path: str, schema: str = "classification") -> Dataset:
     if data.shape[1] != 3:
         raise ValueError(f"{path}: matrix schema expects exactly (i, j, r) columns")
     index = data[:, :2]
-    non_integer = ~np.isfinite(index) | (index != np.floor(index))
+    non_integer = index != np.floor(index)
     if non_integer.any():
         r = row_numbers[int(np.argmax(non_integer.any(axis=1)))]
         raise ValueError(f"{path}: non-integer matrix index at row {r}")
@@ -107,35 +113,32 @@ def split(data: Dataset, fraction: float, seed) -> tuple[Dataset, Dataset]:
     """Deterministic shuffled train/test split.
 
     Classification data splits by row; masked matrices split the observed
-    cells into two disjoint masks over the same matrix.
+    cells into two disjoint masks over the same matrix.  A split that leaves
+    either side empty raises a ``ValueError``.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must lie in (0, 1)")
     rng = np.random.default_rng(seed)
-    if data.mask is not None:
-        cells = np.argwhere(data.mask)
-        if len(cells) < 2:
-            raise ValueError("need at least 2 observed cells to split")
-        perm = rng.permutation(len(cells))
-        n_train = int(round(fraction * len(cells)))
-        train_mask = np.zeros_like(data.mask)
-        test_mask = np.zeros_like(data.mask)
-        tr = cells[perm[:n_train]]
-        te = cells[perm[n_train:]]
-        train_mask[tr[:, 0], tr[:, 1]] = True
-        test_mask[te[:, 0], te[:, 1]] = True
-        return (
-            Dataset(features=None, labels=data.labels, mask=train_mask),
-            Dataset(features=None, labels=data.labels, mask=test_mask),
-        )
-    if data.n < 2:
-        raise ValueError("need at least 2 rows to split")
-    perm = rng.permutation(data.n)
-    n_train = int(round(fraction * data.n))
+    cells = None if data.mask is None else np.argwhere(data.mask)
+    n, unit = (data.n, "rows") if cells is None else (len(cells), "observed cells")
+    n_train = int(round(fraction * n))
+    if not 0 < n_train < n:
+        side = "train" if n_train == 0 else "test"
+        raise ValueError(f"split fraction {fraction} of {n} {unit} leaves the {side} set empty")
+    perm = rng.permutation(n)
     tr, te = perm[:n_train], perm[n_train:]
+    if cells is None:
+        return (
+            Dataset(features=data.features[tr], labels=data.labels[tr]),
+            Dataset(features=data.features[te], labels=data.labels[te]),
+        )
+    train_mask = np.zeros_like(data.mask)
+    test_mask = np.zeros_like(data.mask)
+    train_mask[tuple(cells[tr].T)] = True
+    test_mask[tuple(cells[te].T)] = True
     return (
-        Dataset(features=data.features[tr], labels=data.labels[tr]),
-        Dataset(features=data.features[te], labels=data.labels[te]),
+        Dataset(features=None, labels=data.labels, mask=train_mask),
+        Dataset(features=None, labels=data.labels, mask=test_mask),
     )
 
 
@@ -250,25 +253,24 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, progress=None):
     p = cfg.model_params
     fw = replace(cfg.fw, seed=seed, lmo=replace(cfg.fw.lmo, seed=seed))
     data = _build_dataset(cfg, seed)
-    if cfg.model == "bimodal":
+    if data is None:
         model = bimodal_target(p)
-        posterior, trace = run_boosting(model, fw, progress=progress)
-        metrics = {
-            "kl_oracle": trace.records[trace.best_iteration].kl_oracle,
-            "train_ll": trace.records[trace.best_iteration].train_ll,
-        }
-        return metrics, trace, posterior
-    train, test = split(data, cfg.split_fraction, seed=(seed, 777))
-    if cfg.model == "logistic":
-        model = logistic_regression_model(train)
     else:
-        model = matrix_factorization_model(train, int(p.get("latent_dim", 2)))
+        train, test = split(data, cfg.split_fraction, seed=(seed, 777))
+        if cfg.model == "logistic":
+            model = logistic_regression_model(train)
+        else:
+            model = matrix_factorization_model(train, int(p.get("latent_dim", 2)))
     posterior, trace = run_boosting(model, fw, progress=progress)
-    metrics = predictive_metrics(
-        cfg.model, posterior, test, n_samples=int(p.get("metric_samples", 2048)),
-        seed=(seed, 555),
-    )
-    metrics["train_ll"] = trace.records[trace.best_iteration].train_ll
+    best = trace.records[trace.best_iteration]
+    if data is None:
+        metrics = {"kl_oracle": best.kl_oracle}
+    else:
+        metrics = predictive_metrics(
+            cfg.model, posterior, test, n_samples=int(p.get("metric_samples", 2048)),
+            seed=(seed, 555),
+        )
+    metrics["train_ll"] = best.train_ll
     return metrics, trace, posterior
 
 

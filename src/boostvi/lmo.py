@@ -37,11 +37,6 @@ class Estimator(str, enum.Enum):
     SCORE_FUNCTION = "score_function"
 
 
-class InitScheme(str, enum.Enum):
-    RANDOM_NORMAL = "random_normal"
-    PERTURB_CURRENT = "perturb_current"
-
-
 @dataclass(frozen=True)
 class LambdaSchedule:
     """Entropy-weight schedule: ``inverse_sqrt`` gives 1/sqrt(t+1)."""
@@ -74,7 +69,6 @@ class LmoConfig:
     lambda_schedule: LambdaSchedule = field(default_factory=LambdaSchedule)
     scale_floor: float = 1e-3
     param_box: float = 1e3
-    init: InitScheme = InitScheme.RANDOM_NORMAL
     seed: int = 0
 
     def __post_init__(self):
@@ -88,7 +82,6 @@ class LmoConfig:
             raise ValueError("scale_floor must be positive")
         object.__setattr__(self, "family", Family(self.family))
         object.__setattr__(self, "estimator", Estimator(self.estimator))
-        object.__setattr__(self, "init", InitScheme(self.init))
 
 
 @dataclass(frozen=True)
@@ -245,21 +238,10 @@ class _Adam:
         return self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def _initial_params(
-    model: TargetModel,
-    q_t: Optional[Mixture],
-    cfg: LmoConfig,
-    rng: np.random.Generator,
-):
-    d = model.dim
-    if cfg.init is InitScheme.PERTURB_CURRENT and q_t is not None:
-        anchor = q_t.atoms[int(np.argmax(q_t.weights))]
-        loc = anchor.loc + 0.5 * rng.standard_normal(d)
-        scale0 = np.maximum(anchor.scale, cfg.scale_floor + 1e-6)
-    else:
-        loc = rng.standard_normal(d)
-        # start narrow: wide inits tend to settle on mode-averaging atoms
-        scale0 = np.full(d, 0.5)
+def _initial_params(d: int, cfg: LmoConfig, rng: np.random.Generator):
+    loc = rng.standard_normal(d)
+    # start narrow: wide inits tend to settle on mode-averaging atoms
+    scale0 = np.full(d, 0.5)
     u = _inv_softplus(np.maximum(scale0 - cfg.scale_floor, 1e-6))
     return _to_box(loc, cfg.param_box), u
 
@@ -291,7 +273,7 @@ def lmo_solve(
     step_seeds = ss.spawn(cfg.n_steps + 1)
 
     for attempt in range(2):
-        loc, u = _initial_params(model, q_t, cfg, init_rng)
+        loc, u = _initial_params(d, cfg, init_rng)
         opt = _Adam(2 * d, cfg.step_size)
         ema = None
         best_ema = -np.inf

@@ -25,6 +25,8 @@ from boostvi import (
     run_boosting,
     synthetic_bimodal_target,
 )
+from boostvi.boosting import _crn_mixture_sampler
+from boostvi.densities import standard_noise
 from boostvi.models import TargetModel
 
 from oracles import CHI_SQUARE_LIMIT_01_11, bimodal_logpdf
@@ -138,6 +140,41 @@ class TestLineSearch:
         s = gaussian(-1.0, 0.5)
         gamma = line_search_gamma(q_t, s, model, n_samples=8192, seed=2)
         assert gamma == pytest.approx(0.4, abs=0.1)
+
+
+class TestCrnMixtureSampler:
+    """Draws through the stacked (K, D) parameters must be those of a loop
+    over the atoms that transforms each atom's rows of the shared noise."""
+
+    @staticmethod
+    def atom_by_atom(atoms, weights, n, seed):
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(size=n)
+        noise = standard_noise(atoms[0].family, n, atoms[0].dim, rng)
+        edges = np.cumsum(weights)
+        edges[-1] = 1.0
+        idx = np.minimum(np.searchsorted(edges, u, side="right"), len(atoms) - 1)
+        out = np.empty((n, atoms[0].dim))
+        for k, atom in enumerate(atoms):
+            sel = idx == k
+            if sel.any():
+                out[sel] = atom.transform(noise[sel])
+        return out
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("dim", [1, 105])
+    def test_matches_atom_by_atom(self, family, dim):
+        rng = np.random.default_rng(dim)
+        atoms = tuple(BaseDensity(family, rng.normal(size=dim), rng.uniform(0.1, 2.0, dim))
+                      for _ in range(4))
+        base = np.array([0.5, 0.0, 0.3, 0.2])
+        sampler = _crn_mixture_sampler(family, dim, 300, 8)
+        # the line search's blends (1 - gamma) * q + gamma * s, unnormalized
+        for gamma in (0.0, 0.37, 1.0):
+            weights = np.concatenate([base[:3] * (1.0 - gamma), [gamma]])
+            q = Mixture.from_unnormalized(atoms, weights)
+            np.testing.assert_array_equal(
+                sampler(q, weights), self.atom_by_atom(atoms, weights, 300, 8))
 
 
 def direct_corrective_weights(atoms, model, n_samples, seed, inner_iters=200):
@@ -259,6 +296,13 @@ class TestDualityGap:
         plain, _ = certificate_gap(q, [q.atoms[0]], model, 2048, seed=7, spike_probe=False)
         probed, _ = certificate_gap(q, [q.atoms[0]], model, 2048, seed=7, spike_probe=True)
         assert probed.value >= plain.value
+
+    def test_candidates_share_family_and_dimension(self):
+        model = synthetic_bimodal_target()
+        q = Mixture.single(gaussian(0.2, 1.0))
+        for s in (BaseDensity(Family.LAPLACE, [0.0], [1.0]), gaussian([0.0, 0.0], [1.0, 1.0])):
+            with pytest.raises(ValueError, match="family and dimension"):
+                certificate_gap(q, [q.atoms[0], s], model, 64, seed=0)
 
 
 class TestCurvatureProbe:

@@ -29,6 +29,16 @@ class TestRun:
         for name in ("trace.json", "summary.json", "density.csv"):
             assert (out / name).exists(), name
 
+    def test_progress_lines(self, tmp_path, capsys):
+        out = tmp_path / "a"
+        assert run_cli("run", "--model", "bimodal", "--variant", "linesearch",
+                       "--seed", "3", "--out", str(out), *FAST) == EXIT_OK
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("t=")]
+        records = json.loads((out / "trace.json").read_text())["traces"][0]["records"]
+        assert lines == [
+            f"t={r['t']} gamma={r['gamma']:.3f} train_ll={r['train_ll']:.4f}" for r in records
+        ]
+
     def test_bogus_variant_is_config_error(self, tmp_path, capsys):
         code = run_cli("run", "--model", "bimodal", "--variant", "bogus",
                        "--out", str(tmp_path / "x"))

@@ -15,7 +15,7 @@ from boostvi import (
     quadrature_kl,
 )
 
-from boostvi.densities import logsumexp
+from boostvi.densities import logsumexp, standard_noise
 
 from oracles import (
     BIMODAL_LOGPDF_AT_0,
@@ -113,11 +113,12 @@ class TestMixtureLogProb:
     @given(w=st.floats(min_value=0.01, max_value=0.99))
     @settings(max_examples=30, deadline=None)
     def test_integrates_to_one(self, w):
-        m = Mixture((gaussian(-1, 0.5), laplace(1, 0.7)), np.array([w, 1 - w]))
-        # a fine grid keeps the trapezoid error at the Laplace kink below tol
+        # a fine grid keeps the trapezoid error at the Laplace kinks below tol
         z = np.linspace(-20, 20, 32001)
-        mass = np.trapezoid(np.exp(m.log_prob(z.reshape(-1, 1))), z)
-        assert mass == pytest.approx(1.0, abs=1e-6)
+        for atom in (gaussian, laplace):
+            m = Mixture((atom(-1, 0.5), atom(1, 0.7)), np.array([w, 1 - w]))
+            mass = np.trapezoid(np.exp(m.log_prob(z.reshape(-1, 1))), z)
+            assert mass == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_weight_component_ignored(self):
         a, b = gaussian(0, 1), gaussian(50, 1)
@@ -126,8 +127,8 @@ class TestMixtureLogProb:
 
 
 class TestStackedMixtureEvaluation:
-    """Mixtures of one family evaluate all atoms at once; the results must be
-    those of the atom-by-atom sum, bit for bit."""
+    """Mixtures evaluate all atoms at once on their stacked (K, D) parameters;
+    the results must be those of the atom-by-atom sum, bit for bit."""
 
     @staticmethod
     def atom_by_atom(m, Z):
@@ -142,7 +143,7 @@ class TestStackedMixtureEvaluation:
         return lse[:, 0], grad
 
     @pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.LAPLACE])
-    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("dim", [1, 3, 105])  # 105: the factorization width
     def test_matches_atom_by_atom(self, family, dim):
         rng = np.random.default_rng(dim)
         atoms = [BaseDensity(family, rng.normal(size=dim), rng.uniform(0.1, 2.0, dim))
@@ -157,12 +158,27 @@ class TestStackedMixtureEvaluation:
         np.testing.assert_array_equal(grad_q, grad_ref)
 
     def test_mixed_families(self):
-        m = Mixture((BaseDensity(Family.GAUSSIAN, [0.0], [1.0]),
-                     BaseDensity(Family.LAPLACE, [1.0], [0.5])), np.array([0.3, 0.7]))
-        Z = np.linspace(-4, 4, 17).reshape(-1, 1)
-        log_ref, grad_ref = self.atom_by_atom(m, Z)
-        np.testing.assert_array_equal(m.log_prob(Z), log_ref)
-        np.testing.assert_array_equal(m.grad_log_prob(Z), grad_ref)
+        with pytest.raises(ValueError, match="one family"):
+            Mixture((gaussian(0.0, 1.0), laplace(1.0, 0.5)), np.array([0.3, 0.7]))
+
+    def test_stacked_parameters(self):
+        atoms = (laplace([0.0, 1.0], [1.0, 2.0]), laplace([-1.0, 0.5], [0.3, 0.4]))
+        m = Mixture(atoms, np.array([0.5, 0.5]))
+        assert m.family is Family.LAPLACE
+        np.testing.assert_array_equal(m.locs, [[0.0, 1.0], [-1.0, 0.5]])
+        np.testing.assert_array_equal(m.scales, [[1.0, 2.0], [0.3, 0.4]])
+        with pytest.raises(ValueError):
+            m.locs[0, 0] = 5.0
+
+    def test_index_of_first_match(self):
+        a, b = gaussian(0.0, 1.0), gaussian(1.0, 0.5)
+        m = Mixture((a, b, a), np.array([0.2, 0.3, 0.5]))
+        assert m.index_of(a) == 0
+        assert m.index_of(gaussian(1.0 + 1e-10, 0.5 - 1e-10)) == 1
+        assert m.index_of(gaussian(1.0 + 1e-8, 0.5)) is None
+        assert m.index_of(gaussian(1.0, 0.5 + 1e-8)) is None
+        assert m.index_of(laplace(0.0, 1.0)) is None
+        assert m.index_of(gaussian([0.0, 0.0], [1.0, 1.0])) is None
 
     def test_single_point_and_dimension_check(self):
         m = Mixture((BaseDensity(Family.GAUSSIAN, [0.0, 1.0], [1.0, 2.0]),), np.array([1.0]))
@@ -207,6 +223,28 @@ class TestLogSumExp:
 
 
 class TestSampling:
+    @staticmethod
+    def atom_by_atom(m, n, seed):
+        """Draws of a loop over the atoms, each drawing its own noise in turn."""
+        rng = np.random.default_rng(seed)
+        idx = rng.choice(len(m.atoms), size=n, p=m.weights)
+        out = np.empty((n, m.dim))
+        for k, atom in enumerate(m.atoms):
+            sel = idx == k
+            if sel.any():
+                out[sel] = atom.transform(standard_noise(atom.family, int(sel.sum()), m.dim, rng))
+        return out
+
+    @pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.LAPLACE])
+    @pytest.mark.parametrize("dim", [1, 3, 105])
+    def test_matches_atom_by_atom(self, family, dim):
+        rng = np.random.default_rng(dim)
+        atoms = [BaseDensity(family, rng.normal(size=dim), rng.uniform(0.1, 2.0, dim))
+                 for _ in range(5)]
+        m = Mixture(tuple(atoms), np.array([0.1, 0.0, 0.4, 0.3, 0.2]))
+        for n, seed in ((1, 0), (7, 3), (500, 11)):
+            np.testing.assert_array_equal(m.sample(n, seed), self.atom_by_atom(m, n, seed))
+
     def test_same_seed_identical(self):
         m = Mixture((gaussian(-1, 0.5), gaussian(1, 0.5)), np.array([0.4, 0.6]))
         np.testing.assert_array_equal(m.sample(64, 7), m.sample(64, 7))

@@ -57,6 +57,13 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=r"dup\.csv: repeated cell \(0, 0\) at row 4"):
             load_csv(str(p), schema="matrix")
 
+    @pytest.mark.parametrize("rating", ["nan", "inf", "-inf"])
+    def test_non_finite_rating_rejected(self, tmp_path, rating):
+        p = tmp_path / "nan.csv"
+        p.write_text(f"i,j,r\n0,0,1.0\n1,2,{rating}\n")
+        with pytest.raises(ValueError, match=r"nan\.csv: non-finite cell at row 3, column 3"):
+            load_csv(str(p), schema="matrix")
+
     def test_roundtrip_classification(self, tmp_path):
         rng = np.random.default_rng(0)
         data = Dataset(features=rng.standard_normal((5, 3)),
@@ -117,9 +124,23 @@ class TestSplit:
            n=st.integers(min_value=4, max_value=60))
     @settings(max_examples=30, deadline=None)
     def test_sizes_add_up(self, frac, n):
+        n_train = int(round(frac * n))
+        if not 0 < n_train < n:  # e.g. 0.1 of 4 rows: an empty side is rejected
+            with pytest.raises(ValueError, match="set empty"):
+                split(self._data(n), frac, seed=1)
+            return
         train, test = split(self._data(n), frac, seed=1)
         assert train.n + test.n == n
-        assert train.n == int(round(frac * n))
+        assert train.n == n_train
+
+    def test_empty_side_rejected(self):
+        with pytest.raises(ValueError, match=r"0\.999 of 400 rows leaves the test set empty"):
+            split(self._data(400), 0.999, seed=0)
+        with pytest.raises(ValueError, match=r"0\.001 of 400 rows leaves the train set empty"):
+            split(self._data(400), 0.001, seed=0)
+        cells = make_lowrank_matrix(4, 3, 2, 0.1, 1.0, seed=0)
+        with pytest.raises(ValueError, match="0.99 of 12 observed cells leaves the test set empty"):
+            split(cells, 0.99, seed=0)
 
 
 class TestSyntheticData:
@@ -169,6 +190,15 @@ class TestRunExperiment:
         run_experiment(cfg)
         for name in ("trace.json", "summary.json", "density.csv"):
             assert (tmp_path / "run" / name).exists()
+
+    def test_empty_split_rejected_before_fit(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the fit ran")
+
+        monkeypatch.setattr("boostvi.harness.run_boosting", no_fit)
+        cfg = ExperimentConfig(model="logistic", split_fraction=0.999, fw=self._fast_fw())
+        with pytest.raises(ValueError, match="leaves the test set empty"):
+            run_experiment(cfg)
 
     def test_invalid_model_rejected(self):
         with pytest.raises(ValueError, match="unknown model"):

@@ -241,7 +241,7 @@ def _reference_solve(model, q_t, t, cfg):
     ss = np.random.SeedSequence(entropy=(cfg.seed, t))
     init_rng = np.random.default_rng(ss.spawn(1)[0])
     step_seeds = ss.spawn(cfg.n_steps + 1)
-    loc, u = _initial_params(model, q_t, cfg, init_rng)
+    loc, u = _initial_params(d, cfg, init_rng)
     opt = _Adam(2 * d, cfg.step_size)
     ema = baseline = checkpoint = best = None
     best_ema = -np.inf
