@@ -2,7 +2,6 @@
 
 from .densities import (
     BaseDensity,
-    CoarseGridError,
     Family,
     Mixture,
     QuadratureGrid,
@@ -10,6 +9,7 @@ from .densities import (
     quadrature_kl,
 )
 from .models import (
+    DataError,
     Dataset,
     TargetModel,
     auroc,
@@ -52,7 +52,6 @@ from .harness import (
     make_separable_classification,
     run_experiment,
     split,
-    write_csv,
 )
 
 __version__ = "0.1.0"

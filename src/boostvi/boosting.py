@@ -29,7 +29,7 @@ from .densities import (
     _trapezoid,
 )
 from .lmo import LambdaSchedule, LmoConfig, LmoResult, lmo_solve
-from .models import TargetModel, log_joint_batch
+from .models import DataError, TargetModel, log_joint_batch
 
 
 def _entropy_int(seed) -> int:
@@ -113,11 +113,13 @@ class BoostTrace:
 
 def mixture_from_dict(d: dict) -> Mixture:
     """Inverse of one ``mixtures`` entry of :meth:`BoostTrace.to_dict`; the
-    weights are renormalized."""
-    atoms = [
-        BaseDensity(Family(a["family"]), a["loc"], a["scale"]) for a in d["atoms"]
-    ]
-    return Mixture.from_unnormalized(atoms, d["weights"])
+    weights are renormalized.  An entry no mixture can hold, such as a NaN
+    parameter, raises a :class:`DataError`."""
+    try:
+        atoms = [BaseDensity(Family(a["family"]), a["loc"], a["scale"]) for a in d["atoms"]]
+        return Mixture.from_unnormalized(atoms, d["weights"])
+    except ValueError as e:
+        raise DataError(f"invalid mixture entry: {e}")
 
 
 def variant_config(variant: Variant, seed: int, max_iters: int = 10) -> FwConfig:
@@ -424,11 +426,11 @@ def run_boosting(
     metric_seed = ss.spawn(1)[0]
 
     def solve(q: Optional[Mixture], t: int) -> LmoResult:
-        lmo_cfg = replace(cfg.lmo, seed=_entropy_int(lmo_seeds[t]))
+        lmo_cfg = cfg.lmo
         if q is None:
             # initial iterate is a plain black-box VI fit: full entropy weight
             lmo_cfg = replace(lmo_cfg, lambda_schedule=LambdaSchedule("constant", 1.0))
-        return lmo_solve(model, q, t, lmo_cfg)
+        return lmo_solve(model, q, t, lmo_cfg, _entropy_int(lmo_seeds[t]))
 
     def train_ll(q: Mixture) -> float:
         # common seed across iterates: paired comparisons for selection

@@ -1,6 +1,6 @@
 """Command-line entry point: ``boostvi run | probe | plotdata``.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime failure,
+Exit codes: 0 success, 1 bad configuration or input data, 2 runtime failure,
 3 probe failure.
 """
 
@@ -15,6 +15,7 @@ import sys
 from .boosting import FwConfig, Variant, curvature_probe, mixture_from_dict
 from .densities import Family
 from .harness import ExperimentConfig, run_experiment, write_density_csv
+from .models import DataError
 from .lmo import LambdaSchedule, LmoConfig
 from .probes import (
     PROBE_GRID,
@@ -38,7 +39,7 @@ VARIANTS = {
 
 
 class CliError(Exception):
-    """Configuration error; maps to exit code 1."""
+    """Configuration error; maps to exit code 1, as does a ``DataError``."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,7 +143,6 @@ def _experiment_config(args) -> ExperimentConfig:
             n_mc_samples=int(settings.get("mc_samples", 32)),
             n_steps=int(settings.get("lmo_steps", 2000)),
             lambda_schedule=schedule,
-            seed=int(settings.get("seed", 0)),
         )
         fw = FwConfig(
             variant=VARIANTS[variant_key],
@@ -252,7 +252,7 @@ def main(argv=None) -> int:
         if args.subcommand == "probe":
             return cmd_probe(args)
         return cmd_plotdata(args)
-    except CliError as e:
+    except (CliError, DataError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as e:  # noqa: BLE001 - runtime failures map to exit 2

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,10 +62,6 @@ def logsumexp(a, axis: int, keepdims: bool = False) -> np.ndarray:
 class Family(str, enum.Enum):
     GAUSSIAN = "gaussian"
     LAPLACE = "laplace"
-
-
-class CoarseGridError(ValueError):
-    """Raised when doubling the quadrature resolution moves the result too much."""
 
 
 def _check_points(z, dim: int) -> tuple[np.ndarray, bool]:
@@ -133,11 +129,12 @@ class BaseDensity:
         scale = _as_vector(self.scale, "scale")
         if loc.shape != scale.shape:
             raise ValueError("loc and scale must have the same length")
-        if self.scale_floor <= 0:
+        # every range check is written to be False for NaN, so NaN is rejected
+        if not self.scale_floor > 0:
             raise ValueError("scale_floor must be positive")
-        if np.any(scale < self.scale_floor * (1.0 - 1e-12)):
-            raise ValueError(f"scale entries must be >= scale_floor={self.scale_floor}")
-        if np.any(np.abs(loc) > self.param_box):
+        if not ((scale >= self.scale_floor * (1.0 - 1e-12)) & (scale < math.inf)).all():
+            raise ValueError(f"scale entries must be finite and >= scale_floor={self.scale_floor}")
+        if not (np.abs(loc) <= self.param_box).all():
             raise ValueError(
                 f"loc entries must lie in the param_box [-{self.param_box}, {self.param_box}]"
             )
@@ -225,10 +222,10 @@ class Mixture:
         w = _as_vector(self.weights, "weights")
         if len(w) != len(atoms):
             raise ValueError("weights and atoms must have the same length")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
+        if not (w >= 0).all():  # False for NaN, like the sum test below
+            raise ValueError("weights must be nonnegative and not NaN")
         total = w.sum()
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"weights must sum to 1, got {total}")
         dims = {a.dim for a in atoms}
         if len(dims) != 1:
@@ -329,22 +326,15 @@ class QuadratureGrid:
     def points(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.n_points)
 
-    def doubled(self) -> "QuadratureGrid":
-        return replace(self, n_points=2 * self.n_points - 1)
 
-
-def _log_density_1d(obj, z: np.ndarray) -> np.ndarray:
-    """Evaluate an object with ``log_prob`` or a plain callable on 1-D points."""
-    if hasattr(obj, "log_prob"):
-        return np.asarray(obj.log_prob(z.reshape(-1, 1)))
-    return np.asarray(obj(z))
-
-
-def _kl_on_grid(q, p, grid: QuadratureGrid) -> float:
+def quadrature_kl(q: Mixture, log_p, grid: QuadratureGrid) -> float:
+    """Trapezoid estimate of KL(q || p) on a 1-D grid, for a 1-D mixture ``q``
+    and a callable ``log_p`` of an unnormalized log density over 1-D points,
+    which is renormalized on the grid."""
     z = grid.points()
-    lq = _log_density_1d(q, z)
-    lp = _log_density_1d(p, z)
-    # normalize p on the grid; q is assumed to be a proper density
+    lq = q.log_prob(z.reshape(-1, 1))
+    lp = np.asarray(log_p(z))
+    # q is a proper density; p is normalized on the grid
     shift = lp.max()
     log_zp = shift + math.log(_trapezoid(np.exp(lp - shift), z))
     lp = lp - log_zp
@@ -352,20 +342,3 @@ def _kl_on_grid(q, p, grid: QuadratureGrid) -> float:
     integrand = np.where(dens_q > 0, dens_q * (lq - lp), 0.0)
     return float(_trapezoid(integrand, z))
 
-
-def quadrature_kl(q, p, grid: QuadratureGrid, refine_tol: float | None = None) -> float:
-    """Trapezoid estimate of KL(q || p) on a 1-D grid, renormalizing p.
-
-    With ``refine_tol`` set, the grid resolution is doubled and a shift larger
-    than the tolerance raises :class:`CoarseGridError`.
-    """
-    val = _kl_on_grid(q, p, grid)
-    if refine_tol is not None:
-        refined = _kl_on_grid(q, p, grid.doubled())
-        if abs(refined - val) > refine_tol:
-            raise CoarseGridError(
-                f"KL quadrature moved by {abs(refined - val):.3g} (> {refine_tol:.3g}) "
-                f"when doubling n_points={grid.n_points}"
-            )
-        val = refined
-    return val

@@ -20,6 +20,7 @@ import numpy as np
 from .boosting import BoostTrace, FwConfig, run_boosting
 from .densities import Mixture, QuadratureGrid
 from .models import (
+    DataError,
     Dataset,
     TargetModel,
     logistic_regression_model,
@@ -28,62 +29,67 @@ from .models import (
     synthetic_bimodal_target,
 )
 
-MODEL_KINDS = ("bimodal", "logistic", "matrix_factorization")
+# the model_params keys each model reads; ExperimentConfig rejects any other
+MODEL_PARAMS = {
+    "bimodal": ("mu", "sigma", "pi"),
+    "logistic": ("n", "n_features", "margin", "flip_fraction", "metric_samples"),
+    "matrix_factorization": ("rows", "cols", "rank", "noise", "mask_fraction",
+                             "latent_dim", "metric_samples"),
+}
 
 
 def load_csv(path: str, schema: str = "classification") -> Dataset:
-    """Read a dataset from CSV; see the module docstring for the conventions."""
+    """Read a dataset from CSV; see the module docstring for the conventions.
+    A file that cannot be read or parsed raises a :class:`DataError`."""
     if schema not in ("classification", "matrix"):
         raise ValueError(f"unknown schema {schema!r}")
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"no such file: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row")
-        rows, row_numbers = [], []
-        for r, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            parsed = []
-            for c, cell in enumerate(row, start=1):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: non-numeric cell at row {r}, column {c} ({cell!r})"
-                    )
-                if not math.isfinite(value):
-                    raise ValueError(
-                        f"{path}: non-finite cell at row {r}, column {c} ({cell!r})"
-                    )
-                parsed.append(value)
-            rows.append(parsed)
-            row_numbers.append(r)
+    try:
+        with open(path, newline="") as fh:
+            lines = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
+        raise DataError(f"{path}: cannot read the file ({e})")
+    if not lines:
+        raise DataError(f"{path}: empty file, expected a header row")
+    rows, row_numbers = [], []
+    for r, row in enumerate(lines[1:], start=2):
+        if not row:
+            continue
+        if rows and len(row) != len(rows[0]):
+            raise DataError(f"{path}: row {r} has {len(row)} cells, row "
+                            f"{row_numbers[0]} has {len(rows[0])}")
+        parsed = []
+        for c, cell in enumerate(row, start=1):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataError(f"{path}: non-numeric cell at row {r}, column {c} ({cell!r})")
+            if not math.isfinite(value):
+                raise DataError(f"{path}: non-finite cell at row {r}, column {c} ({cell!r})")
+            parsed.append(value)
+        rows.append(parsed)
+        row_numbers.append(r)
     if not rows:
-        raise ValueError(f"{path}: no data rows")
+        raise DataError(f"{path}: no data rows")
     data = np.asarray(rows)
     if schema == "classification":
         if data.shape[1] < 2:
-            raise ValueError(f"{path}: label column absent (need >= 2 columns)")
+            raise DataError(f"{path}: label column absent (need >= 2 columns)")
         return Dataset(features=data[:, :-1], labels=data[:, -1])
     if data.shape[1] != 3:
-        raise ValueError(f"{path}: matrix schema expects exactly (i, j, r) columns")
+        raise DataError(f"{path}: matrix schema expects exactly (i, j, r) columns")
     index = data[:, :2]
     non_integer = index != np.floor(index)
     if non_integer.any():
         r = row_numbers[int(np.argmax(non_integer.any(axis=1)))]
-        raise ValueError(f"{path}: non-integer matrix index at row {r}")
+        raise DataError(f"{path}: non-integer matrix index at row {r}")
     ii = data[:, 0].astype(int)
     jj = data[:, 1].astype(int)
     if np.any(ii < 0) or np.any(jj < 0):
-        raise ValueError(f"{path}: matrix indices must be nonnegative")
+        raise DataError(f"{path}: matrix indices must be nonnegative")
     first_row = {}
     for r, cell in zip(row_numbers, zip(ii.tolist(), jj.tolist())):
         if cell in first_row:
-            raise ValueError(
+            raise DataError(
                 f"{path}: repeated cell {cell} at row {r} (first given at row {first_row[cell]})"
             )
         first_row[cell] = r
@@ -94,27 +100,12 @@ def load_csv(path: str, schema: str = "classification") -> Dataset:
     return Dataset(features=None, labels=matrix, mask=mask)
 
 
-def write_csv(data: Dataset, path: str) -> None:
-    """Inverse of :func:`load_csv` for the matching schema."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if data.mask is not None:
-            writer.writerow(["i", "j", "r"])
-            for i, j in zip(*np.nonzero(data.mask)):
-                writer.writerow([int(i), int(j), repr(float(data.labels[i, j]))])
-        else:
-            n_feat = data.features.shape[1]
-            writer.writerow([f"x{k + 1}" for k in range(n_feat)] + ["y"])
-            for x, y in zip(data.features, data.labels):
-                writer.writerow([repr(float(v)) for v in x] + [repr(float(y))])
-
-
 def split(data: Dataset, fraction: float, seed) -> tuple[Dataset, Dataset]:
     """Deterministic shuffled train/test split.
 
     Classification data splits by row; masked matrices split the observed
     cells into two disjoint masks over the same matrix.  A split that leaves
-    either side empty raises a ``ValueError``.
+    either side empty raises a :class:`DataError`.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must lie in (0, 1)")
@@ -124,7 +115,7 @@ def split(data: Dataset, fraction: float, seed) -> tuple[Dataset, Dataset]:
     n_train = int(round(fraction * n))
     if not 0 < n_train < n:
         side = "train" if n_train == 0 else "test"
-        raise ValueError(f"split fraction {fraction} of {n} {unit} leaves the {side} set empty")
+        raise DataError(f"split fraction {fraction} of {n} {unit} leaves the {side} set empty")
     perm = rng.permutation(n)
     tr, te = perm[:n_train], perm[n_train:]
     if cells is None:
@@ -186,8 +177,12 @@ class ExperimentConfig:
     out_dir: Optional[str] = None
 
     def __post_init__(self):
-        if self.model not in MODEL_KINDS:
-            raise ValueError(f"unknown model {self.model!r}, expected one of {MODEL_KINDS}")
+        if self.model not in MODEL_PARAMS:
+            raise ValueError(f"unknown model {self.model!r}, expected one of {tuple(MODEL_PARAMS)}")
+        unknown = sorted(set(self.model_params) - set(MODEL_PARAMS[self.model]))
+        if unknown:
+            raise ValueError(f"unknown model_params keys for {self.model!r}: {unknown}, "
+                             f"expected some of {list(MODEL_PARAMS[self.model])}")
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError("split fraction must lie in (0, 1)")
         if self.n_seeds < 1:
@@ -219,7 +214,7 @@ def bimodal_target(model_params: dict) -> TargetModel:
     """The bimodal target of a config's ``model_params``; absent keys take
     the defaults of :func:`synthetic_bimodal_target`."""
     return synthetic_bimodal_target(
-        **{k: model_params[k] for k in ("mu", "sigma", "pi") if k in model_params}
+        **{k: model_params[k] for k in MODEL_PARAMS["bimodal"] if k in model_params}
     )
 
 
@@ -251,7 +246,7 @@ def _build_dataset(cfg: ExperimentConfig, seed: int) -> Optional[Dataset]:
 def run_single_seed(cfg: ExperimentConfig, seed: int, progress=None):
     """One boosting run: returns (metrics dict, trace, posterior mixture)."""
     p = cfg.model_params
-    fw = replace(cfg.fw, seed=seed, lmo=replace(cfg.fw.lmo, seed=seed))
+    fw = replace(cfg.fw, seed=seed)
     data = _build_dataset(cfg, seed)
     if data is None:
         model = bimodal_target(p)

@@ -29,7 +29,7 @@ from .densities import (
     log_normalizer,
     standard_noise,
 )
-from .models import TargetModel, log_joint_batch
+from .models import TargetModel
 
 
 class Estimator(str, enum.Enum):
@@ -69,7 +69,6 @@ class LmoConfig:
     lambda_schedule: LambdaSchedule = field(default_factory=LambdaSchedule)
     scale_floor: float = 1e-3
     param_box: float = 1e3
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_steps < 1:
@@ -116,17 +115,17 @@ def relbo_estimate(
     n: int,
     seed,
 ) -> float:
-    """Monte-Carlo residual-ELBO estimate over ``n`` samples from ``s``.
+    """Monte-Carlo residual-ELBO estimate over ``n`` samples from ``s``: the
+    value the atom solver's steps compute, here on the score-function branch,
+    which needs no model gradient.
 
     Without ``q_t`` (first iteration) the residual term is dropped, so with
     lam = 1 this is the plain ELBO estimate on the same samples.
     """
     _check_inputs(s.dim, model, q_t)
-    z = s.transform(_noise(s.family, n, s.dim, seed))
-    val = np.mean(log_joint_batch(model, z)) - lam * np.mean(s.log_prob(z))
-    if q_t is not None:
-        val = val - np.mean(q_t.log_prob(z))
-    return float(val)
+    eps = _noise(s.family, n, s.dim, seed)
+    return _relbo_grad_parts(s.family, s.loc, s.scale, eps, model, q_t, lam,
+                             Estimator.SCORE_FUNCTION, None)[2]
 
 
 def elbo_estimate(s: BaseDensity, model: TargetModel, n: int, seed) -> float:
@@ -256,19 +255,20 @@ def lmo_solve(
     q_t: Optional[Mixture],
     t: int,
     cfg: LmoConfig,
+    seed: int,
 ) -> LmoResult:
     """Fit one atom by stochastic gradient ascent on the RELBO.
 
     The scale runs through ``scale_floor + softplus(u)`` so the returned atom
     is never degenerate; locations are clipped to the parameter box.  The best
     iterate under an exponential moving average of the RELBO estimate is
-    returned.  Deterministic given (model, q_t, t, cfg).
+    returned.  Deterministic given (model, q_t, t, cfg, seed).
     """
     lam = lambda_at(t, cfg.lambda_schedule)
     d = model.dim
     _check_inputs(d, model, q_t, cfg.estimator)
     family, floor, box = cfg.family, cfg.scale_floor, cfg.param_box
-    ss = np.random.SeedSequence(entropy=(cfg.seed, t))
+    ss = np.random.SeedSequence(entropy=(seed, t))
     init_rng = np.random.default_rng(ss.spawn(1)[0])
     step_seeds = ss.spawn(cfg.n_steps + 1)
 

@@ -24,12 +24,10 @@ class TargetModel:
     dim: int
     log_joint_batch: Callable[[np.ndarray], np.ndarray]
     grad_log_joint_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    description: str = ""
     # normalized log pdf for 1-D models where the target is itself a density
     posterior_log_pdf: Optional[Callable[[np.ndarray], np.ndarray]] = None
     # mean training log-likelihood from posterior samples (n, D) -> float
     train_log_likelihood: Optional[Callable[[np.ndarray], float]] = None
-    kind: str = "generic"
 
     def log_joint(self, z: np.ndarray) -> float:
         """Log-joint at one point (D,)."""
@@ -45,6 +43,11 @@ def log_joint_batch(model: TargetModel, Z: np.ndarray) -> np.ndarray:
     if Z.shape[1] != model.dim:
         raise ValueError(f"expected dimension {model.dim}, got {Z.shape[1]}")
     return np.asarray(model.log_joint_batch(Z))
+
+
+class DataError(ValueError):
+    """Input data that cannot be used: an unreadable or malformed file or
+    trace entry, an invalid value, or a split that leaves a side empty."""
 
 
 @dataclass(frozen=True)
@@ -65,14 +68,14 @@ class Dataset:
         if self.features is not None:
             feats = np.asarray(self.features, dtype=float)
             if not np.all(np.isfinite(feats)):
-                raise ValueError("features contain missing or non-finite values")
+                raise DataError("features contain missing or non-finite values")
             if feats.shape[0] != labels.shape[0]:
-                raise ValueError("features and labels disagree on row count")
+                raise DataError("features and labels disagree on row count")
             object.__setattr__(self, "features", feats)
         if self.mask is not None:
             mask = np.asarray(self.mask, dtype=bool)
             if mask.shape != labels.shape:
-                raise ValueError("mask shape must match the matrix shape")
+                raise DataError("mask shape must match the matrix shape")
             object.__setattr__(self, "mask", mask)
 
     @property
@@ -110,11 +113,9 @@ def synthetic_bimodal_target(
 
     return TargetModel(
         dim=1,
-        description=f"two-Gaussian target mu={mu.tolist()} sigma={sigma.tolist()} pi={pi.tolist()}",
         log_joint_batch=batch,
         grad_log_joint_batch=grad_batch,
         posterior_log_pdf=log_pdf,
-        kind="bimodal",
     )
 
 
@@ -131,7 +132,7 @@ def logistic_regression_model(data: Dataset) -> TargetModel:
     X = data.features
     y = data.labels
     if not np.all(np.isin(y, (0.0, 1.0))):
-        raise ValueError("labels must be binary (0/1)")
+        raise DataError("labels must be binary (0/1)")
     n_feat = X.shape[1]
     # y log sigma(l) + (1 - y) log sigma(-l) = log sigma(sign * l) for y in {0, 1}
     sign = 2.0 * y - 1.0
@@ -150,11 +151,9 @@ def logistic_regression_model(data: Dataset) -> TargetModel:
 
     return TargetModel(
         dim=n_feat,
-        description=f"Bayesian logistic regression, N={X.shape[0]}, F={n_feat}",
         log_joint_batch=batch,
         grad_log_joint_batch=grad_batch,
         train_log_likelihood=train_ll,
-        kind="logistic",
     )
 
 
@@ -202,11 +201,9 @@ def matrix_factorization_model(data: Dataset, latent_dim: int) -> TargetModel:
 
     return TargetModel(
         dim=dim,
-        description=f"Bayesian matrix factorization {rows}x{cols}, latent_dim={latent_dim}",
         log_joint_batch=batch,
         grad_log_joint_batch=grad_batch,
         train_log_likelihood=train_ll,
-        kind="matrix_factorization",
     )
 
 

@@ -82,14 +82,6 @@ def chi_square_limit(s: BaseDensity, q, grid: QuadratureGrid = PROBE_GRID) -> fl
     return float(_trapezoid(np.exp(log_integrand), z))
 
 
-def l2_diff(s: BaseDensity, q, grid: QuadratureGrid = PROBE_GRID) -> float:
-    """Quadrature value of int (s - q)^2."""
-    z = grid.points()
-    ds = np.exp(s.log_prob(z.reshape(-1, 1)))
-    dq = np.exp(q.log_prob(z.reshape(-1, 1)))
-    return float(_trapezoid((ds - dq) ** 2, z))
-
-
 def gaussian_pair_grid() -> list[tuple[BaseDensity, Mixture]]:
     """9 (s, q) Gaussian pairs spanning locations and scales inside the box."""
     params = [

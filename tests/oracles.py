@@ -86,6 +86,5 @@ RESIDUAL_ATOM_OPT = (-1.6625, 0.4915)
 # mixture log density of the default target at z = 0, long-double two-term sum
 BIMODAL_LOGPDF_AT_0 = -2.2257913526447273
 
-# closed-form limits for the N(0,1) vs N(1,1) pair
+# closed-form chi-square limit for the N(0,1) vs N(1,1) pair
 CHI_SQUARE_LIMIT_01_11 = math.e - 1.0
-L2_DIFF_01_11 = (1.0 / math.sqrt(math.pi)) * (1.0 - math.exp(-0.25))

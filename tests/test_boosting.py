@@ -25,7 +25,7 @@ from boostvi import (
     run_boosting,
     synthetic_bimodal_target,
 )
-from boostvi.boosting import _crn_mixture_sampler
+from boostvi.boosting import _crn_mixture_sampler, mixture_from_dict
 from boostvi.densities import standard_noise
 from boostvi.models import TargetModel
 
@@ -385,7 +385,7 @@ class TestRunBoosting:
         atoms = iter([a, b, a, a])
         monkeypatch.setattr(
             "boostvi.boosting.lmo_solve",
-            lambda model, q, t, cfg: LmoResult(next(atoms), 0.0, True, 0),
+            lambda model, q, t, cfg, seed: LmoResult(next(atoms), 0.0, True, 0),
         )
         cfg = FwConfig(variant=Variant.FULLY_CORRECTIVE, max_iters=2, seed=0,
                        gap_samples=512)
@@ -403,3 +403,25 @@ class TestRunBoosting:
         d = trace.to_dict()
         assert set(d) == {"records", "mixtures", "eps0", "best_iteration", "stopped_early"}
         assert {"family", "loc", "scale"} <= set(d["mixtures"][0]["atoms"][0])
+
+    @pytest.mark.parametrize("field, value", [
+        ("loc", math.nan), ("scale", math.nan), ("scale", math.inf),
+    ])
+    def test_mixture_from_dict_rejects_non_finite_atom(self, field, value):
+        # a hand-edited trace.json entry: json reads NaN and Infinity as floats
+        entry = {"weights": [0.5, 0.5], "atoms": [
+            {"family": "gaussian", "loc": [0.0], "scale": [1.0]},
+            {"family": "gaussian", "loc": [1.0], "scale": [0.5]},
+        ]}
+        entry["atoms"][1][field] = [value]
+        with pytest.raises(ValueError, match=field):
+            mixture_from_dict(entry)
+
+    @pytest.mark.parametrize("weights", [[math.nan, 1.0], [math.inf, 1.0], [0.0, 0.0]])
+    def test_mixture_from_dict_rejects_non_finite_weights(self, weights):
+        entry = {"weights": weights, "atoms": [
+            {"family": "gaussian", "loc": [0.0], "scale": [1.0]},
+            {"family": "gaussian", "loc": [1.0], "scale": [0.5]},
+        ]}
+        with pytest.raises(ValueError, match="weights"):
+            mixture_from_dict(entry)

@@ -165,3 +165,55 @@ class TestPlotData:
         code = run_cli("plotdata", "--run", str(tmp_path))
         assert code == EXIT_CONFIG
         assert "trace.json" in capsys.readouterr().err
+
+    def test_non_finite_atom_in_trace_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli("run", "--model", "bimodal", "--variant", "fixed",
+                       "--seed", "1", "--out", str(out), *FAST) == EXIT_OK
+        payload = json.loads((out / "trace.json").read_text())
+        payload["traces"][0]["mixtures"][1]["atoms"][0]["loc"] = [float("nan")]
+        (out / "trace.json").write_text(json.dumps(payload))
+        assert run_cli("plotdata", "--run", str(out)) == EXIT_CONFIG
+        assert "param_box" in capsys.readouterr().err
+
+
+class TestBadInputData:
+    """Bad input data is a configuration error (exit 1), caught before any fit."""
+
+    def _run(self, tmp_path, *argv):
+        return run_cli("run", *argv, "--out", str(tmp_path / "o"), *FAST)
+
+    def test_non_finite_cell(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_text("i,j,r\n0,0,1.0\n1,1,nan\n1,0,0.5\n0,1,2.0\n")
+        code = self._run(tmp_path, "--model", "matrix_factorization", "--data", str(data))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "non-finite cell at row 3, column 3" in err
+        assert "runtime error" not in err
+
+    def test_missing_data_file(self, tmp_path, capsys):
+        code = self._run(tmp_path, "--model", "logistic", "--data", str(tmp_path / "absent.csv"))
+        assert code == EXIT_CONFIG
+        assert "absent.csv: cannot read the file" in capsys.readouterr().err
+
+    def test_split_leaving_test_set_empty(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "logistic", "split_fraction": 0.999}))
+        code = self._run(tmp_path, "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        assert "leaves the test set empty" in capsys.readouterr().err
+
+    def test_non_binary_labels(self, tmp_path, capsys):
+        data = tmp_path / "labels.csv"
+        data.write_text("x1,y\n" + "".join(f"{0.1 * k},{k % 3}\n" for k in range(10)))
+        code = self._run(tmp_path, "--model", "logistic", "--data", str(data))
+        assert code == EXIT_CONFIG
+        assert "binary" in capsys.readouterr().err
+
+    def test_unknown_model_params_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "logistic", "model_params": {"n_feature": 3}}))
+        code = self._run(tmp_path, "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        assert "n_feature" in capsys.readouterr().err

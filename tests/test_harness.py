@@ -1,20 +1,23 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boostvi import (
+    DataError,
     Dataset,
     ExperimentConfig,
     FwConfig,
     LmoConfig,
     Variant,
     load_csv,
+    logistic_regression_model,
     make_lowrank_matrix,
     make_separable_classification,
     run_experiment,
     split,
-    write_csv,
 )
 
 
@@ -34,8 +37,20 @@ class TestLoadCsv:
             load_csv(str(p))
 
     def test_missing_file(self):
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(DataError, match=r"never\.csv: cannot read the file"):
             load_csv("/nonexistent/never.csv")
+
+    def test_ragged_row_rejected(self, tmp_path):
+        p = tmp_path / "ragged.csv"
+        p.write_text("x1,x2,y\n0.5,1.5,1\n-0.5,0\n")
+        with pytest.raises(DataError, match=r"ragged\.csv: row 3 has 2 cells, row 2 has 3"):
+            load_csv(str(p))
+
+    def test_non_binary_label_is_data_error(self, tmp_path):
+        p = tmp_path / "labels.csv"
+        p.write_text("x1,y\n0.5,1\n-0.5,2\n")
+        with pytest.raises(DataError, match="binary"):
+            logistic_regression_model(load_csv(str(p)))
 
     def test_matrix_schema(self, tmp_path):
         p = tmp_path / "m.csv"
@@ -65,23 +80,36 @@ class TestLoadCsv:
             load_csv(str(p), schema="matrix")
 
     def test_roundtrip_classification(self, tmp_path):
-        rng = np.random.default_rng(0)
-        data = Dataset(features=rng.standard_normal((5, 3)),
-                       labels=(rng.uniform(size=5) < 0.5).astype(float))
+        # full-precision cells, as repr(float) writes them, read back exactly
+        features = np.array([[0.12573022031, -0.13210486329, 0.64042265413],
+                             [0.10490011898, -0.53566937163, 0.36159505490],
+                             [1.30400005383, 0.94708096445, -0.70373524049]])
+        labels = np.array([1.0, 0.0, 1.0])
         p = tmp_path / "rt.csv"
-        write_csv(data, str(p))
+        p.write_text("x1,x2,x3,y\n"
+                     "0.12573022031,-0.13210486329,0.64042265413,1.0\n"
+                     "0.10490011898,-0.53566937163,0.3615950549,0.0\n"
+                     "1.30400005383,0.94708096445,-0.70373524049,1.0\n")
         back = load_csv(str(p))
-        np.testing.assert_allclose(back.features, data.features, atol=1e-12)
-        np.testing.assert_allclose(back.labels, data.labels, atol=1e-12)
+        np.testing.assert_allclose(back.features, features, atol=1e-12)
+        np.testing.assert_allclose(back.labels, labels, atol=1e-12)
 
     def test_roundtrip_matrix(self, tmp_path):
-        data = make_lowrank_matrix(4, 3, 2, 0.1, 0.8, seed=1)
+        # a 4 x 3 matrix with cells (1, 1) and (3, 0) unobserved
+        mask = np.ones((4, 3), dtype=bool)
+        mask[1, 1] = mask[3, 0] = False
+        values = np.array([-1.2373847013, 0.46512354981, 2.0871306547,
+                           0.09015427654, -0.31426895129, 1.1102230246e-16,
+                           -2.7182818285, 3.1415926536, 0.5, -0.25])
         p = tmp_path / "rtm.csv"
-        write_csv(data, str(p))
+        p.write_text("i,j,r\n"
+                     "0,0,-1.2373847013\n0,1,0.46512354981\n0,2,2.0871306547\n"
+                     "1,0,0.09015427654\n1,2,-0.31426895129\n"
+                     "2,0,1.1102230246e-16\n2,1,-2.7182818285\n2,2,3.1415926536\n"
+                     "3,1,0.5\n3,2,-0.25\n")
         back = load_csv(str(p), schema="matrix")
-        np.testing.assert_array_equal(back.mask, data.mask)
-        np.testing.assert_allclose(back.labels[back.mask], data.labels[data.mask],
-                                   atol=1e-12)
+        np.testing.assert_array_equal(back.mask, mask)
+        np.testing.assert_allclose(back.labels[back.mask], values, atol=1e-12)
 
 
 class TestSplit:
@@ -203,3 +231,13 @@ class TestRunExperiment:
     def test_invalid_model_rejected(self):
         with pytest.raises(ValueError, match="unknown model"):
             ExperimentConfig(model="mystery")
+
+    @pytest.mark.parametrize("model, params, unknown", [
+        ("logistic", {"n_feature": 3}, "['n_feature']"),
+        ("bimodal", {"mu": (-2.0, 2.0), "n": 10, "latent_dim": 2}, "['latent_dim', 'n']"),
+        ("matrix_factorization", {"rows": 8, "n_features": 3}, "['n_features']"),
+    ])
+    def test_unknown_model_params_rejected(self, model, params, unknown):
+        with pytest.raises(ValueError, match=f"unknown model_params keys for '{model}': "
+                                             + re.escape(unknown)):
+            ExperimentConfig(model=model, model_params=params)

@@ -14,6 +14,7 @@ from boostvi import (
     LmoConfig,
     Mixture,
     elbo_estimate,
+    kl_gaussian_closed,
     lambda_at,
     lmo_solve,
     relbo_estimate,
@@ -24,7 +25,7 @@ from boostvi.densities import standard_noise
 from boostvi.lmo import _Adam, _initial_params
 from boostvi.models import Dataset, TargetModel, logistic_regression_model
 
-from oracles import RESIDUAL_ATOM_OPT, SINGLE_GAUSSIAN_FIT, relative_error
+from oracles import RESIDUAL_ATOM_OPT, SINGLE_GAUSSIAN_FIT, gaussian_logpdf, relative_error
 
 
 def gaussian(loc, scale):
@@ -75,6 +76,20 @@ class TestRelboEstimate:
         # standard error of the entropy estimate for a 1-D Gaussian
         se = math.sqrt(0.5 / n)
         assert abs(est - s.entropy()) < 4 * se
+
+    def test_elbo_matches_closed_form_kl(self):
+        # a normalized Gaussian target p: ELBO(s) = -KL(s || p) exactly, so
+        # the estimate must sit within 4 standard errors of the closed form,
+        # the standard error taken from an independent sample of log p - log s
+        p = gaussian(0.7, 1.3)
+        model = TargetModel(dim=1, log_joint_batch=lambda Z: gaussian_logpdf(Z[:, 0], 0.7, 1.3))
+        n = 100_000
+        for s in (gaussian(0.0, 1.0), gaussian(1.5, 0.4), gaussian(-1.0, 2.5)):
+            z = np.random.default_rng(21).normal(s.loc[0], s.scale[0], n)
+            integrand = gaussian_logpdf(z, 0.7, 1.3) - gaussian_logpdf(z, s.loc[0], s.scale[0])
+            se = integrand.std() / math.sqrt(n)
+            est = elbo_estimate(s, model, n, seed=8)
+            assert abs(est + kl_gaussian_closed(s, p)) < 4 * se
 
     def test_deterministic(self):
         model = synthetic_bimodal_target()
@@ -152,7 +167,7 @@ class TestLmoSolve:
         # the best single-Gaussian fit of the bimodal target is mode-covering;
         # frozen from a quadrature grid search + simplex refinement
         model = synthetic_bimodal_target()
-        res = lmo_solve(model, None, 0, LmoConfig(seed=0))
+        res = lmo_solve(model, None, 0, LmoConfig(), 0)
         loc_opt, scale_opt = SINGLE_GAUSSIAN_FIT
         assert abs(res.atom.loc[0] - loc_opt) < 0.15
         assert abs(res.atom.scale[0] - scale_opt) < 0.15
@@ -162,7 +177,7 @@ class TestLmoSolve:
         # the residual objective sits left of the -1 mode (frozen value)
         model = synthetic_bimodal_target()
         q0 = Mixture.single(gaussian(1.0, 1.0))
-        res = lmo_solve(model, q0, 1, LmoConfig(seed=0, n_steps=1500))
+        res = lmo_solve(model, q0, 1, LmoConfig(n_steps=1500), 0)
         loc_opt, scale_opt = RESIDUAL_ATOM_OPT
         assert res.atom.loc[0] < 0.0
         assert abs(res.atom.loc[0] - loc_opt) < 0.35
@@ -170,24 +185,24 @@ class TestLmoSolve:
 
     def test_scale_respects_floor(self):
         model = synthetic_bimodal_target()
-        cfg = LmoConfig(seed=1, n_steps=50, scale_floor=0.05)
-        res = lmo_solve(model, None, 0, cfg)
+        cfg = LmoConfig(n_steps=50, scale_floor=0.05)
+        res = lmo_solve(model, None, 0, cfg, 1)
         assert np.all(res.atom.scale >= 0.05)
 
     def test_deterministic(self):
         model = synthetic_bimodal_target()
-        cfg = LmoConfig(seed=3, n_steps=100)
-        a = lmo_solve(model, None, 0, cfg)
-        b = lmo_solve(model, None, 0, cfg)
+        cfg = LmoConfig(n_steps=100)
+        a = lmo_solve(model, None, 0, cfg, 3)
+        b = lmo_solve(model, None, 0, cfg, 3)
         np.testing.assert_array_equal(a.atom.loc, b.atom.loc)
         np.testing.assert_array_equal(a.atom.scale, b.atom.scale)
         assert a.relbo_estimate == b.relbo_estimate
 
     def test_score_function_estimator_runs(self):
         model = synthetic_bimodal_target()
-        cfg = LmoConfig(seed=2, n_steps=800, estimator=Estimator.SCORE_FUNCTION,
+        cfg = LmoConfig(n_steps=800, estimator=Estimator.SCORE_FUNCTION,
                         n_mc_samples=64, step_size=0.05)
-        res = lmo_solve(model, None, 0, cfg)
+        res = lmo_solve(model, None, 0, cfg, 2)
         assert np.isfinite(res.relbo_estimate)
         assert abs(res.atom.loc[0]) < 1.5  # lands in the bulk of the target
 
@@ -222,23 +237,23 @@ class TestLmoSolve:
 
         flaky = TargetModel(dim=1, log_joint_batch=nan_on_first_call,
                             grad_log_joint_batch=base.grad_log_joint_batch)
-        cfg = LmoConfig(seed=1, n_steps=40)
+        cfg = LmoConfig(n_steps=40)
         monkeypatch.setattr(BaseDensity, "__post_init__", counting)
-        clean = lmo_solve(base, None, 0, cfg)
+        clean = lmo_solve(base, None, 0, cfg, 1)
         assert len(built) == 1 and built[0] is clean.atom
-        retried = lmo_solve(flaky, None, 0, cfg)
+        retried = lmo_solve(flaky, None, 0, cfg, 1)
         assert len(calls) == 1 + cfg.n_steps  # one failed step, then a clean attempt
         assert len(built) == 2 and built[1] is retried.atom
         assert np.isfinite(retried.relbo_estimate)
 
 
-def _reference_solve(model, q_t, t, cfg):
+def _reference_solve(model, q_t, t, cfg, seed):
     """lmo_solve rebuilt from public pieces: a validated BaseDensity and a
     relbo_grad call per step, the RELBO value from the atom's own log_prob,
     the same seed layout and the same Adam, EMA and box steps."""
     lam = lambda_at(t, cfg.lambda_schedule)
     d, n, box, floor = model.dim, cfg.n_mc_samples, cfg.param_box, cfg.scale_floor
-    ss = np.random.SeedSequence(entropy=(cfg.seed, t))
+    ss = np.random.SeedSequence(entropy=(seed, t))
     init_rng = np.random.default_rng(ss.spawn(1)[0])
     step_seeds = ss.spawn(cfg.n_steps + 1)
     loc, u = _initial_params(d, cfg, init_rng)
@@ -288,9 +303,9 @@ class TestSolverMatchesReferenceLoop:
                 rng.uniform(0.5, 1.5, n_atoms),
             )
         cfg = LmoConfig(family=family, estimator=estimator, n_steps=80,
-                        n_mc_samples=16, step_size=0.05, seed=4)
-        res = lmo_solve(model, q_t, 2, cfg)
-        atom, relbo, converged = _reference_solve(model, q_t, 2, cfg)
+                        n_mc_samples=16, step_size=0.05)
+        res = lmo_solve(model, q_t, 2, cfg, 4)
+        atom, relbo, converged = _reference_solve(model, q_t, 2, cfg, 4)
         np.testing.assert_array_equal(res.atom.loc, atom.loc)
         np.testing.assert_array_equal(res.atom.scale, atom.scale)
         assert res.relbo_estimate == relbo

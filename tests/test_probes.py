@@ -10,11 +10,10 @@ from boostvi.probes import (
     entropy_bound_probe,
     gap_bound_probe,
     gaussian_pair_grid,
-    l2_diff,
 )
 from boostvi import BaseDensity, Family, Mixture, QuadratureGrid
 
-from oracles import CHI_SQUARE_LIMIT_01_11, L2_DIFF_01_11, gaussian_chi_square
+from oracles import CHI_SQUARE_LIMIT_01_11, gaussian_chi_square
 
 
 class TestEntropyBoundProbe:
@@ -38,7 +37,6 @@ class TestCurvatureSuite:
         s = BaseDensity(Family.GAUSSIAN, [0.0], [1.0])
         q = Mixture.single(BaseDensity(Family.GAUSSIAN, [1.0], [1.0]))
         assert chi_square_limit(s, q) == pytest.approx(CHI_SQUARE_LIMIT_01_11, rel=1e-4)
-        assert l2_diff(s, q) == pytest.approx(L2_DIFF_01_11, rel=1e-4)
 
     @pytest.mark.parametrize("grid", [PROBE_GRID, QuadratureGrid(-40.0, 40.0, 20001)])
     @pytest.mark.parametrize("s_params, q_params", [
