@@ -20,7 +20,6 @@ from .models import (
 )
 from .lmo import (
     Estimator,
-    LambdaSchedule,
     LmoConfig,
     LmoResult,
     elbo_estimate,

@@ -19,6 +19,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .densities import (
+    SCALE_FLOOR,
     BaseDensity,
     Family,
     Mixture,
@@ -28,7 +29,7 @@ from .densities import (
     standard_noise,
     _trapezoid,
 )
-from .lmo import LambdaSchedule, LmoConfig, LmoResult, lmo_solve
+from .lmo import LmoConfig, LmoResult, lmo_solve
 from .models import DataError, TargetModel, log_joint_batch
 
 
@@ -129,10 +130,9 @@ def variant_config(variant: Variant, seed: int, max_iters: int = 10) -> FwConfig
     if variant is Variant.FIXED_STEP:
         return FwConfig(variant=variant, max_iters=max_iters, delta=1.0, seed=seed,
                         lmo=LmoConfig(n_steps=1200))
-    residual = LambdaSchedule("constant", 0.2)
     n_steps = 1200 if variant is Variant.LINE_SEARCH else 2000
     return FwConfig(variant=variant, max_iters=max_iters, delta=0.5, seed=seed,
-                    lmo=LmoConfig(n_steps=n_steps, lambda_schedule=residual))
+                    lmo=LmoConfig(n_steps=n_steps, entropy_weight=0.2))
 
 
 def fixed_step_gamma(t: int, delta: float) -> float:
@@ -181,17 +181,20 @@ def _crn_mixture_sampler(family: Family, dim: int, n: int, seed):
     return sample
 
 
+LINE_SEARCH_GRID = 21  # gammas 0, 0.05, ..., 1 tried before the refinement
+CORRECTIVE_ITERS = 200  # simplex Frank-Wolfe steps of the corrective weight solve
+
+
 def line_search_gamma(
     q_t: Mixture,
     s: BaseDensity,
     model: TargetModel,
-    n_grid: int = 21,
     n_samples: int = 2048,
     seed=0,
 ) -> float:
-    """Variant-1 step size: grid search plus golden-section refinement of the
-    blended negative ELBO, with common random numbers across gamma.  Ties are
-    broken toward smaller gamma."""
+    """Variant-1 step size: search over ``LINE_SEARCH_GRID`` gammas plus
+    golden-section refinement of the blended negative ELBO, with common random
+    numbers across gamma.  Ties are broken toward smaller gamma."""
     atoms = q_t.atoms + (s,)
     sampler = _crn_mixture_sampler(s.family, s.dim, n_samples, seed)
 
@@ -202,13 +205,13 @@ def line_search_gamma(
         z = sampler(q, weights)
         return float(np.mean(q.log_prob(z) - log_joint_batch(model, z)))
 
-    gammas = np.linspace(0.0, 1.0, n_grid)
+    gammas = np.linspace(0.0, 1.0, LINE_SEARCH_GRID)
     values = np.array([objective(g) for g in gammas])
     best = int(np.argmin(values))  # argmin takes the first minimum: small-gamma tie-break
     if values[best] >= values[0] - 1e-12:
         return 0.0
     lo = gammas[max(best - 1, 0)]
-    hi = gammas[min(best + 1, n_grid - 1)]
+    hi = gammas[min(best + 1, LINE_SEARCH_GRID - 1)]
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - phi * (b - a)
@@ -234,10 +237,10 @@ def fully_corrective_weights(
     model: TargetModel,
     n_samples: int = 2048,
     seed=0,
-    inner_iters: int = 200,
 ) -> np.ndarray:
-    """Variant-2 weight solve: simplex-constrained Frank-Wolfe on the
-    Monte-Carlo negative ELBO, with fixed per-atom samples (CRN).
+    """Variant-2 weight solve: at most ``CORRECTIVE_ITERS`` steps of
+    simplex-constrained Frank-Wolfe on the Monte-Carlo negative ELBO, with
+    fixed per-atom samples (CRN).
 
     Uses the identity grad_i = E_{s_i}[log q_w - log p] (up to a constant on
     the simplex) so one batch of samples per atom serves every inner step.
@@ -286,7 +289,7 @@ def fully_corrective_weights(
     tol = 1e-12 * (1.0 + np.abs(row_max).max() + np.abs(offset).max() + 668.0)
 
     w = np.full(k, 1.0 / k)
-    for it in range(inner_iters):
+    for it in range(CORRECTIVE_ITERS):
         exact = True
         if np.isfinite(tol):
             mass = scaled @ w
@@ -364,14 +367,9 @@ def certificate_gap(
         if best is None or est.value > best.value:
             best, best_idx = est, i
     if spike_probe:
-        anchor = candidates[best_idx]
         z_star = zq[int(np.argmin(aq))]
         probe = BaseDensity(
-            anchor.family,
-            z_star,
-            np.maximum(0.1 * q_t.scales.mean(axis=0), anchor.scale_floor),
-            anchor.scale_floor,
-            anchor.param_box,
+            q_t.family, z_star, np.maximum(0.1 * q_t.scales.mean(axis=0), SCALE_FLOOR)
         )
         est = atom_estimate(probe, seeds[-1])
         if est.value > best.value:
@@ -429,7 +427,7 @@ def run_boosting(
         lmo_cfg = cfg.lmo
         if q is None:
             # initial iterate is a plain black-box VI fit: full entropy weight
-            lmo_cfg = replace(lmo_cfg, lambda_schedule=LambdaSchedule("constant", 1.0))
+            lmo_cfg = replace(lmo_cfg, entropy_weight=1.0)
         return lmo_solve(model, q, t, lmo_cfg, _entropy_int(lmo_seeds[t]))
 
     def train_ll(q: Mixture) -> float:

@@ -11,12 +11,12 @@ import csv
 import json
 import os
 import sys
+from typing import Optional
 
 from .boosting import FwConfig, Variant, curvature_probe, mixture_from_dict
-from .densities import Family
 from .harness import ExperimentConfig, run_experiment, write_density_csv
 from .models import DataError
-from .lmo import LambdaSchedule, LmoConfig
+from .lmo import LmoConfig
 from .probes import (
     PROBE_GRID,
     curvature_probe_suite,
@@ -47,15 +47,45 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _parse_lambda(text: str) -> LambdaSchedule:
+def _parse_variant(key) -> Variant:
+    if key not in VARIANTS:
+        raise CliError(f"invalid variant {key!r}: expected one of {sorted(VARIANTS)}")
+    return VARIANTS[key]
+
+
+def _parse_lambda(text) -> Optional[float]:
+    """``LmoConfig.entropy_weight`` of ``sqrt`` (None: 1/sqrt(t+1)) or ``const:<v>``."""
+    if not isinstance(text, str):
+        raise CliError("invalid lambda: expected a string like 'sqrt' or 'const:0.5'")
     if text == "sqrt":
-        return LambdaSchedule(kind="inverse_sqrt")
+        return None
     if text.startswith("const:"):
         try:
-            return LambdaSchedule(kind="constant", value=float(text.split(":", 1)[1]))
+            return float(text.split(":", 1)[1])
         except ValueError as e:
             raise CliError(f"bad lambda value in {text!r}: {e}")
     raise CliError(f"invalid --lambda {text!r}: expected 'sqrt' or 'const:<v>'")
+
+
+# config key -> (config it sets, field, conversion of the given value, None to
+# pass it as is); a key the user does not give keeps its dataclass default
+_SETTINGS = {
+    "model": ("experiment", "model", None),
+    "model_params": ("experiment", "model_params", None),
+    "data_path": ("experiment", "data_path", None),
+    "split_fraction": ("experiment", "split_fraction", float),
+    "n_seeds": ("experiment", "n_seeds", int),
+    "out": ("experiment", "out_dir", None),
+    "variant": ("fw", "variant", _parse_variant),
+    "iters": ("fw", "max_iters", int),
+    "delta": ("fw", "delta", float),
+    "gap_tol": ("fw", "gap_tolerance", float),
+    "seed": ("fw", "seed", int),
+    "family": ("lmo", "family", None),
+    "mc_samples": ("lmo", "n_mc_samples", int),
+    "lmo_steps": ("lmo", "n_steps", int),
+    "lambda": ("lmo", "entropy_weight", _parse_lambda),
+}
 
 
 def build_parser() -> _Parser:
@@ -65,12 +95,12 @@ def build_parser() -> _Parser:
     run = sub.add_parser("run", help="run a boosting experiment")
     run.add_argument("--config", help="JSON config file; flags override its keys")
     run.add_argument("--model", help="bimodal | logistic | matrix_factorization")
-    run.add_argument("--data", help="CSV dataset path")
+    run.add_argument("--data", dest="data_path", help="CSV dataset path")
     run.add_argument("--variant", help="fixed | linesearch | fullycorrective")
     run.add_argument("--iters", type=int, help="number of boosting iterations")
     run.add_argument("--mc-samples", type=int, help="Monte-Carlo samples per LMO step")
     run.add_argument("--lmo-steps", type=int, help="gradient steps per LMO solve")
-    run.add_argument("--lambda", dest="lambda_", help="sqrt | const:<v>")
+    run.add_argument("--lambda", help="sqrt | const:<v>")
     run.add_argument("--delta", type=float, help="assumed LMO accuracy in (0, 1]")
     run.add_argument("--gap-tol", type=float, help="duality-gap stopping tolerance")
     run.add_argument("--seed", type=int, help="base seed")
@@ -83,30 +113,12 @@ def build_parser() -> _Parser:
                        choices=["all", "entropy", "curvature", "gap"])
     probe.add_argument("--gamma", type=float, default=None,
                        help="single blend weight for the curvature probe")
-    probe.add_argument("--scale-floor", type=float, default=1e-3)
     probe.add_argument("--seed", type=int, default=0)
 
     plot = sub.add_parser("plotdata", help="emit plottable CSVs from a run directory")
     plot.add_argument("--run", required=True, help="existing run directory")
     plot.add_argument("--out", help="output directory (defaults to the run directory)")
     return parser
-
-
-_FLAG_KEYS = {
-    "model": "model",
-    "data": "data_path",
-    "variant": "variant",
-    "iters": "iters",
-    "mc_samples": "mc_samples",
-    "lmo_steps": "lmo_steps",
-    "lambda_": "lambda",
-    "delta": "delta",
-    "gap_tol": "gap_tol",
-    "seed": "seed",
-    "n_seeds": "n_seeds",
-    "family": "family",
-    "out": "out",
-}
 
 
 def _experiment_config(args) -> ExperimentConfig:
@@ -121,46 +133,19 @@ def _experiment_config(args) -> ExperimentConfig:
             raise CliError(f"config file is not valid JSON: {e}")
         if not isinstance(settings, dict):
             raise CliError("config file must hold a JSON object")
-        unknown = set(settings) - set(_FLAG_KEYS.values()) - {"model_params", "split_fraction"}
+        unknown = set(settings) - set(_SETTINGS)
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
-    for attr, key in _FLAG_KEYS.items():
-        val = getattr(args, attr, None)
-        if val is not None:
-            settings[key] = val
-
-    variant_key = settings.get("variant", "fixed")
-    if variant_key not in VARIANTS:
-        raise CliError(f"invalid variant {variant_key!r}: expected one of {sorted(VARIANTS)}")
-    schedule = settings.get("lambda", "sqrt")
-    if isinstance(schedule, str):
-        schedule = _parse_lambda(schedule)
-    else:
-        raise CliError("invalid lambda: expected a string like 'sqrt' or 'const:0.5'")
+    # flags are named after their config keys and override the file
+    settings.update((key, val) for key, val in vars(args).items()
+                    if key in _SETTINGS and val is not None)
+    kwargs = {"experiment": {}, "fw": {}, "lmo": {}}
     try:
-        lmo = LmoConfig(
-            family=Family(settings.get("family", "gaussian")),
-            n_mc_samples=int(settings.get("mc_samples", 32)),
-            n_steps=int(settings.get("lmo_steps", 2000)),
-            lambda_schedule=schedule,
-        )
-        fw = FwConfig(
-            variant=VARIANTS[variant_key],
-            max_iters=int(settings.get("iters", 10)),
-            delta=float(settings.get("delta", 1.0)),
-            gap_tolerance=float(settings.get("gap_tol", 0.0)),
-            seed=int(settings.get("seed", 0)),
-            lmo=lmo,
-        )
-        return ExperimentConfig(
-            model=settings.get("model", "bimodal"),
-            model_params=settings.get("model_params", {}),
-            data_path=settings.get("data_path"),
-            split_fraction=float(settings.get("split_fraction", 0.7)),
-            n_seeds=int(settings.get("n_seeds", 1)),
-            fw=fw,
-            out_dir=settings.get("out"),
-        )
+        for key, val in settings.items():
+            config, name, convert = _SETTINGS[key]
+            kwargs[config][name] = val if convert is None else convert(val)
+        fw = FwConfig(lmo=LmoConfig(**kwargs["lmo"]), **kwargs["fw"])
+        return ExperimentConfig(fw=fw, **kwargs["experiment"])
     except (TypeError, ValueError) as e:
         raise CliError(str(e))
 
@@ -193,13 +178,13 @@ def cmd_probe(args) -> int:
         return EXIT_OK
     try:
         if args.probe == "entropy":
-            results = entropy_bound_probe(args.scale_floor)
+            results = entropy_bound_probe()
         elif args.probe == "curvature":
             results = curvature_probe_suite()
         elif args.probe == "gap":
             results = gap_bound_probe(seed=args.seed)
         else:
-            results = default_probe_suite(scale_floor=args.scale_floor, seed=args.seed)
+            results = default_probe_suite(seed=args.seed)
     except ValueError as e:
         raise CliError(str(e))
     width = max(len(r.name) for r in results)

@@ -16,8 +16,8 @@ import numpy as np
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-DEFAULT_SCALE_FLOOR = 1e-3
-DEFAULT_PARAM_BOX = 1e3
+SCALE_FLOOR = 1e-3  # smallest scale entry an atom may have
+PARAM_BOX = 1e3  # largest |loc| entry an atom may have
 ATOM_MERGE_TOL = 1e-9  # max-norm distance at which two atoms count as one
 
 # trapezoid was renamed in numpy 2.0
@@ -114,15 +114,13 @@ class BaseDensity:
     """A single mean-field atom: independent Gaussian or Laplace per coordinate.
 
     ``scale`` is the standard deviation for Gaussians and the diversity b for
-    Laplace.  Every entry must sit at or above ``scale_floor`` and every
-    location inside ``[-param_box, param_box]``.
+    Laplace.  Every entry must sit at or above ``SCALE_FLOOR`` and every
+    location inside ``[-PARAM_BOX, PARAM_BOX]``.
     """
 
     family: Family
     loc: np.ndarray
     scale: np.ndarray
-    scale_floor: float = DEFAULT_SCALE_FLOOR
-    param_box: float = DEFAULT_PARAM_BOX
 
     def __post_init__(self):
         loc = _as_vector(self.loc, "loc")
@@ -130,14 +128,10 @@ class BaseDensity:
         if loc.shape != scale.shape:
             raise ValueError("loc and scale must have the same length")
         # every range check is written to be False for NaN, so NaN is rejected
-        if not self.scale_floor > 0:
-            raise ValueError("scale_floor must be positive")
-        if not ((scale >= self.scale_floor * (1.0 - 1e-12)) & (scale < math.inf)).all():
-            raise ValueError(f"scale entries must be finite and >= scale_floor={self.scale_floor}")
-        if not (np.abs(loc) <= self.param_box).all():
-            raise ValueError(
-                f"loc entries must lie in the param_box [-{self.param_box}, {self.param_box}]"
-            )
+        if not ((scale >= SCALE_FLOOR * (1.0 - 1e-12)) & (scale < math.inf)).all():
+            raise ValueError(f"scale entries must be finite and >= scale_floor={SCALE_FLOOR}")
+        if not (np.abs(loc) <= PARAM_BOX).all():
+            raise ValueError(f"loc entries must lie in the param_box [-{PARAM_BOX}, {PARAM_BOX}]")
         loc.setflags(write=False)
         scale.setflags(write=False)
         object.__setattr__(self, "family", Family(self.family))
@@ -248,6 +242,9 @@ class Mixture:
     @classmethod
     def from_unnormalized(cls, atoms, weights) -> "Mixture":
         w = _as_vector(weights, "weights")
+        # checked before the division, which would warn on a zero or inf sum
+        if not (np.isfinite(w).all() and w.sum() > 0):
+            raise ValueError(f"weights must be finite with a positive sum, got {w}")
         return cls(tuple(atoms), w / w.sum())
 
     @classmethod

@@ -243,27 +243,43 @@ def _build_dataset(cfg: ExperimentConfig, seed: int) -> Optional[Dataset]:
     )
 
 
-def run_single_seed(cfg: ExperimentConfig, seed: int, progress=None):
-    """One boosting run: returns (metrics dict, trace, posterior mixture)."""
+def _build_model(cfg: ExperimentConfig, seed: int) -> tuple[TargetModel, Optional[Dataset]]:
+    """The target model of one seed and its held-out split (None for the
+    bimodal target).  Bad input data, a ``model_params`` value the model
+    cannot take or a logistic test split of one class raise a
+    :class:`DataError`, so that they stop the run before the fit."""
     p = cfg.model_params
-    fw = replace(cfg.fw, seed=seed)
-    data = _build_dataset(cfg, seed)
-    if data is None:
-        model = bimodal_target(p)
-    else:
+    try:
+        data = _build_dataset(cfg, seed)
+        if data is None:
+            return bimodal_target(p), None
         train, test = split(data, cfg.split_fraction, seed=(seed, 777))
         if cfg.model == "logistic":
             model = logistic_regression_model(train)
         else:
             model = matrix_factorization_model(train, int(p.get("latent_dim", 2)))
+    except DataError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise DataError(f"invalid model_params for {cfg.model!r}: {e}")
+    if cfg.model == "logistic" and np.unique(test.labels).size < 2:
+        raise DataError(f"the test split holds only label {test.labels[0]:g}; "
+                        "its AUROC needs both classes")
+    return model, test
+
+
+def run_single_seed(cfg: ExperimentConfig, seed: int, progress=None):
+    """One boosting run: returns (metrics dict, trace, posterior mixture)."""
+    fw = replace(cfg.fw, seed=seed)
+    model, test = _build_model(cfg, seed)
     posterior, trace = run_boosting(model, fw, progress=progress)
     best = trace.records[trace.best_iteration]
-    if data is None:
+    if test is None:
         metrics = {"kl_oracle": best.kl_oracle}
     else:
         metrics = predictive_metrics(
-            cfg.model, posterior, test, n_samples=int(p.get("metric_samples", 2048)),
-            seed=(seed, 555),
+            cfg.model, posterior, test,
+            n_samples=int(cfg.model_params.get("metric_samples", 2048)), seed=(seed, 555),
         )
     metrics["train_ll"] = best.train_ll
     return metrics, trace, posterior

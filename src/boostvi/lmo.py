@@ -6,8 +6,8 @@ The inner Frank-Wolfe step fits a fresh atom s by maximizing
 
 over the atom's (loc, log-scale) parameters.  With ``q_t`` absent and
 lambda = 1 this is exactly the ELBO, i.e. plain black-box VI.  Gradients come
-either from the reparameterization trick (needs the model gradient) or from
-the score-function estimator with a baseline; the entropy term is always
+from the reparameterization trick when the model supplies its gradient, else
+from the score-function estimator with a baseline; the entropy term is always
 handled analytically.
 """
 
@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.special import expit
 
 from .densities import (
+    PARAM_BOX,
+    SCALE_FLOOR,
     BaseDensity,
     Family,
     Mixture,
@@ -37,26 +39,14 @@ class Estimator(str, enum.Enum):
     SCORE_FUNCTION = "score_function"
 
 
-@dataclass(frozen=True)
-class LambdaSchedule:
-    """Entropy-weight schedule: ``inverse_sqrt`` gives 1/sqrt(t+1)."""
-
-    kind: str = "inverse_sqrt"  # "inverse_sqrt" | "constant"
-    value: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("inverse_sqrt", "constant"):
-            raise ValueError(f"unknown lambda schedule {self.kind!r}")
-        if self.value <= 0:
-            raise ValueError("lambda must be positive")
-
-
-def lambda_at(t: int, schedule: LambdaSchedule) -> float:
+def lambda_at(t: int, entropy_weight: Optional[float] = None) -> float:
+    """Entropy weight lambda at iteration ``t``: ``entropy_weight``, or
+    1/sqrt(t+1) when it is None."""
     if t < 0:
         raise ValueError("iteration index must be >= 0")
-    if schedule.kind == "inverse_sqrt":
+    if entropy_weight is None:
         return 1.0 / math.sqrt(t + 1.0)
-    return schedule.value
+    return entropy_weight
 
 
 @dataclass(frozen=True)
@@ -65,10 +55,7 @@ class LmoConfig:
     n_mc_samples: int = 32
     n_steps: int = 2000
     step_size: float = 0.01
-    estimator: Estimator = Estimator.REPARAMETERIZATION
-    lambda_schedule: LambdaSchedule = field(default_factory=LambdaSchedule)
-    scale_floor: float = 1e-3
-    param_box: float = 1e3
+    entropy_weight: Optional[float] = None  # constant lambda; None gives 1/sqrt(t+1)
 
     def __post_init__(self):
         if self.n_steps < 1:
@@ -77,10 +64,9 @@ class LmoConfig:
             raise ValueError("n_mc_samples must be >= 1")
         if self.step_size <= 0:
             raise ValueError("step_size must be positive")
-        if self.scale_floor <= 0:
-            raise ValueError("scale_floor must be positive")
+        if self.entropy_weight is not None and not self.entropy_weight > 0:
+            raise ValueError("entropy_weight (lambda) must be positive")
         object.__setattr__(self, "family", Family(self.family))
-        object.__setattr__(self, "estimator", Estimator(self.estimator))
 
 
 @dataclass(frozen=True)
@@ -237,17 +223,17 @@ class _Adam:
         return self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def _initial_params(d: int, cfg: LmoConfig, rng: np.random.Generator):
+def _initial_params(d: int, rng: np.random.Generator):
     loc = rng.standard_normal(d)
     # start narrow: wide inits tend to settle on mode-averaging atoms
     scale0 = np.full(d, 0.5)
-    u = _inv_softplus(np.maximum(scale0 - cfg.scale_floor, 1e-6))
-    return _to_box(loc, cfg.param_box), u
+    u = _inv_softplus(np.maximum(scale0 - SCALE_FLOOR, 1e-6))
+    return _to_box(loc), u
 
 
-def _to_box(loc: np.ndarray, box: float) -> np.ndarray:
+def _to_box(loc: np.ndarray) -> np.ndarray:
     # np.clip's bits at a fraction of its call overhead
-    return np.minimum(np.maximum(loc, -box), box)
+    return np.minimum(np.maximum(loc, -PARAM_BOX), PARAM_BOX)
 
 
 def lmo_solve(
@@ -259,21 +245,25 @@ def lmo_solve(
 ) -> LmoResult:
     """Fit one atom by stochastic gradient ascent on the RELBO.
 
-    The scale runs through ``scale_floor + softplus(u)`` so the returned atom
-    is never degenerate; locations are clipped to the parameter box.  The best
-    iterate under an exponential moving average of the RELBO estimate is
-    returned.  Deterministic given (model, q_t, t, cfg, seed).
+    The gradient is the reparameterization estimate when the model has
+    ``grad_log_joint_batch``, else the score-function estimate.  The scale
+    runs through ``SCALE_FLOOR + softplus(u)`` so the returned atom is never
+    degenerate; locations are clipped to ``PARAM_BOX``.  The best iterate
+    under an exponential moving average of the RELBO estimate is returned.
+    Deterministic given (model, q_t, t, cfg, seed).
     """
-    lam = lambda_at(t, cfg.lambda_schedule)
+    lam = lambda_at(t, cfg.entropy_weight)
     d = model.dim
-    _check_inputs(d, model, q_t, cfg.estimator)
-    family, floor, box = cfg.family, cfg.scale_floor, cfg.param_box
+    _check_inputs(d, model, q_t)
+    estimator = (Estimator.SCORE_FUNCTION if model.grad_log_joint_batch is None
+                 else Estimator.REPARAMETERIZATION)
+    family = cfg.family
     ss = np.random.SeedSequence(entropy=(seed, t))
     init_rng = np.random.default_rng(ss.spawn(1)[0])
     step_seeds = ss.spawn(cfg.n_steps + 1)
 
     for attempt in range(2):
-        loc, u = _initial_params(d, cfg, init_rng)
+        loc, u = _initial_params(d, init_rng)
         opt = _Adam(2 * d, cfg.step_size)
         ema = None
         best_ema = -np.inf
@@ -282,10 +272,10 @@ def lmo_solve(
         ema_checkpoint = None
         failed = False
         for k in range(cfg.n_steps):
-            scale = floor + _softplus(u)
+            scale = SCALE_FLOOR + _softplus(u)
             g_loc, g_log_scale, value, f_mean = _relbo_grad_parts(
                 family, loc, scale, _noise(family, cfg.n_mc_samples, d, step_seeds[k]),
-                model, q_t, lam, cfg.estimator, baseline,
+                model, q_t, lam, estimator, baseline,
             )
             if not (np.isfinite(g_loc).all() and np.isfinite(g_log_scale).all()
                     and math.isfinite(value)):
@@ -302,12 +292,12 @@ def lmo_solve(
             # chain rule through scale = floor + softplus(u)
             g_u = g_log_scale * expit(u) / scale
             delta = opt.step(np.concatenate([g_loc, g_u]))
-            loc = _to_box(loc + delta[:d], box)
+            loc = _to_box(loc + delta[:d])
             u = u + delta[d:]
         if failed:
             continue
         loc, u = best_params
-        atom = BaseDensity(family, loc, floor + _softplus(u), floor, box)
+        atom = BaseDensity(family, loc, SCALE_FLOOR + _softplus(u))
         # n_steps >= 1, so steps min(20, n_steps // 10) and 3 n_steps // 4
         # have set best_ema and ema_checkpoint
         converged = abs(best_ema - ema_checkpoint) <= 1e-2 * (1.0 + abs(best_ema))

@@ -90,8 +90,10 @@ def synthetic_bimodal_target(
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     pi = np.asarray(pi, dtype=float)
-    if np.any(sigma <= 0) or np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-12:
-        raise ValueError("need positive sigmas and simplex mixing weights")
+    if not np.all(sigma > 0):
+        raise ValueError(f"sigma entries must be positive, got {sigma.tolist()}")
+    if not (np.all(pi >= 0) and abs(pi.sum() - 1.0) <= 1e-12):
+        raise ValueError(f"pi must be nonnegative and sum to 1, got {pi.tolist()}")
     log_pi = log_weights(pi)
 
     def component_logits(z: np.ndarray) -> np.ndarray:

@@ -35,18 +35,15 @@ class ProbeResult:
     detail: str
 
 
-def entropy_bound_probe(scale_floor: float = 1e-3) -> list[ProbeResult]:
+def entropy_bound_probe() -> list[ProbeResult]:
     """Entropy + log sup-norm identity: exactly 1/2 per dimension (Gaussian)
     and exactly 1 per dimension (Laplace) over a scale grid."""
-    if scale_floor <= 0:
-        raise ValueError("degenerate family: scale_floor must be positive")
     results = []
     for family, slack in ((Family.GAUSSIAN, 0.5), (Family.LAPLACE, 1.0)):
         worst = 0.0
         for s in SCALE_GRID:
             for dim in (1, 2, 3):
-                d = BaseDensity(family, np.zeros(dim), np.full(dim, s),
-                                scale_floor=scale_floor)
+                d = BaseDensity(family, np.zeros(dim), np.full(dim, s))
                 gap = d.entropy() + d.log_sup_norm() - slack * dim
                 worst = max(worst, abs(gap))
         results.append(
@@ -192,8 +189,8 @@ def gap_bound_probe(seed: int = 0, max_iters: int = 4) -> list[ProbeResult]:
     ]
 
 
-def default_probe_suite(scale_floor: float = 1e-3, seed: int = 0) -> list[ProbeResult]:
-    results = entropy_bound_probe(scale_floor)
+def default_probe_suite(seed: int = 0) -> list[ProbeResult]:
+    results = entropy_bound_probe()
     results += curvature_probe_suite()
     results += gap_bound_probe(seed=seed)
     return results

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -340,6 +341,17 @@ class TestRunBoosting:
         assert len(trace.records) == 1
         assert len(q.atoms) == 1
         assert trace.records[0].gamma == 1.0
+
+    def test_model_without_gradient_runs(self):
+        # no grad_log_joint_batch: every atom solve takes the score-function estimator
+        model = replace(synthetic_bimodal_target(), grad_log_joint_batch=None)
+        cfg = FwConfig(variant=Variant.FULLY_CORRECTIVE, max_iters=2, seed=4, gap_samples=256,
+                       lmo=LmoConfig(n_steps=200, n_mc_samples=64, step_size=0.05))
+        q, trace = run_boosting(model, cfg)
+        assert len(trace.records) == 3
+        assert all(math.isfinite(r.relbo_estimate) and math.isfinite(r.gap_estimate)
+                   for r in trace.records)
+        assert math.isclose(q.weights.sum(), 1.0)
 
     def test_deterministic(self):
         model = synthetic_bimodal_target()

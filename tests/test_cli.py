@@ -1,10 +1,12 @@
 import csv
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from boostvi.cli import EXIT_CONFIG, EXIT_OK, main
+from boostvi.harness import ExperimentConfig
 
 FAST = ["--lmo-steps", "150", "--mc-samples", "8", "--iters", "2"]
 
@@ -69,6 +71,14 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["fw"]["seed"] == 2
 
+    def test_bare_run_records_the_dataclass_defaults(self, tmp_path):
+        # the CLI passes on only the keys it is given; every default lives in
+        # its dataclass
+        out = str(tmp_path / "run")
+        assert run_cli("run", "--out", out) == EXIT_OK
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["config"] == json.loads(json.dumps(asdict(ExperimentConfig(out_dir=out))))
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": "bimodal", "warp_factor": 9}))
@@ -104,11 +114,6 @@ class TestProbe:
 
     def test_curvature_probe_passes(self):
         assert run_cli("probe", "--probe", "curvature") == EXIT_OK
-
-    def test_degenerate_scale_floor_rejected(self, capsys):
-        code = run_cli("probe", "--probe", "entropy", "--scale-floor", "0")
-        assert code == EXIT_CONFIG
-        assert "degenerate" in capsys.readouterr().err
 
     def test_curvature_endpoint_prints_values(self, capsys):
         assert run_cli("probe", "--probe", "curvature", "--gamma", "1.0") == EXIT_OK
@@ -217,3 +222,29 @@ class TestBadInputData:
         code = self._run(tmp_path, "--config", str(cfg))
         assert code == EXIT_CONFIG
         assert "n_feature" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model, params, key", [
+        ("bimodal", {"sigma": [-0.5, 0.5]}, "sigma"),
+        ("matrix_factorization", {"latent_dim": 0}, "latent_dim"),
+        ("logistic", {"flip_fraction": 0.7}, "flip_fraction"),
+    ])
+    def test_bad_model_params_value(self, tmp_path, capsys, model, params, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model, "model_params": params}))
+        code = self._run(tmp_path, "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert key in err and "runtime error" not in err
+        assert "t=0" not in out
+
+    def test_one_class_test_split(self, tmp_path, capsys):
+        # one positive row of ten; seed 1 leaves it out of the 3-row test split
+        data = tmp_path / "onepos.csv"
+        data.write_text("x1,x2,y\n" + "".join(
+            f"{0.1 * k:.1f},{(7 * k) % 5 * 0.3:.1f},{int(k == 4)}\n" for k in range(10)))
+        code = self._run(tmp_path, "--model", "logistic", "--data", str(data), "--seed", "1")
+        assert code == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert "t=0" not in out
+        assert "only label 0" in err
+        assert not (tmp_path / "o").exists()

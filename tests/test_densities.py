@@ -25,12 +25,12 @@ from oracles import (
 )
 
 
-def gaussian(loc, scale, **kw):
-    return BaseDensity(Family.GAUSSIAN, np.atleast_1d(loc), np.atleast_1d(scale), **kw)
+def gaussian(loc, scale):
+    return BaseDensity(Family.GAUSSIAN, np.atleast_1d(loc), np.atleast_1d(scale))
 
 
-def laplace(loc, scale, **kw):
-    return BaseDensity(Family.LAPLACE, np.atleast_1d(loc), np.atleast_1d(scale), **kw)
+def laplace(loc, scale):
+    return BaseDensity(Family.LAPLACE, np.atleast_1d(loc), np.atleast_1d(scale))
 
 
 scales = st.floats(min_value=0.05, max_value=5.0, allow_nan=False)
@@ -77,12 +77,6 @@ class TestDegeneracyGuards:
     def test_loc_outside_box_rejected(self):
         with pytest.raises(ValueError, match="param_box"):
             gaussian(2e3, 1.0)
-
-    def test_nonpositive_floor_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            gaussian(0.0, 1.0, scale_floor=0.0)
-        with pytest.raises(ValueError, match="positive"):
-            gaussian(0.0, 1.0, scale_floor=math.nan)
 
     @pytest.mark.parametrize("family", list(Family))
     @pytest.mark.parametrize("loc, scale, match", [

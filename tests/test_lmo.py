@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from boostvi import (
     BaseDensity,
     Estimator,
     Family,
-    LambdaSchedule,
     LmoConfig,
     Mixture,
     elbo_estimate,
@@ -21,7 +21,7 @@ from boostvi import (
     relbo_grad,
     synthetic_bimodal_target,
 )
-from boostvi.densities import standard_noise
+from boostvi.densities import PARAM_BOX, SCALE_FLOOR, standard_noise
 from boostvi.lmo import _Adam, _initial_params
 from boostvi.models import Dataset, TargetModel, logistic_regression_model
 
@@ -34,27 +34,25 @@ def gaussian(loc, scale):
 
 class TestLambdaSchedule:
     def test_inverse_sqrt_values(self):
-        sched = LambdaSchedule()
-        assert lambda_at(0, sched) == 1.0
-        assert lambda_at(3, sched) == pytest.approx(0.5)
+        assert LmoConfig().entropy_weight is None
+        assert lambda_at(0) == 1.0
+        assert lambda_at(3, None) == pytest.approx(0.5)
 
     def test_constant(self):
-        sched = LambdaSchedule("constant", 0.7)
         for t in (0, 1, 17):
-            assert lambda_at(t, sched) == 0.7
+            assert lambda_at(t, 0.7) == 0.7
 
     def test_validation(self):
+        for weight in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="entropy_weight"):
+                LmoConfig(entropy_weight=weight)
         with pytest.raises(ValueError):
-            LambdaSchedule("linear")
-        with pytest.raises(ValueError):
-            LambdaSchedule("constant", 0.0)
-        with pytest.raises(ValueError):
-            lambda_at(-1, LambdaSchedule())
+            lambda_at(-1)
 
     @given(t=st.integers(min_value=0, max_value=1000))
     @settings(max_examples=30, deadline=None)
     def test_inverse_sqrt_formula(self, t):
-        assert lambda_at(t, LambdaSchedule()) == pytest.approx(1.0 / math.sqrt(t + 1))
+        assert lambda_at(t) == pytest.approx(1.0 / math.sqrt(t + 1))
 
 
 class TestRelboEstimate:
@@ -184,10 +182,14 @@ class TestLmoSolve:
         assert abs(res.atom.scale[0] - scale_opt) < 0.3
 
     def test_scale_respects_floor(self):
-        model = synthetic_bimodal_target()
-        cfg = LmoConfig(n_steps=50, scale_floor=0.05)
-        res = lmo_solve(model, None, 0, cfg, 1)
-        assert np.all(res.atom.scale >= 0.05)
+        # a target narrower than SCALE_FLOOR pulls the scale down from its
+        # initial 0.5; the solve keeps it at or above the floor
+        sd = 1e-4
+        model = TargetModel(dim=1, log_joint_batch=lambda Z: gaussian_logpdf(Z[:, 0], 0.0, sd),
+                            grad_log_joint_batch=lambda Z: -Z / sd**2)
+        res = lmo_solve(model, None, 0, LmoConfig(n_steps=400, step_size=0.1), 1)
+        assert np.all(res.atom.scale >= SCALE_FLOOR)
+        assert np.all(res.atom.scale < 0.05)
 
     def test_deterministic(self):
         model = synthetic_bimodal_target()
@@ -199,9 +201,9 @@ class TestLmoSolve:
         assert a.relbo_estimate == b.relbo_estimate
 
     def test_score_function_estimator_runs(self):
-        model = synthetic_bimodal_target()
-        cfg = LmoConfig(n_steps=800, estimator=Estimator.SCORE_FUNCTION,
-                        n_mc_samples=64, step_size=0.05)
+        # a model without a gradient gets the score-function estimator
+        model = replace(synthetic_bimodal_target(), grad_log_joint_batch=None)
+        cfg = LmoConfig(n_steps=800, n_mc_samples=64, step_size=0.05)
         res = lmo_solve(model, None, 0, cfg, 2)
         assert np.isfinite(res.relbo_estimate)
         assert abs(res.atom.loc[0]) < 1.5  # lands in the bulk of the target
@@ -211,8 +213,6 @@ class TestLmoSolve:
             LmoConfig(n_mc_samples=0)
         with pytest.raises(ValueError):
             LmoConfig(step_size=-0.1)
-        with pytest.raises(ValueError):
-            LmoConfig(scale_floor=0.0)
         for steps in (0, -3):
             with pytest.raises(ValueError, match="n_steps"):
                 LmoConfig(n_steps=steps)
@@ -247,24 +247,24 @@ class TestLmoSolve:
         assert np.isfinite(retried.relbo_estimate)
 
 
-def _reference_solve(model, q_t, t, cfg, seed):
+def _reference_solve(model, q_t, t, cfg, seed, estimator):
     """lmo_solve rebuilt from public pieces: a validated BaseDensity and a
     relbo_grad call per step, the RELBO value from the atom's own log_prob,
     the same seed layout and the same Adam, EMA and box steps."""
-    lam = lambda_at(t, cfg.lambda_schedule)
-    d, n, box, floor = model.dim, cfg.n_mc_samples, cfg.param_box, cfg.scale_floor
+    lam = lambda_at(t, cfg.entropy_weight)
+    d, n, box, floor = model.dim, cfg.n_mc_samples, PARAM_BOX, SCALE_FLOOR
     ss = np.random.SeedSequence(entropy=(seed, t))
     init_rng = np.random.default_rng(ss.spawn(1)[0])
     step_seeds = ss.spawn(cfg.n_steps + 1)
-    loc, u = _initial_params(d, cfg, init_rng)
+    loc, u = _initial_params(d, init_rng)
     opt = _Adam(2 * d, cfg.step_size)
     ema = baseline = checkpoint = best = None
     best_ema = -np.inf
     for k in range(cfg.n_steps):
         scale = floor + np.logaddexp(0.0, u)
-        s = BaseDensity(cfg.family, loc, scale, floor, box)
+        s = BaseDensity(cfg.family, loc, scale)
         g_loc, g_log_scale = relbo_grad(s, model, q_t, lam, n, step_seeds[k],
-                                        cfg.estimator, baseline)
+                                        estimator, baseline)
         rng = np.random.default_rng(step_seeds[k])
         z = s.transform(standard_noise(cfg.family, n, d, rng))
         f = model.log_joint_batch(z)
@@ -283,7 +283,7 @@ def _reference_solve(model, q_t, t, cfg, seed):
         loc = np.clip(loc + delta[:d], -box, box)
         u = u + delta[d:]
     loc, u = best
-    atom = BaseDensity(cfg.family, loc, floor + np.logaddexp(0.0, u), floor, box)
+    atom = BaseDensity(cfg.family, loc, floor + np.logaddexp(0.0, u))
     converged = abs(best_ema - checkpoint) <= 1e-2 * (1.0 + abs(best_ema))
     return atom, best_ema, converged
 
@@ -294,6 +294,9 @@ class TestSolverMatchesReferenceLoop:
     @pytest.mark.parametrize("n_atoms", [None, 3])
     def test_bit_identical(self, family, estimator, n_atoms):
         model = _random_logistic_model(seed=2, n=40, n_feat=3)
+        if estimator is Estimator.SCORE_FUNCTION:
+            # lmo_solve takes the score-function estimator for a model without a gradient
+            model = replace(model, grad_log_joint_batch=None)
         q_t = None
         if n_atoms is not None:
             rng = np.random.default_rng(12)
@@ -302,10 +305,9 @@ class TestSolverMatchesReferenceLoop:
                  for _ in range(n_atoms)],
                 rng.uniform(0.5, 1.5, n_atoms),
             )
-        cfg = LmoConfig(family=family, estimator=estimator, n_steps=80,
-                        n_mc_samples=16, step_size=0.05)
+        cfg = LmoConfig(family=family, n_steps=80, n_mc_samples=16, step_size=0.05)
         res = lmo_solve(model, q_t, 2, cfg, 4)
-        atom, relbo, converged = _reference_solve(model, q_t, 2, cfg, 4)
+        atom, relbo, converged = _reference_solve(model, q_t, 2, cfg, 4, estimator)
         np.testing.assert_array_equal(res.atom.loc, atom.loc)
         np.testing.assert_array_equal(res.atom.scale, atom.scale)
         assert res.relbo_estimate == relbo

@@ -18,15 +18,11 @@ from oracles import CHI_SQUARE_LIMIT_01_11, gaussian_chi_square
 
 class TestEntropyBoundProbe:
     def test_passes_with_valid_floor(self):
-        results = entropy_bound_probe(1e-3)
+        results = entropy_bound_probe()
         assert all(r.passed for r in results)
         assert {r.name for r in results} == {
             "entropy-bound/gaussian", "entropy-bound/laplace"
         }
-
-    def test_rejects_degenerate_floor(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            entropy_bound_probe(0.0)
 
 
 class TestCurvatureSuite:
