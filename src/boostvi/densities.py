@@ -64,14 +64,13 @@ class Family(str, enum.Enum):
     LAPLACE = "laplace"
 
 
-def _check_points(z, dim: int) -> tuple[np.ndarray, bool]:
-    """Points as an (n, D) array, and whether a single point (D,) was given."""
+def _check_points(z, dim: int) -> np.ndarray:
+    """Points as a float array; anything but a batch (n, D) of dimension
+    ``dim`` raises a ValueError."""
     Z = np.asarray(z, dtype=float)
-    squeeze = Z.ndim == 1
-    Z = np.atleast_2d(Z)
-    if Z.shape[1] != dim:
-        raise ValueError(f"expected points of dimension {dim}, got {Z.shape[1]}")
-    return Z, squeeze
+    if Z.ndim != 2 or Z.shape[1] != dim:
+        raise ValueError(f"expected points (n, D) of dimension D={dim}, got shape {Z.shape}")
+    return Z
 
 
 def log_weights(w: np.ndarray) -> np.ndarray:
@@ -143,18 +142,16 @@ class BaseDensity:
         return self.loc.shape[0]
 
     def log_prob(self, z):
-        """Log density at ``z``; accepts one point of shape (D,) or a batch (n, D)."""
-        Z, squeeze = _check_points(z, self.dim)
+        """Log density (n,) at a batch of points ``z`` (n, D)."""
+        Z = _check_points(z, self.dim)
         u = (Z - self.loc) / self.scale
         lp = coordinate_log_prob(self.family, log_normalizer(self.family, self.scale), u)
-        out = lp.sum(axis=1)
-        return float(out[0]) if squeeze else out
+        return lp.sum(axis=1)
 
     def grad_log_prob(self, z):
-        """Gradient of the log density in z, batched like :meth:`log_prob`."""
-        Z, squeeze = _check_points(z, self.dim)
-        g = coordinate_score(self.family, (Z - self.loc) / self.scale, self.scale)
-        return g[0] if squeeze else g
+        """Gradient of the log density in z (n, D) at a batch of points (n, D)."""
+        Z = _check_points(z, self.dim)
+        return coordinate_score(self.family, (Z - self.loc) / self.scale, self.scale)
 
     def entropy(self) -> float:
         """Closed-form differential entropy."""
@@ -273,26 +270,23 @@ class Mixture:
         return coordinate_log_prob(self.family, self._norm, u).sum(axis=2), g
 
     def log_prob(self, z):
-        Z, squeeze = _check_points(z, self.dim)
-        comp, _ = self.components(Z)
-        out = logsumexp(comp + self._log_weights, axis=1)
-        return float(out[0]) if squeeze else out
+        """Log density (n,) at a batch of points ``z`` (n, D)."""
+        comp, _ = self.components(_check_points(z, self.dim))
+        return logsumexp(comp + self._log_weights, axis=1)
 
     def grad_log_prob(self, z):
-        """Responsibility-weighted atom score, batched like :meth:`log_prob`."""
+        """Responsibility-weighted atom score (n, D) at a batch of points (n, D)."""
         _, out = self.log_prob_and_grad(z)
         return out
 
     def log_prob_and_grad(self, z):
         """:meth:`log_prob` and :meth:`grad_log_prob` at once, sharing the
         component evaluation."""
-        Z, squeeze = _check_points(z, self.dim)
-        comp, comp_grads = self.components(Z, grads=True)
+        comp, comp_grads = self.components(_check_points(z, self.dim), grads=True)
         logits = comp + self._log_weights
         lse = logsumexp(logits, axis=1, keepdims=True)
         resp = np.exp(logits - lse)  # (n, K)
-        grad = np.einsum("nk,nkd->nd", resp, comp_grads)
-        return (float(lse[0, 0]), grad[0]) if squeeze else (lse[:, 0], grad)
+        return lse[:, 0], np.einsum("nk,nkd->nd", resp, comp_grads)
 
     def sample(self, n: int, seed) -> np.ndarray:
         if n < 1:

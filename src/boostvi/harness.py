@@ -29,13 +29,20 @@ from .models import (
     synthetic_bimodal_target,
 )
 
+# the model_params keys that shape each data model's synthetic data set; a
+# data file replaces that data set, so ExperimentConfig rejects them beside one
+SYNTHETIC_DATA_PARAMS = {
+    "logistic": ("n", "n_features", "margin", "flip_fraction"),
+    "matrix_factorization": ("rows", "cols", "rank", "noise", "mask_fraction"),
+}
 # the model_params keys each model reads; ExperimentConfig rejects any other
 MODEL_PARAMS = {
     "bimodal": ("mu", "sigma", "pi"),
-    "logistic": ("n", "n_features", "margin", "flip_fraction", "metric_samples"),
-    "matrix_factorization": ("rows", "cols", "rank", "noise", "mask_fraction",
-                             "latent_dim", "metric_samples"),
+    "logistic": SYNTHETIC_DATA_PARAMS["logistic"],
+    "matrix_factorization": SYNTHETIC_DATA_PARAMS["matrix_factorization"] + ("latent_dim",),
 }
+# posterior samples behind each held-out predictive metric
+METRIC_SAMPLES = 2048
 
 
 def load_csv(path: str, schema: str = "classification") -> Dataset:
@@ -183,6 +190,14 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown model_params keys for {self.model!r}: {unknown}, "
                              f"expected some of {list(MODEL_PARAMS[self.model])}")
+        if self.data_path is not None:
+            if self.model == "bimodal":
+                raise ValueError("data_path (--data) is set, but the bimodal target "
+                                 "reads no data")
+            replaced = sorted(set(self.model_params) & set(SYNTHETIC_DATA_PARAMS[self.model]))
+            if replaced:
+                raise ValueError(f"model_params keys {replaced} shape the synthetic data "
+                                 f"that data_path (--data) replaces")
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError("split fraction must lie in (0, 1)")
         if self.n_seeds < 1:
@@ -226,12 +241,12 @@ def _build_dataset(cfg: ExperimentConfig, seed: int) -> Optional[Dataset]:
         schema = "matrix" if cfg.model == "matrix_factorization" else "classification"
         return load_csv(cfg.data_path, schema)
     if cfg.model == "logistic":
+        # margin and flip_fraction keep the generator's defaults unless given
         return make_separable_classification(
             int(p.get("n", 400)),
             int(p.get("n_features", 5)),
             seed=(seed, 9001),
-            margin=float(p.get("margin", 1.0)),
-            flip_fraction=float(p.get("flip_fraction", 0.0)),
+            **{k: float(p[k]) for k in ("margin", "flip_fraction") if k in p},
         )
     return make_lowrank_matrix(
         int(p.get("rows", 20)),
@@ -278,8 +293,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, progress=None):
         metrics = {"kl_oracle": best.kl_oracle}
     else:
         metrics = predictive_metrics(
-            cfg.model, posterior, test,
-            n_samples=int(cfg.model_params.get("metric_samples", 2048)), seed=(seed, 555),
+            cfg.model, posterior, test, n_samples=METRIC_SAMPLES, seed=(seed, 555)
         )
     metrics["train_ll"] = best.train_ll
     return metrics, trace, posterior

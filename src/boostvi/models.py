@@ -3,8 +3,10 @@
 Every model is a :class:`TargetModel`: a latent dimension, a log-joint
 callable over a batch of points (n, D), optionally its gradient, and optional
 extras (a normalized 1-D posterior density for quadrature oracles, a training
-log-likelihood for iterate selection).  Single-point calls are derived from
-the batch callables.
+log-likelihood for iterate selection).  Every call takes a batch; a single
+point z is the batch ``z[None]``.  Each model's posterior-predictive quantity
+is one module-level helper, shared by its training log-likelihood and
+:func:`predictive_metrics`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import expit, log_expit
-from scipy.stats import rankdata
 
 from .densities import LOG_2PI, Mixture, log_weights, logsumexp
 
@@ -29,19 +30,14 @@ class TargetModel:
     # mean training log-likelihood from posterior samples (n, D) -> float
     train_log_likelihood: Optional[Callable[[np.ndarray], float]] = None
 
-    def log_joint(self, z: np.ndarray) -> float:
-        """Log-joint at one point (D,)."""
-        return float(self.log_joint_batch(np.atleast_2d(z))[0])
-
-    def grad_log_joint(self, z: np.ndarray) -> np.ndarray:
-        """Gradient of the log-joint at one point (D,)."""
-        return self.grad_log_joint_batch(np.atleast_2d(z))[0]
-
 
 def log_joint_batch(model: TargetModel, Z: np.ndarray) -> np.ndarray:
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    if Z.shape[1] != model.dim:
-        raise ValueError(f"expected dimension {model.dim}, got {Z.shape[1]}")
+    """The model's log-joint at points ``Z`` of shape (n, D); any other shape
+    raises a ValueError."""
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim != 2 or Z.shape[1] != model.dim:
+        raise ValueError(f"expected points (n, D) of dimension D={model.dim}, "
+                         f"got shape {Z.shape}")
     return np.asarray(model.log_joint_batch(Z))
 
 
@@ -121,6 +117,12 @@ def synthetic_bimodal_target(
     )
 
 
+def class_probabilities(samples: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """Posterior-predictive P(y = 1) of each row of ``features`` (m, F): the
+    sigmoid of its logit under each weight sample (n, F), averaged over samples."""
+    return expit(samples @ features.T).mean(axis=0)
+
+
 def _mean_bernoulli_ll(probs: np.ndarray, y: np.ndarray) -> float:
     p = np.clip(probs, 1e-12, 1.0 - 1e-12)
     return float(np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
@@ -148,8 +150,7 @@ def logistic_regression_model(data: Dataset) -> TargetModel:
         return -W + (y - expit(logits)) @ X
 
     def train_ll(samples: np.ndarray) -> float:
-        probs = expit(samples @ X.T).mean(axis=0)
-        return _mean_bernoulli_ll(probs, y)
+        return _mean_bernoulli_ll(class_probabilities(samples, X), y)
 
     return TargetModel(
         dim=n_feat,
@@ -165,6 +166,24 @@ def _unpack_uv(Z: np.ndarray, latent_dim: int, rows: int, cols: int):
     return U, V
 
 
+def _reconstruct(Z: np.ndarray, latent_dim: int, rows: int, cols: int) -> np.ndarray:
+    """U^T V of each latent vector in ``Z`` (n, D): shape (n, rows, cols)."""
+    U, V = _unpack_uv(Z, latent_dim, rows, cols)
+    return np.einsum("nlr,nlc->nrc", U, V)
+
+
+def mean_reconstruction(samples: np.ndarray, latent_dim: int, rows: int, cols: int) -> np.ndarray:
+    """Posterior-predictive mean matrix (rows, cols): U^T V averaged over the
+    latent samples (n, D)."""
+    return _reconstruct(samples, latent_dim, rows, cols).mean(axis=0)
+
+
+def gaussian_log_likelihood(resid: np.ndarray) -> float:
+    """Mean log-likelihood of residuals under the unit-variance Gaussian noise
+    of the factorization model."""
+    return float(np.mean(-0.5 * resid**2 - 0.5 * LOG_2PI))
+
+
 def matrix_factorization_model(data: Dataset, latent_dim: int) -> TargetModel:
     """Bayesian matrix factorization R ~ N(U^T V, I) with standard-normal
     entries of U and V; the latent vector is vec(U) followed by vec(V)."""
@@ -177,13 +196,9 @@ def matrix_factorization_model(data: Dataset, latent_dim: int) -> TargetModel:
     rows, cols = R.shape
     dim = latent_dim * (rows + cols)
 
-    def reconstruct(Z: np.ndarray) -> np.ndarray:
-        U, V = _unpack_uv(Z, latent_dim, rows, cols)
-        return np.einsum("nlr,nlc->nrc", U, V)
-
     def batch(Z: np.ndarray) -> np.ndarray:
         prior = -0.5 * np.sum(Z * Z, axis=1) - 0.5 * dim * LOG_2PI
-        resid = (R - reconstruct(Z)) * mask
+        resid = (R - _reconstruct(Z, latent_dim, rows, cols)) * mask
         n_obs = mask.sum()
         ll = -0.5 * np.sum(resid * resid, axis=(1, 2)) - 0.5 * n_obs * LOG_2PI
         return prior + ll
@@ -197,9 +212,8 @@ def matrix_factorization_model(data: Dataset, latent_dim: int) -> TargetModel:
         return -Z + dZ
 
     def train_ll(samples: np.ndarray) -> float:
-        mean_recon = reconstruct(samples).mean(axis=0)
-        resid = (R - mean_recon)[mask]
-        return float(np.mean(-0.5 * resid**2 - 0.5 * LOG_2PI))
+        resid = (R - mean_reconstruction(samples, latent_dim, rows, cols))[mask]
+        return gaussian_log_likelihood(resid)
 
     return TargetModel(
         dim=dim,
@@ -217,7 +231,11 @@ def auroc(labels: np.ndarray, scores: np.ndarray) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUROC needs both classes present")
-    ranks = rankdata(scores)
+    # average ranks: a group of tied scores holds 1-based sorted positions
+    # ends - counts + 1 .. ends, whose mean each member gets
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    ranks = (0.5 * (ends + (ends - counts) + 1))[group]
     rank_sum = ranks[labels == 1].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
@@ -230,7 +248,7 @@ def predictive_metrics(
     if kind == "logistic":
         if test.features is None:
             raise ValueError("classification metrics need features")
-        probs = expit(samples @ test.features.T).mean(axis=0)
+        probs = class_probabilities(samples, test.features)
         return {
             "auroc": auroc(test.labels, probs),
             "mean_log_likelihood": _mean_bernoulli_ll(probs, test.labels),
@@ -243,11 +261,9 @@ def predictive_metrics(
         latent_dim = posterior.dim // (rows + cols)
         if latent_dim * (rows + cols) != posterior.dim:
             raise ValueError("posterior dimension does not match the matrix shape")
-        U, V = _unpack_uv(samples, latent_dim, rows, cols)
-        mean_recon = np.einsum("nlr,nlc->nrc", U, V).mean(axis=0)
-        resid = (R - mean_recon)[test.mask]
+        resid = (R - mean_reconstruction(samples, latent_dim, rows, cols))[test.mask]
         return {
             "mse": float(np.mean(resid**2)),
-            "mean_log_likelihood": float(np.mean(-0.5 * resid**2 - 0.5 * LOG_2PI)),
+            "mean_log_likelihood": gaussian_log_likelihood(resid),
         }
     raise ValueError(f"no predictive metrics for model kind {kind!r}")

@@ -28,7 +28,8 @@ from boostvi import (
 )
 from boostvi.boosting import _crn_mixture_sampler, mixture_from_dict
 from boostvi.densities import standard_noise
-from boostvi.models import TargetModel
+from boostvi.harness import make_separable_classification
+from boostvi.models import TargetModel, logistic_regression_model
 
 from oracles import CHI_SQUARE_LIMIT_01_11, bimodal_logpdf
 
@@ -352,6 +353,19 @@ class TestRunBoosting:
         assert all(math.isfinite(r.relbo_estimate) and math.isfinite(r.gap_estimate)
                    for r in trace.records)
         assert math.isclose(q.weights.sum(), 1.0)
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_every_iterate_has_simplex_weights(self, variant, family):
+        logistic = logistic_regression_model(
+            make_separable_classification(40, 3, seed=0, flip_fraction=0.1))
+        cfg = FwConfig(variant=variant, max_iters=3, seed=1, gap_samples=256,
+                       lmo=LmoConfig(n_steps=50, family=family))
+        for model in (synthetic_bimodal_target(), logistic):
+            q, trace = run_boosting(model, cfg)
+            for m in trace.mixtures + [q]:
+                assert (m.weights >= 0).all()
+                assert abs(m.weights.sum() - 1.0) <= 1e-12
 
     def test_deterministic(self):
         model = synthetic_bimodal_target()

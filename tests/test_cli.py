@@ -1,10 +1,14 @@
 import csv
 import json
-from dataclasses import asdict
+import os
+import subprocess
+import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from boostvi import harness
 from boostvi.cli import EXIT_CONFIG, EXIT_OK, main
 from boostvi.harness import ExperimentConfig
 
@@ -71,9 +75,13 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["fw"]["seed"] == 2
 
-    def test_bare_run_records_the_dataclass_defaults(self, tmp_path):
+    def test_bare_run_records_the_dataclass_defaults(self, tmp_path, monkeypatch):
         # the CLI passes on only the keys it is given; every default lives in
-        # its dataclass
+        # its dataclass.  The fit itself is cut short: summary.json records
+        # the config the CLI built, not the one the stub fits.
+        original = harness.run_boosting
+        monkeypatch.setattr(harness, "run_boosting", lambda model, fw, progress=None: original(
+            model, replace(fw, max_iters=1, lmo=replace(fw.lmo, n_steps=50)), progress=progress))
         out = str(tmp_path / "run")
         assert run_cli("run", "--out", out) == EXIT_OK
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
@@ -216,6 +224,27 @@ class TestBadInputData:
         assert code == EXIT_CONFIG
         assert "binary" in capsys.readouterr().err
 
+    def test_data_file_for_bimodal(self, tmp_path, capsys):
+        # the bimodal target reads no data, so a data file would be ignored
+        code = self._run(tmp_path, "--model", "bimodal", "--data", str(tmp_path / "absent.csv"))
+        assert code == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert "data_path (--data)" in err and "bimodal" in err
+        assert "t=0" not in out
+
+    def test_synthetic_data_keys_with_data_file(self, tmp_path, capsys):
+        # a data file replaces the synthetic data set these keys would shape
+        data = tmp_path / "d.csv"
+        data.write_text("x1,x2,y\n" + "".join(f"{0.1 * k},{k % 3},{k % 2}\n" for k in range(20)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "logistic",
+                                   "model_params": {"n": 7, "n_features": 9, "margin": 3.0}}))
+        code = self._run(tmp_path, "--config", str(cfg), "--data", str(data))
+        assert code == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert "['margin', 'n', 'n_features']" in err and "data_path (--data)" in err
+        assert "t=0" not in out
+
     def test_unknown_model_params_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": "logistic", "model_params": {"n_feature": 3}}))
@@ -248,3 +277,15 @@ class TestBadInputData:
         assert "t=0" not in out
         assert "only label 0" in err
         assert not (tmp_path / "o").exists()
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats costs about half a second and 45 MB at import; nothing in
+    # the package needs it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    check = "import sys, boostvi.cli; print('scipy.stats' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

@@ -39,13 +39,13 @@ locs = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
 class TestBaseLogProb:
     def test_standard_normal_at_zero(self):
-        assert gaussian(0.0, 1.0).log_prob([0.0]) == pytest.approx(-0.918939, abs=1e-6)
+        assert gaussian(0.0, 1.0).log_prob([[0.0]])[0] == pytest.approx(-0.918939, abs=1e-6)
 
     def test_standard_laplace_at_zero(self):
-        assert laplace(0.0, 1.0).log_prob([0.0]) == pytest.approx(-0.693147, abs=1e-6)
+        assert laplace(0.0, 1.0).log_prob([[0.0]])[0] == pytest.approx(-0.693147, abs=1e-6)
 
     def test_narrow_gaussian_at_mode(self):
-        assert gaussian(1.0, 0.5).log_prob([1.0]) == pytest.approx(-0.225791, abs=1e-6)
+        assert gaussian(1.0, 0.5).log_prob([[1.0]])[0] == pytest.approx(-0.225791, abs=1e-6)
 
     def test_batch_shape(self):
         d = gaussian([0.0, 1.0], [1.0, 2.0])
@@ -59,13 +59,13 @@ class TestBaseLogProb:
     @given(loc=locs, scale=scales, z=locs)
     @settings(max_examples=50, deadline=None)
     def test_matches_reference_gaussian(self, loc, scale, z):
-        got = gaussian(loc, scale).log_prob([z])
+        got = gaussian(loc, scale).log_prob([[z]])[0]
         assert got == pytest.approx(float(gaussian_logpdf(z, loc, scale)), rel=1e-12)
 
     @given(loc=locs, scale=scales, z=locs)
     @settings(max_examples=50, deadline=None)
     def test_matches_reference_laplace(self, loc, scale, z):
-        got = laplace(loc, scale).log_prob([z])
+        got = laplace(loc, scale).log_prob([[z]])[0]
         assert got == pytest.approx(float(laplace_logpdf(z, loc, scale)), rel=1e-12)
 
 
@@ -101,13 +101,13 @@ class TestMixtureLogProb:
     def test_duplicate_atoms_symmetry(self):
         a = gaussian(0.3, 0.8)
         m = Mixture((a, a), np.array([0.5, 0.5]))
-        assert m.log_prob([0.1]) == pytest.approx(a.log_prob([0.1]), rel=1e-12)
+        assert m.log_prob([[0.1]])[0] == pytest.approx(a.log_prob([[0.1]])[0], rel=1e-12)
 
     def test_bimodal_two_term_sum(self):
         m = Mixture(
             (gaussian(-1.0, 0.5), gaussian(1.0, 0.5)), np.array([0.4, 0.6])
         )
-        assert m.log_prob([0.0]) == pytest.approx(BIMODAL_LOGPDF_AT_0, abs=1e-12)
+        assert m.log_prob([[0.0]])[0] == pytest.approx(BIMODAL_LOGPDF_AT_0, abs=1e-12)
 
     def test_weight_sum_validation(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -145,7 +145,7 @@ class TestMixtureLogProb:
     def test_zero_weight_component_ignored(self):
         a, b = gaussian(0, 1), gaussian(50, 1)
         m = Mixture((a, b), np.array([1.0, 0.0]))
-        assert m.log_prob([0.0]) == pytest.approx(a.log_prob([0.0]), rel=1e-12)
+        assert m.log_prob([[0.0]])[0] == pytest.approx(a.log_prob([[0.0]])[0], rel=1e-12)
 
 
 class TestStackedMixtureEvaluation:
@@ -204,13 +204,15 @@ class TestStackedMixtureEvaluation:
 
     def test_single_point_and_dimension_check(self):
         m = Mixture((BaseDensity(Family.GAUSSIAN, [0.0, 1.0], [1.0, 2.0]),), np.array([1.0]))
-        log_q, grad_q = m.log_prob_and_grad(np.array([0.5, 0.5]))
-        assert log_q == m.log_prob(np.array([0.5, 0.5]))
-        assert grad_q.shape == (2,)
         with pytest.raises(ValueError):
             m.log_prob_and_grad(np.zeros((3, 1)))
         with pytest.raises(ValueError):
             m.grad_log_prob(np.zeros((3, 1)))
+        # a single point (D,) is not a batch: every density call raises
+        for call in (m.log_prob, m.grad_log_prob, m.log_prob_and_grad,
+                     m.atoms[0].log_prob, m.atoms[0].grad_log_prob):
+            with pytest.raises(ValueError, match="dimension"):
+                call(np.array([0.5, 0.5]))
 
 
 class TestLogSumExp:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import log_expit
+from scipy.stats import rankdata
 
 from boostvi import (
     Dataset,
@@ -22,14 +23,14 @@ from oracles import BIMODAL_LOGPDF_AT_0, finite_difference, gaussian_logpdf, rel
 class TestBimodalTarget:
     def test_default_parameters_at_zero(self):
         model = synthetic_bimodal_target()
-        assert model.log_joint(np.array([0.0])) == pytest.approx(
+        assert model.log_joint_batch(np.array([0.0])[None])[0] == pytest.approx(
             BIMODAL_LOGPDF_AT_0, abs=1e-12
         )
 
     def test_degenerate_mixture_is_single_gaussian(self):
         model = synthetic_bimodal_target(pi=(1.0, 0.0))
         z = np.array([0.3])
-        assert model.log_joint(z) == pytest.approx(
+        assert model.log_joint_batch(z[None])[0] == pytest.approx(
             float(gaussian_logpdf(0.3, -1.0, 0.5)), rel=1e-12
         )
 
@@ -43,8 +44,8 @@ class TestBimodalTarget:
     @settings(max_examples=40, deadline=None)
     def test_gradient_matches_finite_differences(self, z):
         model = synthetic_bimodal_target()
-        g = model.grad_log_joint(np.array([z]))
-        fd = finite_difference(lambda x: model.log_joint(x), np.array([z]))
+        g = model.grad_log_joint_batch(np.array([z])[None])[0]
+        fd = finite_difference(lambda x: model.log_joint_batch(x[None])[0], np.array([z]))
         assert relative_error(g, fd) < 1e-5
 
     def test_invalid_weights_rejected(self):
@@ -57,12 +58,12 @@ class TestLogisticRegression:
         data = Dataset(features=np.array([[2.5]]), labels=np.array([1.0]))
         model = logistic_regression_model(data)
         # standard-normal prior at 0 plus log sigmoid(0)
-        assert model.log_joint(np.zeros(1)) == pytest.approx(-1.612086, abs=1e-6)
+        assert model.log_joint_batch(np.zeros(1)[None])[0] == pytest.approx(-1.612086, abs=1e-6)
 
     def test_empty_dataset_prior_only(self):
         data = Dataset(features=np.empty((0, 2)), labels=np.empty(0))
         model = logistic_regression_model(data)
-        assert model.log_joint(np.zeros(2)) == pytest.approx(-1.837877, abs=1e-6)
+        assert model.log_joint_batch(np.zeros(2)[None])[0] == pytest.approx(-1.837877, abs=1e-6)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -72,8 +73,8 @@ class TestLogisticRegression:
         )
         model = logistic_regression_model(data)
         w = rng.standard_normal(3)
-        fd = finite_difference(lambda x: model.log_joint(x), w)
-        assert relative_error(model.grad_log_joint(w), fd) < 1e-4
+        fd = finite_difference(lambda x: model.log_joint_batch(x[None])[0], w)
+        assert relative_error(model.grad_log_joint_batch(w[None])[0], fd) < 1e-4
 
     def test_batch_consistency(self):
         rng = np.random.default_rng(6)
@@ -84,7 +85,7 @@ class TestLogisticRegression:
         model = logistic_regression_model(data)
         W = rng.standard_normal((4, 2))
         batched = log_joint_batch(model, W)
-        singles = np.array([model.log_joint(w) for w in W])
+        singles = np.array([model.log_joint_batch(w[None])[0] for w in W])
         np.testing.assert_allclose(batched, singles, rtol=1e-12)
 
     def test_log_joint_equals_two_term_bernoulli_sum(self):
@@ -103,6 +104,14 @@ class TestLogisticRegression:
         ll = y * log_expit(logits) + (1.0 - y) * log_expit(-logits)
         np.testing.assert_array_equal(log_joint_batch(model, W), prior + ll.sum(axis=1))
 
+    def test_log_joint_batch_takes_batches_only(self):
+        model = logistic_regression_model(
+            Dataset(features=np.ones((2, 3)), labels=np.array([0.0, 1.0])))
+        assert log_joint_batch(model, np.zeros((4, 3))).shape == (4,)
+        for bad in (np.zeros(3), np.zeros((4, 2)), np.zeros((1, 4, 3))):
+            with pytest.raises(ValueError, match="dimension"):
+                log_joint_batch(model, bad)
+
     def test_nonbinary_labels_rejected(self):
         with pytest.raises(ValueError, match="binary"):
             logistic_regression_model(
@@ -115,7 +124,7 @@ class TestMatrixFactorization:
         data = Dataset(features=None, labels=np.zeros((1, 1)), mask=np.ones((1, 1), bool))
         model = matrix_factorization_model(data, latent_dim=1)
         assert model.dim == 2
-        assert model.log_joint(np.zeros(2)) == pytest.approx(-2.756816, abs=1e-6)
+        assert model.log_joint_batch(np.zeros(2)[None])[0] == pytest.approx(-2.756816, abs=1e-6)
 
     def test_fully_masked_is_prior_only(self):
         R = np.arange(6.0).reshape(2, 3)
@@ -123,7 +132,7 @@ class TestMatrixFactorization:
         model = matrix_factorization_model(data, latent_dim=2)
         z = np.random.default_rng(0).standard_normal(model.dim)
         expected = -0.5 * np.sum(z * z) - 0.5 * model.dim * np.log(2 * np.pi)
-        assert model.log_joint(z) == pytest.approx(expected, rel=1e-12)
+        assert model.log_joint_batch(z[None])[0] == pytest.approx(expected, rel=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -132,8 +141,8 @@ class TestMatrixFactorization:
         data = Dataset(features=None, labels=R, mask=mask)
         model = matrix_factorization_model(data, latent_dim=2)
         z = rng.standard_normal(model.dim)
-        fd = finite_difference(lambda x: model.log_joint(x), z)
-        assert relative_error(model.grad_log_joint(z), fd) < 1e-4
+        fd = finite_difference(lambda x: model.log_joint_batch(x[None])[0], z)
+        assert relative_error(model.grad_log_joint_batch(z[None])[0], fd) < 1e-4
 
     def test_batch_consistency(self):
         rng = np.random.default_rng(8)
@@ -146,7 +155,7 @@ class TestMatrixFactorization:
         Z = rng.standard_normal((5, model.dim))
         np.testing.assert_allclose(
             model.grad_log_joint_batch(Z),
-            np.stack([model.grad_log_joint(z) for z in Z]),
+            np.stack([model.grad_log_joint_batch(z[None])[0] for z in Z]),
             rtol=1e-12,
         )
 
@@ -176,6 +185,23 @@ class TestAuroc:
         b = auroc(1.0 - labels, scores)
         assert a + b == pytest.approx(1.0, abs=1e-12)
 
+    @given(
+        data=st.lists(
+            st.tuples(st.booleans(), st.integers(min_value=0, max_value=5)),
+            min_size=2, max_size=30,
+        ).filter(lambda d: 0 < sum(y for y, _ in d) < len(d))
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_rankdata_rank_sum(self, data):
+        # few distinct scores, so most cases hold ties
+        labels = np.array([float(y) for y, _ in data])
+        scores = np.array([s / 5.0 for _, s in data])
+        n_pos = labels.sum()
+        n_neg = len(labels) - n_pos
+        rank_sum = rankdata(scores)[labels == 1].sum()
+        expected = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+        assert auroc(labels, scores) == expected
+
     def test_order_invariance(self):
         rng = np.random.default_rng(9)
         labels = np.array([1, 1, 0, 0, 1, 0], dtype=float)
@@ -193,6 +219,23 @@ class TestPredictiveMetrics:
         )
         metrics = predictive_metrics("matrix_factorization", posterior, test, 256, 0)
         assert metrics["mse"] == pytest.approx(0.0, abs=1e-4)
+
+    def test_train_and_held_out_likelihoods_agree(self):
+        # on the training data itself, the model's train_log_likelihood and the
+        # held-out mean_log_likelihood are one computation
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((30, 3))
+        logistic_data = Dataset(features=X, labels=(X[:, 0] > 0).astype(float))
+        R = rng.standard_normal((4, 5))
+        mf_data = Dataset(features=None, labels=R, mask=rng.uniform(size=R.shape) < 0.7)
+        for kind, model in (("logistic", logistic_regression_model(logistic_data)),
+                            ("matrix_factorization", matrix_factorization_model(mf_data, 2))):
+            data = logistic_data if kind == "logistic" else mf_data
+            posterior = Mixture.single(
+                BaseDensity(Family.GAUSSIAN, rng.standard_normal(model.dim), np.full(model.dim, 0.3)))
+            metrics = predictive_metrics(kind, posterior, data, 64, 3)
+            train_ll = model.train_log_likelihood(posterior.sample(64, 3))
+            assert metrics["mean_log_likelihood"] == train_ll, kind
 
     def test_unknown_kind_rejected(self):
         posterior = Mixture.single(BaseDensity(Family.GAUSSIAN, [0.0], [1.0]))

@@ -6,9 +6,11 @@ import dataclasses
 import importlib
 import os
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+from boostvi import harness
 from boostvi.densities import BaseDensity, Mixture
 from boostvi.models import TargetModel
 
@@ -45,3 +47,39 @@ def test_model_callables_are_target_model_fields(tracer):
     fields = {f.name for f in dataclasses.fields(TargetModel)}
     for field, _ in tracer.MODEL_CALLABLES:
         assert field in fields, field
+
+
+# the harness names the tracer and the benchmark runner patch; the harness
+# must look each up in its module globals at call time
+HARNESS_LOOKUPS = (
+    "synthetic_bimodal_target", "logistic_regression_model", "matrix_factorization_model",
+    "predictive_metrics", "_build_dataset", "split", "run_boosting",
+)
+
+
+@pytest.mark.parametrize("model, expected", [
+    ("bimodal", ["_build_dataset", "synthetic_bimodal_target", "run_boosting"]),
+    ("logistic", ["_build_dataset", "split", "logistic_regression_model", "run_boosting",
+                  "predictive_metrics"]),
+    ("matrix_factorization", ["_build_dataset", "split", "matrix_factorization_model",
+                              "run_boosting", "predictive_metrics"]),
+])
+def test_harness_calls_patched_names(monkeypatch, model, expected):
+    called = []
+
+    def recorder(name, fn):
+        def record(*args, **kwargs):
+            called.append(name)
+            return fn(*args, **kwargs)
+        return record
+
+    # no fit: the stubs return a one-record trace and no metrics
+    stubs = {
+        "run_boosting": lambda model, cfg, progress=None: (None, SimpleNamespace(
+            records=[SimpleNamespace(train_ll=0.0, kl_oracle=None)], best_iteration=0)),
+        "predictive_metrics": lambda *args, **kwargs: {},
+    }
+    for name in HARNESS_LOOKUPS:
+        monkeypatch.setattr(harness, name, recorder(name, stubs.get(name, getattr(harness, name))))
+    harness.run_single_seed(harness.ExperimentConfig(model=model), seed=1)
+    assert called == expected
