@@ -25,6 +25,7 @@ from .densities import (
     Mixture,
     QuadratureGrid,
     log_weights,
+    logsumexp,
     quadrature_kl,
     standard_noise,
     _trapezoid,
@@ -160,29 +161,31 @@ def mixture_step(q_t: Mixture, s: BaseDensity, gamma: float) -> Mixture:
     return Mixture.from_unnormalized(q_t.atoms, weights)
 
 
-def _crn_mixture_sampler(family: Family, dim: int, n: int, seed):
-    """Common-random-number sampler for mixtures of one family and dimension.
-
-    Draws one uniform per sample for component selection and one standardized
-    noise row per sample, so that draws at different weights are paired.
-    ``sample(q, weights)`` selects among ``q``'s atoms by ``weights``, taken
-    before normalization so that its rounding cannot move a selection.
-    """
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(size=n)
-    noise = standard_noise(family, n, dim, rng)
-
-    def sample(q: Mixture, weights: np.ndarray) -> np.ndarray:
-        edges = np.cumsum(weights)
-        edges[-1] = 1.0
-        idx = np.minimum(np.searchsorted(edges, u, side="right"), len(weights) - 1)
-        return q.locs[idx] + q.scales[idx] * noise
-
-    return sample
-
-
 LINE_SEARCH_GRID = 21  # gammas 0, 0.05, ..., 1 tried before the refinement
 CORRECTIVE_ITERS = 200  # simplex Frank-Wolfe steps of the corrective weight solve
+
+
+def _atom_sample_table(q: Mixture, model: TargetModel, noises) -> tuple[np.ndarray, np.ndarray]:
+    """Each atom's fixed samples evaluated once: for atom i and the i-th
+    (n, D) array of ``noises``, the samples ``locs[i] + scales[i] * noise`` give
+    ``comp_logs[i]`` (n, K), the log density of every atom there, and
+    ``logp[i]`` (n,), the model's log-joint.  One atom is standardized at a
+    time, so at most one (n, K, D) array is held."""
+    comp_logs, logp = [], []
+    for i, noise in enumerate(noises):
+        z = q.locs[i] + q.scales[i] * noise
+        comp_logs.append(q.components(z)[0])
+        logp.append(log_joint_batch(model, z))
+    return np.stack(comp_logs), np.stack(logp)
+
+
+def _crn_atom_index(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The atom each common-random-number sample of a blend draws: the
+    sample's uniform in ``u`` against the cumulative ``weights``, taken before
+    normalization so that its rounding cannot move a selection."""
+    edges = np.cumsum(weights)
+    edges[-1] = 1.0
+    return np.minimum(np.searchsorted(edges, u, side="right"), len(weights) - 1)
 
 
 def line_search_gamma(
@@ -194,16 +197,27 @@ def line_search_gamma(
 ) -> float:
     """Variant-1 step size: search over ``LINE_SEARCH_GRID`` gammas plus
     golden-section refinement of the blended negative ELBO, with common random
-    numbers across gamma.  Ties are broken toward smaller gamma."""
+    numbers across gamma.  Ties are broken toward smaller gamma.
+
+    The common random numbers are one uniform per sample, which selects the
+    sample's atom, and one standardized noise row per sample.  A blend only
+    ever draws one of the K + 1 atoms' transforms of the noise, so each atom's
+    transform meets the model once, and each gamma is a selection from that
+    table."""
     atoms = q_t.atoms + (s,)
-    sampler = _crn_mixture_sampler(s.family, s.dim, n_samples, seed)
+    q = Mixture.from_unnormalized(atoms, np.ones(len(atoms)))  # the atoms stacked once
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(size=n_samples)
+    noise = standard_noise(s.family, n_samples, s.dim, rng)
+    comp_logs, logp = _atom_sample_table(q, model, [noise] * len(atoms))
+    rows = np.arange(n_samples)
 
     def objective(gamma: float) -> float:
         # KL up to a constant, E_q[log q - log p], on common random numbers
         weights = np.concatenate([q_t.weights * (1.0 - gamma), [gamma]])
-        q = Mixture.from_unnormalized(atoms, weights)
-        z = sampler(q, weights)
-        return float(np.mean(q.log_prob(z) - log_joint_batch(model, z)))
+        idx = _crn_atom_index(weights, u)
+        logq = logsumexp(comp_logs[idx, rows] + log_weights(weights / weights.sum()), axis=1)
+        return float(np.mean(logq - logp[idx, rows]))
 
     gammas = np.linspace(0.0, 1.0, LINE_SEARCH_GRID)
     values = np.array([objective(g) for g in gammas])
@@ -259,13 +273,10 @@ def fully_corrective_weights(
     q = Mixture.from_unnormalized(atoms, np.ones(k))  # the atoms stacked once
     ss = np.random.SeedSequence(entropy=(_entropy_int(seed), 1414))
     # fixed samples of each atom, from its own stream, and cached log densities
-    comp_logs = np.empty((k, n_samples, k))  # comp_logs[i]: log s_j under atom i's samples
-    logp = np.empty((k, n_samples))
-    for i, s in enumerate(ss.spawn(k)):
-        noise = standard_noise(q.family, n_samples, q.dim, np.random.default_rng(s))
-        z = q.locs[i] + q.scales[i] * noise
-        comp_logs[i] = q.components(z)[0]
-        logp[i] = log_joint_batch(model, z)
+    comp_logs, logp = _atom_sample_table(q, model, (
+        standard_noise(q.family, n_samples, q.dim, np.random.default_rng(s))
+        for s in ss.spawn(k)
+    ))
 
     def direct_grad(w: np.ndarray) -> np.ndarray:
         logw = log_weights(w)

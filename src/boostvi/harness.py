@@ -233,6 +233,20 @@ def bimodal_target(model_params: dict) -> TargetModel:
     )
 
 
+def _count_param(p: dict, key: str, default: int) -> int:
+    """The count ``model_params[key]`` (``default`` when absent); a value
+    that is not a whole number raises a :class:`DataError` naming the key,
+    where ``int`` would truncate it."""
+    value = p.get(key, default)
+    try:
+        whole = float(value).is_integer()
+    except (TypeError, ValueError):
+        whole = False
+    if not whole:
+        raise DataError(f"model_params {key!r} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _build_dataset(cfg: ExperimentConfig, seed: int) -> Optional[Dataset]:
     p = cfg.model_params
     if cfg.model == "bimodal":
@@ -243,15 +257,15 @@ def _build_dataset(cfg: ExperimentConfig, seed: int) -> Optional[Dataset]:
     if cfg.model == "logistic":
         # margin and flip_fraction keep the generator's defaults unless given
         return make_separable_classification(
-            int(p.get("n", 400)),
-            int(p.get("n_features", 5)),
+            _count_param(p, "n", 400),
+            _count_param(p, "n_features", 5),
             seed=(seed, 9001),
             **{k: float(p[k]) for k in ("margin", "flip_fraction") if k in p},
         )
     return make_lowrank_matrix(
-        int(p.get("rows", 20)),
-        int(p.get("cols", 15)),
-        int(p.get("rank", 2)),
+        _count_param(p, "rows", 20),
+        _count_param(p, "cols", 15),
+        _count_param(p, "rank", 2),
         float(p.get("noise", 0.1)),
         float(p.get("mask_fraction", 1.0)),
         seed=(seed, 9002),
@@ -272,7 +286,7 @@ def _build_model(cfg: ExperimentConfig, seed: int) -> tuple[TargetModel, Optiona
         if cfg.model == "logistic":
             model = logistic_regression_model(train)
         else:
-            model = matrix_factorization_model(train, int(p.get("latent_dim", 2)))
+            model = matrix_factorization_model(train, _count_param(p, "latent_dim", 2))
     except DataError:
         raise
     except (TypeError, ValueError) as e:

@@ -260,7 +260,7 @@ def lmo_solve(
     family = cfg.family
     ss = np.random.SeedSequence(entropy=(seed, t))
     init_rng = np.random.default_rng(ss.spawn(1)[0])
-    step_seeds = ss.spawn(cfg.n_steps + 1)
+    step_seeds = ss.spawn(cfg.n_steps)
 
     for attempt in range(2):
         loc, u = _initial_params(d, init_rng)

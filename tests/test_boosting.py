@@ -26,10 +26,10 @@ from boostvi import (
     run_boosting,
     synthetic_bimodal_target,
 )
-from boostvi.boosting import _crn_mixture_sampler, mixture_from_dict
+from boostvi.boosting import LINE_SEARCH_GRID, _crn_atom_index, mixture_from_dict
 from boostvi.densities import standard_noise
 from boostvi.harness import make_separable_classification
-from boostvi.models import TargetModel, logistic_regression_model
+from boostvi.models import TargetModel, log_joint_batch, logistic_regression_model
 
 from oracles import CHI_SQUARE_LIMIT_01_11, bimodal_logpdf
 
@@ -144,9 +144,112 @@ class TestLineSearch:
         assert gamma == pytest.approx(0.4, abs=0.1)
 
 
+def crn_mixture_sampler(family, dim, n, seed):
+    """Common random numbers across blend weights: one uniform per sample
+    for the atom selection and one standardized noise row per sample.
+    ``sample(q, weights)`` selects among ``q``'s atoms by ``weights``, taken
+    before normalization."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(size=n)
+    noise = standard_noise(family, n, dim, rng)
+
+    def sample(q, weights):
+        edges = np.cumsum(weights)
+        edges[-1] = 1.0
+        idx = np.minimum(np.searchsorted(edges, u, side="right"), len(weights) - 1)
+        return q.locs[idx] + q.scales[idx] * noise
+
+    return sample
+
+
+def direct_line_search_gamma(q_t, s, model, n_samples, seed):
+    """The line search with a mixture built, sampled and evaluated, and the
+    model called, once per trial gamma."""
+    atoms = q_t.atoms + (s,)
+    sampler = crn_mixture_sampler(s.family, s.dim, n_samples, seed)
+
+    def objective(gamma):
+        weights = np.concatenate([q_t.weights * (1.0 - gamma), [gamma]])
+        q = Mixture.from_unnormalized(atoms, weights)
+        z = sampler(q, weights)
+        return float(np.mean(q.log_prob(z) - log_joint_batch(model, z)))
+
+    gammas = np.linspace(0.0, 1.0, LINE_SEARCH_GRID)
+    values = np.array([objective(g) for g in gammas])
+    best = int(np.argmin(values))
+    if values[best] >= values[0] - 1e-12:
+        return 0.0
+    lo = gammas[max(best - 1, 0)]
+    hi = gammas[min(best + 1, LINE_SEARCH_GRID - 1)]
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - phi * (b - a)
+    d = a + phi * (b - a)
+    fc, fd = objective(c), objective(d)
+    for _ in range(40):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = objective(d)
+    refined = (a + b) / 2.0
+    if objective(refined) < values[best]:
+        return float(refined)
+    return float(gammas[best])
+
+
+def line_search_case(family, dim, k, seed):
+    """K atoms about three scales away from a fresh atom s in each coordinate.
+    With s as the target the search steps toward s (gamma > 0); with the K
+    atoms as the target and s moved 10 further, it stays put (gamma = 0)."""
+    rng = np.random.default_rng((seed, dim, k))
+    s = BaseDensity(family, rng.normal(size=dim), rng.uniform(0.5, 1.5, dim))
+    atoms = [BaseDensity(family, s.loc + 3.0 * rng.normal(size=dim),
+                         s.scale * rng.uniform(0.7, 1.3, dim)) for _ in range(k)]
+    q_t = Mixture.from_unnormalized(atoms, rng.uniform(0.2, 1.0, k))
+    far = BaseDensity(family, s.loc + 10.0, s.scale)
+    return [(q_t, s, density_model(Mixture.single(s))), (q_t, far, density_model(q_t))]
+
+
+class TestLineSearchMatchesReferenceLoop:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("dim", [1, 105])
+    @pytest.mark.parametrize("family", list(Family))
+    def test_bit_identical(self, family, dim, k):
+        kinds = set()
+        for seed in range(4):
+            for q_t, s, model in line_search_case(family, dim, k, seed):
+                gamma = line_search_gamma(q_t, s, model, n_samples=256, seed=seed)
+                assert gamma == direct_line_search_gamma(q_t, s, model, 256, seed)
+                kinds.add("zero" if gamma == 0.0 else "one" if gamma == 1.0 else "interior")
+        # the early return, a golden-section gamma and the grid's end all checked
+        assert kinds == {"zero", "interior", "one"}
+
+    @pytest.mark.parametrize("grid", [5, LINE_SEARCH_GRID, 41])
+    def test_model_called_once_per_atom(self, monkeypatch, grid):
+        monkeypatch.setattr("boostvi.boosting.LINE_SEARCH_GRID", grid)
+        cases = line_search_case(Family.GAUSSIAN, 4, 3, seed=0)
+        for refines, (q_t, s, model) in zip((True, False), cases):
+            calls = []
+
+            def counted(Z, model=model):
+                calls.append(len(Z))
+                return model.log_joint_batch(Z)
+
+            gamma = line_search_gamma(q_t, s, replace(model, log_joint_batch=counted),
+                                      n_samples=256, seed=0)
+            # one call per atom of q_t + s, with or without the refinement
+            assert calls == [256] * (len(q_t.atoms) + 1)
+            assert (gamma > 0.0) == refines  # gamma > 0 only after the refinement
+
+
 class TestCrnMixtureSampler:
-    """Draws through the stacked (K, D) parameters must be those of a loop
-    over the atoms that transforms each atom's rows of the shared noise."""
+    """The points the line search selects from its per-atom table must be
+    those of a loop over the atoms that transforms each atom's rows of the
+    shared noise."""
 
     @staticmethod
     def atom_by_atom(atoms, weights, n, seed):
@@ -169,14 +272,23 @@ class TestCrnMixtureSampler:
         rng = np.random.default_rng(dim)
         atoms = tuple(BaseDensity(family, rng.normal(size=dim), rng.uniform(0.1, 2.0, dim))
                       for _ in range(4))
-        base = np.array([0.5, 0.0, 0.3, 0.2])
-        sampler = _crn_mixture_sampler(family, dim, 300, 8)
-        # the line search's blends (1 - gamma) * q + gamma * s, unnormalized
+        q_t = Mixture.from_unnormalized(atoms[:3], [0.5, 0.0, 0.3])
+        table = []  # the points each atom's row of the table holds
+
+        def recording(Z):
+            table.append(Z.copy())
+            return np.zeros(len(Z))
+
+        line_search_gamma(q_t, atoms[3], TargetModel(dim=dim, log_joint_batch=recording),
+                          n_samples=300, seed=8)
+        table = np.stack(table)
+        u = np.random.default_rng(8).uniform(size=300)  # the search's first draw
+        # the line search's blends (1 - gamma) * q_t + gamma * s, unnormalized
         for gamma in (0.0, 0.37, 1.0):
-            weights = np.concatenate([base[:3] * (1.0 - gamma), [gamma]])
-            q = Mixture.from_unnormalized(atoms, weights)
+            weights = np.concatenate([q_t.weights * (1.0 - gamma), [gamma]])
             np.testing.assert_array_equal(
-                sampler(q, weights), self.atom_by_atom(atoms, weights, 300, 8))
+                table[_crn_atom_index(weights, u), np.arange(300)],
+                self.atom_by_atom(atoms, weights, 300, 8))
 
 
 def direct_corrective_weights(atoms, model, n_samples, seed, inner_iters=200):

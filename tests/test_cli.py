@@ -266,6 +266,24 @@ class TestBadInputData:
         assert key in err and "runtime error" not in err
         assert "t=0" not in out
 
+    @pytest.mark.parametrize("model, params, key", [
+        ("logistic", {"n": 40.9, "n_features": 2}, "n"),
+        ("logistic", {"n": 40, "n_features": 2.7}, "n_features"),
+        ("matrix_factorization", {"rows": 8.5}, "rows"),
+        ("matrix_factorization", {"cols": 6.5}, "cols"),
+        ("matrix_factorization", {"rank": 1.5}, "rank"),
+        ("matrix_factorization", {"latent_dim": 2.5}, "latent_dim"),
+    ])
+    def test_fractional_count(self, tmp_path, capsys, model, params, key):
+        # int() would truncate the count and fit a smaller model
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model, "model_params": params}))
+        code = self._run(tmp_path, "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert f"model_params {key!r} must be a whole number, got {params[key]}" in err
+        assert "t=0" not in out
+
     def test_one_class_test_split(self, tmp_path, capsys):
         # one positive row of ten; seed 1 leaves it out of the 3-row test split
         data = tmp_path / "onepos.csv"

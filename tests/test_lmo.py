@@ -255,7 +255,7 @@ def _reference_solve(model, q_t, t, cfg, seed, estimator):
     d, n, box, floor = model.dim, cfg.n_mc_samples, PARAM_BOX, SCALE_FLOOR
     ss = np.random.SeedSequence(entropy=(seed, t))
     init_rng = np.random.default_rng(ss.spawn(1)[0])
-    step_seeds = ss.spawn(cfg.n_steps + 1)
+    step_seeds = ss.spawn(cfg.n_steps)
     loc, u = _initial_params(d, init_rng)
     opt = _Adam(2 * d, cfg.step_size)
     ema = baseline = checkpoint = best = None
