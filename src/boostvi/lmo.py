@@ -6,9 +6,10 @@ The inner Frank-Wolfe step fits a fresh atom s by maximizing
 
 over the atom's (loc, log-scale) parameters.  With ``q_t`` absent and
 lambda = 1 this is exactly the ELBO, i.e. plain black-box VI.  Gradients come
-from the reparameterization trick when the model supplies its gradient, else
-from the score-function estimator with a baseline; the entropy term is always
-handled analytically.
+from the reparameterization trick when the model supplies its value-and-gradient
+callable, one model call per step, else from the score-function estimator with
+a baseline, which calls only the log-joint; the entropy term is always handled
+analytically.
 """
 
 from __future__ import annotations
@@ -147,22 +148,26 @@ def _relbo_grad_parts(
     n = len(eps)
     reparam = estimator is Estimator.REPARAMETERIZATION
     z = loc + scale * eps
-    f = model.log_joint_batch(z)  # residual integrand: log p - log q_t
-    if q_t is not None:
-        if reparam:
+    # residual integrand f = log p - log q_t, and its gradient g in z
+    if reparam:
+        value_and_grad = model.grad_log_joint_batch(z)
+        if not isinstance(value_and_grad, tuple):
+            # a bare (2, D) gradient would unpack without error
+            raise TypeError("grad_log_joint_batch must return the tuple (log_joint, gradient)")
+        f, g = value_and_grad
+        if q_t is not None:
             log_q, grad_q = q_t.log_prob_and_grad(z)
-        else:
-            log_q = q_t.log_prob(z)
-        f = f - log_q
+            f, g = f - log_q, g - grad_q
+    else:
+        f = model.log_joint_batch(z)
+        if q_t is not None:
+            f = f - q_t.log_prob(z)
     u = (z - loc) / scale
     log_s = coordinate_log_prob(family, log_normalizer(family, scale), u).sum(axis=1)
     f_mean = f.sum() / n
     value = float(f_mean - lam * (log_s.sum() / n))
 
     if reparam:
-        g = model.grad_log_joint_batch(z)
-        if q_t is not None:
-            g = g - grad_q
         g_loc = g.sum(axis=0) / n
         g_log_scale = (g * eps).sum(axis=0) / n * scale
     else:
@@ -246,7 +251,9 @@ def lmo_solve(
     """Fit one atom by stochastic gradient ascent on the RELBO.
 
     The gradient is the reparameterization estimate when the model has
-    ``grad_log_joint_batch``, else the score-function estimate.  The scale
+    ``grad_log_joint_batch``, which each step calls once for the log-joint
+    and its gradient; else it is the score-function estimate, whose steps
+    call ``log_joint_batch`` once each.  The scale
     runs through ``SCALE_FLOOR + softplus(u)`` so the returned atom is never
     degenerate; locations are clipped to ``PARAM_BOX``.  The best iterate
     under an exponential moving average of the RELBO estimate is returned.

@@ -1,9 +1,10 @@
 """Target models exposing an unnormalized log-joint and, where cheap, its gradient.
 
 Every model is a :class:`TargetModel`: a latent dimension, a log-joint
-callable over a batch of points (n, D), optionally its gradient, and optional
-extras (a normalized 1-D posterior density for quadrature oracles, a training
-log-likelihood for iterate selection).  Every call takes a batch; a single
+callable over a batch of points (n, D), optionally a value-and-gradient
+callable that returns the log-joint and its gradient from one evaluation, and
+optional extras (a normalized 1-D posterior density for quadrature oracles, a
+training log-likelihood for iterate selection).  Every call takes a batch; a single
 point z is the batch ``z[None]``.  Each model's posterior-predictive quantity
 is one module-level helper, shared by its training log-likelihood and
 :func:`predictive_metrics`.
@@ -22,9 +23,20 @@ from .densities import LOG_2PI, Mixture, log_weights, logsumexp
 
 @dataclass(frozen=True)
 class TargetModel:
+    """A target density over R^dim, known up to its normalizer.
+
+    ``log_joint_batch(Z)`` maps points (n, D) to the log-joint (n,).
+    ``grad_log_joint_batch(Z)``, when set, is the value-and-gradient callable:
+    it returns ``(log_joint (n,), gradient (n, D))`` from one evaluation, its
+    value equal to ``log_joint_batch(Z)``.  The atom solver's
+    reparameterization steps call only it; every other log-joint need calls
+    ``log_joint_batch``.
+    """
+
     dim: int
     log_joint_batch: Callable[[np.ndarray], np.ndarray]
-    grad_log_joint_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    grad_log_joint_batch: Optional[
+        Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
     # normalized log pdf for 1-D models where the target is itself a density
     posterior_log_pdf: Optional[Callable[[np.ndarray], np.ndarray]] = None
     # mean training log-likelihood from posterior samples (n, D) -> float
@@ -92,27 +104,29 @@ def synthetic_bimodal_target(
         raise ValueError(f"pi must be nonnegative and sum to 1, got {pi.tolist()}")
     log_pi = log_weights(pi)
 
-    def component_logits(z: np.ndarray) -> np.ndarray:
-        comp = -0.5 * LOG_2PI - np.log(sigma) - 0.5 * ((z - mu) / sigma) ** 2
-        return comp + log_pi
+    def logits_and_log_pdf(z: np.ndarray):
+        """Per-component log terms (n, 2) at points z (n, 1) and their
+        log-sum-exp (n, 1), the log pdf."""
+        logits = -0.5 * LOG_2PI - np.log(sigma) - 0.5 * ((z - mu) / sigma) ** 2 + log_pi
+        return logits, logsumexp(logits, axis=1, keepdims=True)
 
     def log_pdf(z_flat: np.ndarray) -> np.ndarray:
         z = np.asarray(z_flat, dtype=float).reshape(-1, 1)
-        return logsumexp(component_logits(z), axis=1)
+        return logits_and_log_pdf(z)[1][:, 0]
 
     def batch(Z: np.ndarray) -> np.ndarray:
         return log_pdf(Z[:, 0])
 
-    def grad_batch(Z: np.ndarray) -> np.ndarray:
+    def value_and_grad(Z: np.ndarray):
         z = Z[:, :1]
-        logits = component_logits(z)
-        resp = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
-        return np.sum(resp * (-(z - mu) / sigma**2), axis=1, keepdims=True)
+        logits, lse = logits_and_log_pdf(z)
+        resp = np.exp(logits - lse)
+        return lse[:, 0], np.sum(resp * (-(z - mu) / sigma**2), axis=1, keepdims=True)
 
     return TargetModel(
         dim=1,
         log_joint_batch=batch,
-        grad_log_joint_batch=grad_batch,
+        grad_log_joint_batch=value_and_grad,
         posterior_log_pdf=log_pdf,
     )
 
@@ -141,13 +155,18 @@ def logistic_regression_model(data: Dataset) -> TargetModel:
     # y log sigma(l) + (1 - y) log sigma(-l) = log sigma(sign * l) for y in {0, 1}
     sign = 2.0 * y - 1.0
 
-    def batch(W: np.ndarray) -> np.ndarray:
+    def log_joint(W: np.ndarray, signed_logits: np.ndarray) -> np.ndarray:
         prior = -0.5 * np.sum(W * W, axis=1) - 0.5 * n_feat * LOG_2PI
-        return prior + log_expit((W @ X.T) * sign).sum(axis=1)
+        return prior + log_expit(signed_logits).sum(axis=1)
 
-    def grad_batch(W: np.ndarray) -> np.ndarray:
+    def batch(W: np.ndarray) -> np.ndarray:
+        # the product reuses the buffer of the unnamed W @ X.T, which keeps
+        # one (n, N) array fewer alive on the n = 2048 certificate batches
+        return log_joint(W, (W @ X.T) * sign)
+
+    def value_and_grad(W: np.ndarray):
         logits = W @ X.T
-        return -W + (y - expit(logits)) @ X
+        return log_joint(W, logits * sign), -W + (y - expit(logits)) @ X
 
     def train_ll(samples: np.ndarray) -> float:
         return _mean_bernoulli_ll(class_probabilities(samples, X), y)
@@ -155,7 +174,7 @@ def logistic_regression_model(data: Dataset) -> TargetModel:
     return TargetModel(
         dim=n_feat,
         log_joint_batch=batch,
-        grad_log_joint_batch=grad_batch,
+        grad_log_joint_batch=value_and_grad,
         train_log_likelihood=train_ll,
     )
 
@@ -166,16 +185,17 @@ def _unpack_uv(Z: np.ndarray, latent_dim: int, rows: int, cols: int):
     return U, V
 
 
-def _reconstruct(Z: np.ndarray, latent_dim: int, rows: int, cols: int) -> np.ndarray:
-    """U^T V of each latent vector in ``Z`` (n, D): shape (n, rows, cols)."""
-    U, V = _unpack_uv(Z, latent_dim, rows, cols)
-    return np.einsum("nlr,nlc->nrc", U, V)
+def _reconstruct(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """U^T V of each factor pair U (n, L, rows), V (n, L, cols): shape
+    (n, rows, cols).  A batched matmul: at these sizes np.einsum costs several
+    times as much per call."""
+    return np.matmul(U.transpose(0, 2, 1), V)
 
 
 def mean_reconstruction(samples: np.ndarray, latent_dim: int, rows: int, cols: int) -> np.ndarray:
     """Posterior-predictive mean matrix (rows, cols): U^T V averaged over the
     latent samples (n, D)."""
-    return _reconstruct(samples, latent_dim, rows, cols).mean(axis=0)
+    return _reconstruct(*_unpack_uv(samples, latent_dim, rows, cols)).mean(axis=0)
 
 
 def gaussian_log_likelihood(resid: np.ndarray) -> float:
@@ -195,21 +215,26 @@ def matrix_factorization_model(data: Dataset, latent_dim: int) -> TargetModel:
     mask = data.mask if data.mask is not None else np.ones_like(R, dtype=bool)
     rows, cols = R.shape
     dim = latent_dim * (rows + cols)
+    n_obs = mask.sum()
 
-    def batch(Z: np.ndarray) -> np.ndarray:
+    def masked_residual(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+        return (R - _reconstruct(U, V)) * mask  # (n, rows, cols)
+
+    def log_joint(Z: np.ndarray, resid: np.ndarray) -> np.ndarray:
         prior = -0.5 * np.sum(Z * Z, axis=1) - 0.5 * dim * LOG_2PI
-        resid = (R - _reconstruct(Z, latent_dim, rows, cols)) * mask
-        n_obs = mask.sum()
         ll = -0.5 * np.sum(resid * resid, axis=(1, 2)) - 0.5 * n_obs * LOG_2PI
         return prior + ll
 
-    def grad_batch(Z: np.ndarray) -> np.ndarray:
+    def batch(Z: np.ndarray) -> np.ndarray:
+        return log_joint(Z, masked_residual(*_unpack_uv(Z, latent_dim, rows, cols)))
+
+    def value_and_grad(Z: np.ndarray):
         U, V = _unpack_uv(Z, latent_dim, rows, cols)
-        G = (R - np.einsum("nlr,nlc->nrc", U, V)) * mask  # (n, rows, cols)
-        dU = np.einsum("nlc,nrc->nlr", V, G)
-        dV = np.einsum("nlr,nrc->nlc", U, G)
+        G = masked_residual(U, V)
+        dU = V @ G.transpose(0, 2, 1)  # (n, L, rows)
+        dV = U @ G  # (n, L, cols)
         dZ = np.concatenate([dU.reshape(len(Z), -1), dV.reshape(len(Z), -1)], axis=1)
-        return -Z + dZ
+        return log_joint(Z, G), -Z + dZ
 
     def train_ll(samples: np.ndarray) -> float:
         resid = (R - mean_reconstruction(samples, latent_dim, rows, cols))[mask]
@@ -218,7 +243,7 @@ def matrix_factorization_model(data: Dataset, latent_dim: int) -> TargetModel:
     return TargetModel(
         dim=dim,
         log_joint_batch=batch,
-        grad_log_joint_batch=grad_batch,
+        grad_log_joint_batch=value_and_grad,
         train_log_likelihood=train_ll,
     )
 

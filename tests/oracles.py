@@ -65,6 +65,23 @@ def finite_difference(f, x, h=1e-6):
     return g
 
 
+def einsum_factorization_log_joint_and_grad(Z, R, mask, latent_dim):
+    """Matrix-factorization log-joint (n,) and gradient (n, D) at points Z
+    (n, D) = [vec(U), vec(V)], written with np.einsum contractions: an oracle
+    for the model's batched-matmul kernels."""
+    rows, cols = R.shape
+    U = Z[:, : latent_dim * rows].reshape(-1, latent_dim, rows)
+    V = Z[:, latent_dim * rows:].reshape(-1, latent_dim, cols)
+    G = (R - np.einsum("nlr,nlc->nrc", U, V)) * mask
+    dU = np.einsum("nlc,nrc->nlr", V, G)
+    dV = np.einsum("nlr,nrc->nlc", U, G)
+    log_2pi = math.log(2 * math.pi)
+    prior = -0.5 * np.sum(Z * Z, axis=1) - 0.5 * Z.shape[1] * log_2pi
+    ll = -0.5 * np.sum(G * G, axis=(1, 2)) - 0.5 * mask.sum() * log_2pi
+    grad = -Z + np.concatenate([dU.reshape(len(Z), -1), dV.reshape(len(Z), -1)], axis=1)
+    return prior + ll, grad
+
+
 def relative_error(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

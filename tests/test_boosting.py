@@ -28,10 +28,19 @@ from boostvi import (
 )
 from boostvi.boosting import LINE_SEARCH_GRID, _crn_atom_index, mixture_from_dict
 from boostvi.densities import standard_noise
-from boostvi.harness import make_separable_classification
-from boostvi.models import TargetModel, log_joint_batch, logistic_regression_model
+from boostvi.harness import make_lowrank_matrix, make_separable_classification
+from boostvi.models import (
+    TargetModel,
+    log_joint_batch,
+    logistic_regression_model,
+    matrix_factorization_model,
+)
 
-from oracles import CHI_SQUARE_LIMIT_01_11, bimodal_logpdf
+from oracles import (
+    CHI_SQUARE_LIMIT_01_11,
+    bimodal_logpdf,
+    einsum_factorization_log_joint_and_grad,
+)
 
 GRID = QuadratureGrid(-12.0, 12.0, 4001)
 
@@ -44,8 +53,8 @@ def density_model(q: Mixture) -> TargetModel:
     """Target whose log-joint is the (normalized) log density of ``q``."""
     return TargetModel(
         dim=q.dim,
-        log_joint_batch=lambda Z: q.log_prob(Z),
-        grad_log_joint_batch=lambda Z: q.grad_log_prob(Z),
+        log_joint_batch=q.log_prob,
+        grad_log_joint_batch=q.log_prob_and_grad,
     )
 
 
@@ -563,3 +572,66 @@ class TestRunBoosting:
         ]}
         with pytest.raises(ValueError, match="weights"):
             mixture_from_dict(entry)
+
+
+def einsum_factorization_model(data, latent_dim: int) -> TargetModel:
+    """The factorization model built from the einsum oracle: a log-joint
+    pass and a separate value-and-gradient pass, and an einsum posterior-mean
+    reconstruction for the training log-likelihood."""
+    R, mask = data.labels, data.mask
+    rows, cols = R.shape
+
+    def train_ll(samples):
+        U = samples[:, : latent_dim * rows].reshape(-1, latent_dim, rows)
+        V = samples[:, latent_dim * rows:].reshape(-1, latent_dim, cols)
+        resid = (R - np.einsum("nlr,nlc->nrc", U, V).mean(axis=0))[mask]
+        return float(np.mean(-0.5 * resid**2 - 0.5 * math.log(2 * math.pi)))
+
+    return TargetModel(
+        dim=latent_dim * (rows + cols),
+        log_joint_batch=lambda Z: einsum_factorization_log_joint_and_grad(Z, R, mask, latent_dim)[0],
+        grad_log_joint_batch=lambda Z: einsum_factorization_log_joint_and_grad(
+            Z, R, mask, latent_dim),
+        train_log_likelihood=train_ll,
+    )
+
+
+def _leaves(obj, out):
+    """The scalars of a nested dict/list in a fixed order."""
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            _leaves(obj[key], out)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            _leaves(item, out)
+    else:
+        out.append(obj)
+    return out
+
+
+class TestFactorizationKernelRounding:
+    """The batched-matmul kernels round differently from einsum; a whole run
+    must take the same discrete path (steps, atoms, best iterate) with every
+    float within rtol 1e-9."""
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_run_matches_einsum_model(self, variant, family):
+        data = make_lowrank_matrix(6, 5, 2, 0.1, 0.6, seed=1)
+        cfg = FwConfig(variant=variant, max_iters=3, seed=1, gap_samples=256,
+                       lmo=LmoConfig(n_steps=200, family=family))
+        _, new = run_boosting(matrix_factorization_model(data, 2), cfg)
+        _, old = run_boosting(einsum_factorization_model(data, 2), cfg)
+        assert [r.gamma for r in new.records] == [r.gamma for r in old.records]
+        assert new.best_iteration == old.best_iteration
+        assert [len(m.atoms) for m in new.mixtures] == [len(m.atoms) for m in old.mixtures]
+        a, b = new.to_dict(), old.to_dict()
+        for rec in a["records"] + b["records"]:
+            rec.pop("wallclock")
+        a, b = _leaves(a, []), _leaves(b, [])
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            if isinstance(y, float):
+                assert x == pytest.approx(y, rel=1e-9, abs=0.0)
+            else:
+                assert x == y

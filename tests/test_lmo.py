@@ -154,6 +154,16 @@ class TestRelboGrad:
             assert relative_error(g_loc, fd_loc) < 0.05, estimator
             assert relative_error(g_ls, fd_ls) < 0.05, estimator
 
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_gradient_alone_is_rejected(self, n):
+        # the value-and-gradient callable returns a tuple; a bare gradient
+        # (n, D) is an error, also at n = 2, where it would unpack silently
+        model = TargetModel(dim=2, log_joint_batch=lambda Z: -0.5 * (Z * Z).sum(axis=1),
+                            grad_log_joint_batch=lambda Z: -Z)
+        s = BaseDensity(Family.GAUSSIAN, [0.0, 0.5], [1.0, 2.0])
+        with pytest.raises(TypeError, match="tuple"):
+            relbo_grad(s, model, None, 1.0, n, seed=0)
+
     def test_reparameterization_needs_model_gradient(self):
         model = TargetModel(dim=1, log_joint_batch=lambda Z: np.zeros(len(Z)))
         with pytest.raises(ValueError, match="gradient"):
@@ -186,7 +196,8 @@ class TestLmoSolve:
         # initial 0.5; the solve keeps it at or above the floor
         sd = 1e-4
         model = TargetModel(dim=1, log_joint_batch=lambda Z: gaussian_logpdf(Z[:, 0], 0.0, sd),
-                            grad_log_joint_batch=lambda Z: -Z / sd**2)
+                            grad_log_joint_batch=lambda Z: (gaussian_logpdf(Z[:, 0], 0.0, sd),
+                                                            -Z / sd**2))
         res = lmo_solve(model, None, 0, LmoConfig(n_steps=400, step_size=0.1), 1)
         assert np.all(res.atom.scale >= SCALE_FLOOR)
         assert np.all(res.atom.scale < 0.05)
@@ -232,11 +243,11 @@ class TestLmoSolve:
 
         def nan_on_first_call(Z):
             calls.append(len(Z))
-            out = base.log_joint_batch(Z)
-            return out * np.nan if len(calls) == 1 else out
+            value, grad = base.grad_log_joint_batch(Z)
+            return (value * np.nan if len(calls) == 1 else value), grad
 
-        flaky = TargetModel(dim=1, log_joint_batch=nan_on_first_call,
-                            grad_log_joint_batch=base.grad_log_joint_batch)
+        flaky = TargetModel(dim=1, log_joint_batch=base.log_joint_batch,
+                            grad_log_joint_batch=nan_on_first_call)
         cfg = LmoConfig(n_steps=40)
         monkeypatch.setattr(BaseDensity, "__post_init__", counting)
         clean = lmo_solve(base, None, 0, cfg, 1)
@@ -245,6 +256,48 @@ class TestLmoSolve:
         assert len(calls) == 1 + cfg.n_steps  # one failed step, then a clean attempt
         assert len(built) == 2 and built[1] is retried.atom
         assert np.isfinite(retried.relbo_estimate)
+
+
+def _counting_model(model):
+    """``model`` with call counters on its log-joint and value-and-gradient
+    callables (None stays None)."""
+    calls = {"log_joint": 0, "value_and_grad": 0}
+
+    def log_joint(Z):
+        calls["log_joint"] += 1
+        return model.log_joint_batch(Z)
+
+    def value_and_grad(Z):
+        calls["value_and_grad"] += 1
+        return model.grad_log_joint_batch(Z)
+
+    fused = None if model.grad_log_joint_batch is None else value_and_grad
+    return replace(model, log_joint_batch=log_joint, grad_log_joint_batch=fused), calls
+
+
+class TestModelCallsPerStep:
+    @pytest.mark.parametrize("with_q_t", [False, True])
+    def test_reparameterization_step_makes_one_fused_call(self, with_q_t):
+        # each step needs the log-joint and its gradient at the same points:
+        # one value-and-gradient call, and no separate log-joint call
+        model, calls = _counting_model(_random_logistic_model(seed=3, n=30, n_feat=2))
+        q_t = Mixture.single(gaussian([0.2, -0.1], [0.7, 1.1])) if with_q_t else None
+        cfg = LmoConfig(n_steps=50, n_mc_samples=16)
+        lmo_solve(model, q_t, 1, cfg, 5)
+        assert calls == {"log_joint": 0, "value_and_grad": cfg.n_steps}
+
+    def test_score_function_step_calls_only_the_log_joint(self):
+        model, calls = _counting_model(
+            replace(_random_logistic_model(seed=3, n=30, n_feat=2), grad_log_joint_batch=None))
+        cfg = LmoConfig(n_steps=50, n_mc_samples=16)
+        lmo_solve(model, None, 1, cfg, 5)
+        assert calls == {"log_joint": cfg.n_steps, "value_and_grad": 0}
+        # also on a model that has a gradient, when the estimator is chosen
+        model, calls = _counting_model(_random_logistic_model(seed=3, n=30, n_feat=2))
+        s = gaussian([0.2, -0.1], [0.7, 1.1])
+        relbo_grad(s, model, None, 1.0, 16, 0, estimator=Estimator.SCORE_FUNCTION)
+        relbo_estimate(s, model, None, 1.0, 16, 0)
+        assert calls == {"log_joint": 2, "value_and_grad": 0}
 
 
 def _reference_solve(model, q_t, t, cfg, seed, estimator):

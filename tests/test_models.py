@@ -15,9 +15,15 @@ from boostvi import (
     synthetic_bimodal_target,
 )
 from boostvi.densities import LOG_2PI, BaseDensity, Family
-from boostvi.models import log_joint_batch
+from boostvi.models import _reconstruct, _unpack_uv, log_joint_batch
 
-from oracles import BIMODAL_LOGPDF_AT_0, finite_difference, gaussian_logpdf, relative_error
+from oracles import (
+    BIMODAL_LOGPDF_AT_0,
+    einsum_factorization_log_joint_and_grad,
+    finite_difference,
+    gaussian_logpdf,
+    relative_error,
+)
 
 
 class TestBimodalTarget:
@@ -44,7 +50,7 @@ class TestBimodalTarget:
     @settings(max_examples=40, deadline=None)
     def test_gradient_matches_finite_differences(self, z):
         model = synthetic_bimodal_target()
-        g = model.grad_log_joint_batch(np.array([z])[None])[0]
+        g = model.grad_log_joint_batch(np.array([z])[None])[1][0]
         fd = finite_difference(lambda x: model.log_joint_batch(x[None])[0], np.array([z]))
         assert relative_error(g, fd) < 1e-5
 
@@ -74,7 +80,7 @@ class TestLogisticRegression:
         model = logistic_regression_model(data)
         w = rng.standard_normal(3)
         fd = finite_difference(lambda x: model.log_joint_batch(x[None])[0], w)
-        assert relative_error(model.grad_log_joint_batch(w[None])[0], fd) < 1e-4
+        assert relative_error(model.grad_log_joint_batch(w[None])[1][0], fd) < 1e-4
 
     def test_batch_consistency(self):
         rng = np.random.default_rng(6)
@@ -142,7 +148,7 @@ class TestMatrixFactorization:
         model = matrix_factorization_model(data, latent_dim=2)
         z = rng.standard_normal(model.dim)
         fd = finite_difference(lambda x: model.log_joint_batch(x[None])[0], z)
-        assert relative_error(model.grad_log_joint_batch(z[None])[0], fd) < 1e-4
+        assert relative_error(model.grad_log_joint_batch(z[None])[1][0], fd) < 1e-4
 
     def test_batch_consistency(self):
         rng = np.random.default_rng(8)
@@ -154,10 +160,73 @@ class TestMatrixFactorization:
         model = matrix_factorization_model(data, latent_dim=2)
         Z = rng.standard_normal((5, model.dim))
         np.testing.assert_allclose(
-            model.grad_log_joint_batch(Z),
-            np.stack([model.grad_log_joint_batch(z[None])[0] for z in Z]),
+            model.grad_log_joint_batch(Z)[1],
+            np.stack([model.grad_log_joint_batch(z[None])[1][0] for z in Z]),
             rtol=1e-12,
         )
+
+
+def _small_models():
+    """Each built-in model on small data, by name."""
+    rng = np.random.default_rng(13)
+    X = rng.standard_normal((25, 3))
+    R = rng.standard_normal((5, 4))
+    return {
+        "bimodal": synthetic_bimodal_target(),
+        "logistic": logistic_regression_model(
+            Dataset(features=X, labels=(rng.uniform(size=25) < 0.5).astype(float))),
+        "factorization": matrix_factorization_model(
+            Dataset(features=None, labels=R, mask=rng.uniform(size=R.shape) < 0.6),
+            latent_dim=2),
+    }
+
+
+class TestValueAndGradient:
+    """``grad_log_joint_batch`` returns (log-joint, gradient) from one evaluation."""
+
+    @pytest.mark.parametrize("name", ["bimodal", "logistic", "factorization"])
+    def test_value_is_the_log_joint_bit_for_bit(self, name):
+        model = _small_models()[name]
+        for n in (1, 32, 2048):
+            Z = 0.5 * np.random.default_rng(n).standard_normal((n, model.dim))
+            value, grad = model.grad_log_joint_batch(Z)
+            np.testing.assert_array_equal(value, model.log_joint_batch(Z))
+            assert value.shape == (n,) and grad.shape == (n, model.dim)
+
+    @pytest.mark.parametrize("name", ["bimodal", "logistic", "factorization"])
+    def test_gradient_matches_finite_differences(self, name):
+        model = _small_models()[name]
+        Z = 0.5 * np.random.default_rng(14).standard_normal((4, model.dim))
+        _, grad = model.grad_log_joint_batch(Z)
+        for z, g in zip(Z, grad):
+            fd = finite_difference(lambda x: model.log_joint_batch(x[None])[0], z)
+            assert relative_error(g, fd) < 1e-4
+
+
+class TestFactorizationKernels:
+    """The batched-matmul U^T V and gradient contractions against einsum."""
+
+    CASES = [(1, 1, 3, 5), (32, 1, 20, 15), (32, 2, 20, 15), (7, 3, 4, 9), (1, 2, 6, 6)]
+
+    @pytest.mark.parametrize("n, latent_dim, rows, cols", CASES)
+    def test_reconstruct_matches_einsum(self, n, latent_dim, rows, cols):
+        Z = np.random.default_rng(15).standard_normal((n, latent_dim * (rows + cols)))
+        U, V = _unpack_uv(Z, latent_dim, rows, cols)
+        np.testing.assert_allclose(_reconstruct(U, V), np.einsum("nlr,nlc->nrc", U, V),
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("n, latent_dim, rows, cols", CASES)
+    def test_value_and_gradient_match_einsum(self, n, latent_dim, rows, cols):
+        rng = np.random.default_rng(16)
+        R = rng.standard_normal((rows, cols))
+        mask = rng.uniform(size=R.shape) < 0.6
+        model = matrix_factorization_model(Dataset(features=None, labels=R, mask=mask),
+                                           latent_dim)
+        Z = rng.standard_normal((n, model.dim))
+        value, grad = model.grad_log_joint_batch(Z)
+        ref_value, ref_grad = einsum_factorization_log_joint_and_grad(Z, R, mask, latent_dim)
+        np.testing.assert_allclose(value, ref_value, rtol=1e-12)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12)
 
 
 class TestAuroc:

@@ -8,6 +8,7 @@ import os
 import sys
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from boostvi import harness
@@ -17,13 +18,17 @@ from boostvi.models import TargetModel
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
-@pytest.fixture(scope="module")
-def tracer():
+def _perfbench_module(name):
     sys.path.insert(0, PERFBENCH)
     try:
-        return importlib.import_module("tracer")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(PERFBENCH)
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    return _perfbench_module("tracer")
 
 
 def test_module_spans_resolve(tracer):
@@ -47,6 +52,27 @@ def test_model_callables_are_target_model_fields(tracer):
     fields = {f.name for f in dataclasses.fields(TargetModel)}
     for field, _ in tracer.MODEL_CALLABLES:
         assert field in fields, field
+
+
+@pytest.mark.parametrize("workload", ["bimodal-corrective", "logistic-fixed",
+                                      "factorization-linesearch"])
+def test_model_callables_take_a_kernel_batch(tracer, workload):
+    # the kernel microbenchmarks call each set model callable on a (32, D)
+    # batch; a rename or a call form that breaks them fails here
+    config = _perfbench_module("workloads").WORKLOADS[workload].config
+    cfg = harness.ExperimentConfig(model=config["model"],
+                                   model_params=config.get("model_params", {}))
+    model, _ = harness._build_model(cfg, seed=1)
+    z = 0.5 * np.random.default_rng(0).standard_normal((32, model.dim))
+    called = 0
+    for field, _ in tracer.MODEL_CALLABLES:
+        fn = getattr(model, field)
+        if fn is not None:
+            out = fn(z)
+            parts = out if isinstance(out, tuple) else (out,)
+            assert all(np.isfinite(part).all() for part in parts), field
+            called += 1
+    assert called >= 3  # log-joint, value-and-gradient and one extra
 
 
 # the harness names the tracer and the benchmark runner patch; the harness
