@@ -36,6 +36,11 @@ def main(argv=None) -> int:
     ap.add_argument("--iters", type=int, default=16)
     ap.add_argument("--seeds", type=int, default=3)
     args = ap.parse_args(argv)
+    # the corrective slope is fitted at t = 2, 4, 8 and min(16, iters)
+    if args.iters < 8:
+        ap.error(f"--iters must be >= 8, got {args.iters}")
+    if args.seeds < 1:
+        ap.error(f"--seeds must be >= 1, got {args.seeds}")
 
     seeds = range(1, args.seeds + 1)
     fc = mean_curve(Variant.FULLY_CORRECTIVE, args.iters, seeds)

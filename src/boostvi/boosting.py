@@ -62,8 +62,11 @@ class FwConfig:
             raise ValueError("max_iters must be >= 0")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must lie in (0, 1]")
-        if self.gap_tolerance < 0:
-            raise ValueError("gap_tolerance must be nonnegative")
+        # written to be False for NaN, so NaN is rejected
+        if not 0 <= self.gap_tolerance < math.inf:
+            raise ValueError("gap_tolerance must be finite and nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "variant", Variant(self.variant))
 
 

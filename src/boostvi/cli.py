@@ -14,7 +14,7 @@ import sys
 from typing import Optional
 
 from .boosting import FwConfig, Variant, curvature_probe, mixture_from_dict
-from .harness import ExperimentConfig, run_experiment, write_density_csv
+from .harness import ExperimentConfig, run_experiment, whole_number, write_density_csv
 from .models import DataError
 from .lmo import LmoConfig
 from .probes import (
@@ -74,16 +74,16 @@ _SETTINGS = {
     "model_params": ("experiment", "model_params", None),
     "data_path": ("experiment", "data_path", None),
     "split_fraction": ("experiment", "split_fraction", float),
-    "n_seeds": ("experiment", "n_seeds", int),
+    "n_seeds": ("experiment", "n_seeds", whole_number),
     "out": ("experiment", "out_dir", None),
     "variant": ("fw", "variant", _parse_variant),
-    "iters": ("fw", "max_iters", int),
+    "iters": ("fw", "max_iters", whole_number),
     "delta": ("fw", "delta", float),
     "gap_tol": ("fw", "gap_tolerance", float),
-    "seed": ("fw", "seed", int),
+    "seed": ("fw", "seed", whole_number),
     "family": ("lmo", "family", None),
-    "mc_samples": ("lmo", "n_mc_samples", int),
-    "lmo_steps": ("lmo", "n_steps", int),
+    "mc_samples": ("lmo", "n_mc_samples", whole_number),
+    "lmo_steps": ("lmo", "n_steps", whole_number),
     "lambda": ("lmo", "entropy_weight", _parse_lambda),
 }
 
@@ -143,7 +143,10 @@ def _experiment_config(args) -> ExperimentConfig:
     try:
         for key, val in settings.items():
             config, name, convert = _SETTINGS[key]
-            kwargs[config][name] = val if convert is None else convert(val)
+            try:
+                kwargs[config][name] = val if convert is None else convert(val)
+            except (TypeError, ValueError) as e:
+                raise CliError(f"config key {key!r}: {e}")
         fw = FwConfig(lmo=LmoConfig(**kwargs["lmo"]), **kwargs["fw"])
         return ExperimentConfig(fw=fw, **kwargs["experiment"])
     except (TypeError, ValueError) as e:

@@ -30,7 +30,8 @@ def logsumexp(a, axis: int, keepdims: bool = False) -> np.ndarray:
     Takes the same steps as ``scipy.special.logsumexp`` (the maximum is split
     out of the sum and enters through ``log1p``), so the two agree bit for
     bit, but skips SciPy's per-call array-API dispatch, which costs more than
-    the arithmetic at the (32, K) sizes of the atom solver.
+    the arithmetic at the (32, K) sizes of the atom solver.  Every mixture
+    evaluation comes here, the bimodal target's log-joint included.
     """
     a = np.asarray(a, dtype=float)
     a_max = a.max(axis=axis, keepdims=True)
@@ -86,6 +87,25 @@ def _as_vector(x, name: str) -> np.ndarray:
     return arr
 
 
+# every range check below is written to be False for NaN, so NaN is rejected
+def _as_loc(x, name: str = "loc") -> np.ndarray:
+    """``x`` as a vector of atom locations; an entry outside ``[-PARAM_BOX,
+    PARAM_BOX]`` raises a ValueError that names ``name``."""
+    loc = _as_vector(x, name)
+    if not (np.abs(loc) <= PARAM_BOX).all():
+        raise ValueError(f"{name} entries must lie in the param_box [-{PARAM_BOX}, {PARAM_BOX}]")
+    return loc
+
+
+def _as_scale(x, name: str = "scale") -> np.ndarray:
+    """``x`` as a vector of atom scales; an entry below ``SCALE_FLOOR`` or
+    not finite raises a ValueError that names ``name``."""
+    scale = _as_vector(x, name)
+    if not ((scale >= SCALE_FLOOR * (1.0 - 1e-12)) & (scale < math.inf)).all():
+        raise ValueError(f"{name} entries must be finite and >= scale_floor={SCALE_FLOOR}")
+    return scale
+
+
 def log_normalizer(family: Family, scale: np.ndarray) -> np.ndarray:
     """Per-coordinate log normalizing constant of a location-scale density."""
     if family is Family.GAUSSIAN:
@@ -122,15 +142,10 @@ class BaseDensity:
     scale: np.ndarray
 
     def __post_init__(self):
-        loc = _as_vector(self.loc, "loc")
-        scale = _as_vector(self.scale, "scale")
+        loc = _as_loc(self.loc)
+        scale = _as_scale(self.scale)
         if loc.shape != scale.shape:
             raise ValueError("loc and scale must have the same length")
-        # every range check is written to be False for NaN, so NaN is rejected
-        if not ((scale >= SCALE_FLOOR * (1.0 - 1e-12)) & (scale < math.inf)).all():
-            raise ValueError(f"scale entries must be finite and >= scale_floor={SCALE_FLOOR}")
-        if not (np.abs(loc) <= PARAM_BOX).all():
-            raise ValueError(f"loc entries must lie in the param_box [-{PARAM_BOX}, {PARAM_BOX}]")
         loc.setflags(write=False)
         scale.setflags(write=False)
         object.__setattr__(self, "family", Family(self.family))
@@ -160,13 +175,10 @@ class BaseDensity:
         return float(np.sum(1.0 + np.log(2.0 * self.scale)))
 
     def log_sup_norm(self) -> float:
+        """Log of the maximum density value (attained at loc)."""
         if self.family is Family.GAUSSIAN:
             return float(-np.sum(np.log(self.scale * math.sqrt(2.0 * math.pi))))
         return float(-np.sum(np.log(2.0 * self.scale)))
-
-    def sup_norm(self) -> float:
-        """Maximum density value (attained at loc)."""
-        return math.exp(self.log_sup_norm())
 
     def transform(self, eps: np.ndarray) -> np.ndarray:
         """Location-scale map applied to standardized noise of shape (n, D)."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
@@ -233,18 +234,23 @@ def bimodal_target(model_params: dict) -> TargetModel:
     )
 
 
-def _count_param(p: dict, key: str, default: int) -> int:
-    """The count ``model_params[key]`` (``default`` when absent); a value
-    that is not a whole number raises a :class:`DataError` naming the key,
-    where ``int`` would truncate it."""
-    value = p.get(key, default)
-    try:
-        whole = float(value).is_integer()
-    except (TypeError, ValueError):
+def whole_number(value, name: str = "value") -> int:
+    """A count given as an int or a whole float, as an int.  Any other value
+    raises a :class:`DataError` naming ``name``: a fraction, which ``int``
+    would truncate, a bool, which it would read as 0 or 1, or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         whole = False
+    else:
+        whole = isinstance(value, numbers.Integral) or float(value).is_integer()
     if not whole:
-        raise DataError(f"model_params {key!r} must be a whole number, got {value!r}")
+        raise DataError(f"{name} must be a whole number, got {value!r}")
     return int(value)
+
+
+def _count_param(p: dict, key: str, default: int) -> int:
+    """The count ``model_params[key]``, ``default`` when absent; see
+    :func:`whole_number`."""
+    return whole_number(p.get(key, default), f"model_params {key!r}")
 
 
 def _build_dataset(cfg: ExperimentConfig, seed: int) -> Optional[Dataset]:

@@ -63,7 +63,7 @@ class LmoConfig:
             raise ValueError("n_steps must be >= 1")
         if self.n_mc_samples < 1:
             raise ValueError("n_mc_samples must be >= 1")
-        if self.step_size <= 0:
+        if not self.step_size > 0:  # False for NaN
             raise ValueError("step_size must be positive")
         if self.entropy_weight is not None and not self.entropy_weight > 0:
             raise ValueError("entropy_weight (lambda) must be positive")

@@ -5,7 +5,9 @@ callable over a batch of points (n, D), optionally a value-and-gradient
 callable that returns the log-joint and its gradient from one evaluation, and
 optional extras (a normalized 1-D posterior density for quadrature oracles, a
 training log-likelihood for iterate selection).  Every call takes a batch; a single
-point z is the batch ``z[None]``.  Each model's posterior-predictive quantity
+point z is the batch ``z[None]``.  The bimodal target is a
+:class:`~boostvi.densities.Mixture` of Gaussian atoms, and its callables are
+that mixture's own methods.  Each model's posterior-predictive quantity
 is one module-level helper, shared by its training log-likelihood and
 :func:`predictive_metrics`.
 """
@@ -18,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import expit, log_expit
 
-from .densities import LOG_2PI, Mixture, log_weights, logsumexp
+from .densities import LOG_2PI, BaseDensity, Family, Mixture, _as_loc, _as_scale
 
 
 @dataclass(frozen=True)
@@ -94,40 +96,24 @@ class Dataset:
 def synthetic_bimodal_target(
     mu=(-1.0, 1.0), sigma=(0.5, 0.5), pi=(0.4, 0.6)
 ) -> TargetModel:
-    """1-D two-Gaussian mixture target; the log-joint is the (normalized) log pdf."""
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    if not np.all(sigma > 0):
-        raise ValueError(f"sigma entries must be positive, got {sigma.tolist()}")
-    if not (np.all(pi >= 0) and abs(pi.sum() - 1.0) <= 1e-12):
-        raise ValueError(f"pi must be nonnegative and sum to 1, got {pi.tolist()}")
-    log_pi = log_weights(pi)
-
-    def logits_and_log_pdf(z: np.ndarray):
-        """Per-component log terms (n, 2) at points z (n, 1) and their
-        log-sum-exp (n, 1), the log pdf."""
-        logits = -0.5 * LOG_2PI - np.log(sigma) - 0.5 * ((z - mu) / sigma) ** 2 + log_pi
-        return logits, logsumexp(logits, axis=1, keepdims=True)
-
-    def log_pdf(z_flat: np.ndarray) -> np.ndarray:
-        z = np.asarray(z_flat, dtype=float).reshape(-1, 1)
-        return logits_and_log_pdf(z)[1][:, 0]
-
-    def batch(Z: np.ndarray) -> np.ndarray:
-        return log_pdf(Z[:, 0])
-
-    def value_and_grad(Z: np.ndarray):
-        z = Z[:, :1]
-        logits, lse = logits_and_log_pdf(z)
-        resp = np.exp(logits - lse)
-        return lse[:, 0], np.sum(resp * (-(z - mu) / sigma**2), axis=1, keepdims=True)
-
+    """1-D Gaussian-mixture target: the :class:`Mixture` of atoms
+    N(mu_k, sigma_k^2) with weights pi, whose own methods are the model's
+    callables, so the log-joint is the normalized log pdf.  A value that no
+    atom or mixture can take raises a ValueError naming its key."""
+    locs, scales = _as_loc(mu, "mu"), _as_scale(sigma, "sigma")
+    if not 0 < len(locs) == len(scales):
+        raise ValueError(f"mu and sigma must hold one entry per component, "
+                         f"got {len(locs)} and {len(scales)}")
+    atoms = tuple(BaseDensity(Family.GAUSSIAN, [m], [s]) for m, s in zip(locs, scales))
+    try:
+        target = Mixture(atoms, pi)
+    except ValueError as e:
+        raise ValueError(f"pi: {e}") from None
     return TargetModel(
         dim=1,
-        log_joint_batch=batch,
-        grad_log_joint_batch=value_and_grad,
-        posterior_log_pdf=log_pdf,
+        log_joint_batch=target.log_prob,
+        grad_log_joint_batch=target.log_prob_and_grad,
+        posterior_log_pdf=lambda z: target.log_prob(np.reshape(z, (-1, 1))),
     )
 
 

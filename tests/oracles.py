@@ -34,6 +34,21 @@ def bimodal_logpdf(z, mu=(-1.0, 1.0), sigma=(0.5, 0.5), pi=(0.4, 0.6)):
     return out
 
 
+def bimodal_closed_form(z, mu=(-1.0, 1.0), sigma=(0.5, 0.5), pi=(0.4, 0.6)):
+    """Log density (n,) of the Gaussian-mixture target and its gradient (n, 1)
+    at points z (n, 1), from per-component log terms: their log-sum-exp and
+    the responsibility-weighted score -(z - mu) / sigma^2."""
+    from scipy.special import logsumexp
+
+    mu, sigma, pi = (np.asarray(v, dtype=float) for v in (mu, sigma, pi))
+    with np.errstate(divide="ignore"):
+        log_pi = np.log(pi)
+    logits = -0.5 * math.log(2 * math.pi) - np.log(sigma) - 0.5 * ((z - mu) / sigma) ** 2 + log_pi
+    lse = logsumexp(logits, axis=1, keepdims=True)
+    resp = np.exp(logits - lse)
+    return lse[:, 0], np.sum(resp * (-(z - mu) / sigma**2), axis=1, keepdims=True)
+
+
 def gaussian_chi_square(loc_s, scale_s, loc_q, scale_q):
     """Closed-form chi-square integral int (s - q)^2 / q for 1-D Gaussians
     s = N(loc_s, scale_s^2) and q = N(loc_q, scale_q^2).

@@ -455,6 +455,16 @@ class TestCurvatureProbe:
             curvature_probe(s, q, [0.0], QuadratureGrid(-16, 16, 801))
 
 
+class TestFwConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("gap_tolerance", -1.0), ("gap_tolerance", math.nan), ("gap_tolerance", math.inf),
+        ("seed", -1), ("max_iters", -1), ("delta", 0.0), ("delta", math.nan),
+    ])
+    def test_out_of_range_value_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FwConfig(**{field: value})
+
+
 class TestRunBoosting:
     def test_zero_iterations_returns_plain_fit(self):
         model = synthetic_bimodal_target()

@@ -106,6 +106,20 @@ class TestRun:
         assert code == EXIT_CONFIG
         assert "delta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model, flag, value, field", [
+        ("bimodal", "--gap-tol", "nan", "gap_tolerance"),
+        ("bimodal", "--gap-tol", "-0.5", "gap_tolerance"),
+        ("bimodal", "--seed", "-1", "seed"),
+        ("logistic", "--seed", "-1", "seed"),
+    ])
+    def test_bad_fw_value_rejected(self, tmp_path, capsys, model, flag, value, field):
+        code = run_cli("run", "--model", model, flag, value, "--out", str(tmp_path / "o"))
+        assert code == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert field in err and "model_params" not in err
+        assert "t=0" not in out
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_nonpositive_lmo_steps_rejected(self, tmp_path, capsys, steps):
         code = run_cli("run", "--model", "bimodal", "--lmo-steps", steps,
@@ -256,6 +270,14 @@ class TestBadInputData:
         ("bimodal", {"sigma": [-0.5, 0.5]}, "sigma"),
         ("matrix_factorization", {"latent_dim": 0}, "latent_dim"),
         ("logistic", {"flip_fraction": 0.7}, "flip_fraction"),
+        # the bimodal target's parameters follow the atom and mixture rules
+        ("bimodal", {"mu": [float("nan"), 1.0]}, "mu"),
+        ("bimodal", {"sigma": [float("inf"), 0.5]}, "sigma"),
+        ("bimodal", {"sigma": [1e-4, 0.5]}, "sigma"),
+        ("bimodal", {"mu": [-1e9, 1.0]}, "mu"),
+        ("bimodal", {"mu": [-1.0, 0.0, 1.0]}, "mu"),
+        ("bimodal", {"pi": [0.2, 0.3, 0.5]}, "pi"),
+        ("bimodal", {"mu": [[-1.0, 1.0]]}, "mu"),
     ])
     def test_bad_model_params_value(self, tmp_path, capsys, model, params, key):
         cfg = tmp_path / "cfg.json"
@@ -267,22 +289,37 @@ class TestBadInputData:
         assert "t=0" not in out
 
     @pytest.mark.parametrize("model, params, key", [
-        ("logistic", {"n": 40.9, "n_features": 2}, "n"),
-        ("logistic", {"n": 40, "n_features": 2.7}, "n_features"),
-        ("matrix_factorization", {"rows": 8.5}, "rows"),
-        ("matrix_factorization", {"cols": 6.5}, "cols"),
-        ("matrix_factorization", {"rank": 1.5}, "rank"),
-        ("matrix_factorization", {"latent_dim": 2.5}, "latent_dim"),
+        ("logistic", {"model_params": {"n": 40.9, "n_features": 2}}, "n"),
+        ("logistic", {"model_params": {"n": 40, "n_features": 2.7}}, "n_features"),
+        ("matrix_factorization", {"model_params": {"rows": 8.5}}, "rows"),
+        ("matrix_factorization", {"model_params": {"cols": 6.5}}, "cols"),
+        ("matrix_factorization", {"model_params": {"rank": 1.5}}, "rank"),
+        ("matrix_factorization", {"model_params": {"latent_dim": 2.5}}, "latent_dim"),
+        ("logistic", {"model_params": {"n": True}}, "n"),
+        # the config's own counts follow the same rule
+        ("bimodal", {"iters": 1.9}, "iters"),
+        ("bimodal", {"lmo_steps": 50.7}, "lmo_steps"),
+        ("bimodal", {"mc_samples": 8.5}, "mc_samples"),
+        ("bimodal", {"seed": True}, "seed"),
+        ("bimodal", {"n_seeds": 1.5}, "n_seeds"),
     ])
     def test_fractional_count(self, tmp_path, capsys, model, params, key):
-        # int() would truncate the count and fit a smaller model
+        # int() would truncate the count, or read a bool as 0 or 1, and fit
+        # another model than the one asked for
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"model": model, "model_params": params}))
-        code = self._run(tmp_path, "--config", str(cfg))
+        cfg.write_text(json.dumps({"model": model, **params}))
+        # no FAST flags: they would override the config's counts
+        code = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == EXIT_CONFIG
         out, err = capsys.readouterr()
-        assert f"model_params {key!r} must be a whole number, got {params[key]}" in err
+        if "model_params" in params:
+            value = params["model_params"][key]
+            expected = f"model_params {key!r} must be a whole number, got {value!r}"
+        else:
+            expected = f"config key {key!r}: value must be a whole number, got {params[key]!r}"
+        assert expected in err
         assert "t=0" not in out
+        assert not (tmp_path / "o").exists()
 
     def test_one_class_test_split(self, tmp_path, capsys):
         # one positive row of ten; seed 1 leaves it out of the 3-row test split

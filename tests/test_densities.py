@@ -299,9 +299,9 @@ class TestEntropyAndSupNorm:
         assert gaussian([0, 0], [1, 1]).entropy() == pytest.approx(2.837877, abs=1e-6)
 
     def test_sup_norm_values(self):
-        assert gaussian(0, 0.5).sup_norm() == pytest.approx(0.797885, abs=1e-6)
-        assert laplace(0, 1).sup_norm() == pytest.approx(0.5, abs=1e-12)
-        assert gaussian(0, 1).sup_norm() == pytest.approx(0.398942, abs=1e-6)
+        assert math.exp(gaussian(0, 0.5).log_sup_norm()) == pytest.approx(0.797885, abs=1e-6)
+        assert math.exp(laplace(0, 1).log_sup_norm()) == pytest.approx(0.5, abs=1e-12)
+        assert math.exp(gaussian(0, 1).log_sup_norm()) == pytest.approx(0.398942, abs=1e-6)
 
     @given(
         family=st.sampled_from([Family.GAUSSIAN, Family.LAPLACE]),

@@ -222,8 +222,9 @@ class TestLmoSolve:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LmoConfig(n_mc_samples=0)
-        with pytest.raises(ValueError):
-            LmoConfig(step_size=-0.1)
+        for step in (-0.1, 0.0, math.nan):
+            with pytest.raises(ValueError, match="step_size"):
+                LmoConfig(step_size=step)
         for steps in (0, -3):
             with pytest.raises(ValueError, match="n_steps"):
                 LmoConfig(n_steps=steps)

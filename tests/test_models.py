@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,11 +16,12 @@ from boostvi import (
     predictive_metrics,
     synthetic_bimodal_target,
 )
-from boostvi.densities import LOG_2PI, BaseDensity, Family
+from boostvi.densities import LOG_2PI, BaseDensity, Family, QuadratureGrid
 from boostvi.models import _reconstruct, _unpack_uv, log_joint_batch
 
 from oracles import (
     BIMODAL_LOGPDF_AT_0,
+    bimodal_closed_form,
     einsum_factorization_log_joint_and_grad,
     finite_difference,
     gaussian_logpdf,
@@ -54,9 +57,54 @@ class TestBimodalTarget:
         fd = finite_difference(lambda x: model.log_joint_batch(x[None])[0], np.array([z]))
         assert relative_error(g, fd) < 1e-5
 
+    @pytest.mark.parametrize("n", [32, 2048])
+    def test_callables_equal_closed_form(self, n):
+        # at the default sigma 0.5, a power of two, the mixture's arithmetic
+        # is the closed form's step for step
+        model = synthetic_bimodal_target()
+        Z = 2.0 * np.random.default_rng(n).standard_normal((n, 1))
+        value, grad = bimodal_closed_form(Z)
+        np.testing.assert_array_equal(model.log_joint_batch(Z), value)
+        fused_value, fused_grad = model.grad_log_joint_batch(Z)
+        np.testing.assert_array_equal(fused_value, value)
+        np.testing.assert_array_equal(fused_grad, grad)
+
+    def test_posterior_pdf_equals_closed_form_on_oracle_grid(self):
+        model = synthetic_bimodal_target()
+        z = QuadratureGrid(-12.0, 12.0, 4001).points()
+        np.testing.assert_array_equal(model.posterior_log_pdf(z),
+                                      bimodal_closed_form(z.reshape(-1, 1))[0])
+
+    @pytest.mark.parametrize("n", [32, 2048])
+    def test_gradient_at_other_sigma(self, n):
+        # mixture scores divide by sigma twice where the closed form divides
+        # by sigma^2 once, so a sigma that is not a power of two rounds apart
+        sigma = (0.3, 0.7)
+        model = synthetic_bimodal_target(sigma=sigma)
+        Z = 2.0 * np.random.default_rng(n).standard_normal((n, 1))
+        value, grad = bimodal_closed_form(Z, sigma=sigma)
+        fused_value, fused_grad = model.grad_log_joint_batch(Z)
+        np.testing.assert_array_equal(fused_value, value)
+        np.testing.assert_allclose(fused_grad, grad, rtol=1e-13)
+
     def test_invalid_weights_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="pi"):
             synthetic_bimodal_target(pi=(0.5, 0.6))
+
+    @pytest.mark.parametrize("params, key", [
+        ({"mu": (math.nan, 1.0)}, "mu"),
+        ({"mu": (-1e9, 1.0)}, "mu"),
+        ({"mu": ((-1.0, 1.0),)}, "mu"),
+        ({"mu": (-1.0, 0.0, 1.0)}, "mu"),
+        ({"sigma": (math.inf, 0.5)}, "sigma"),
+        ({"sigma": (1e-4, 0.5)}, "sigma"),
+        ({"sigma": (0.5,)}, "sigma"),
+        ({"pi": (0.2, 0.3, 0.5)}, "pi"),
+        ({"mu": (), "sigma": ()}, "mu"),
+    ])
+    def test_invalid_parameters_name_their_key(self, params, key):
+        with pytest.raises(ValueError, match=key):
+            synthetic_bimodal_target(**params)
 
 
 class TestLogisticRegression:
