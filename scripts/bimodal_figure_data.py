@@ -22,6 +22,10 @@ def main(argv=None) -> int:
     ap.add_argument("--iters", type=int, default=10)
     ap.add_argument("--seeds", type=int, default=3)
     args = ap.parse_args(argv)
+    if args.iters < 0:
+        ap.error(f"--iters must be >= 0, got {args.iters}")
+    if args.seeds < 1:
+        ap.error(f"--seeds must be >= 1, got {args.seeds}")
 
     print(f"{'variant':<18} {'mean final KL':>14} {'std':>8}")
     for variant in Variant:

@@ -5,7 +5,8 @@ Monte-Carlo line search over the blend weight, and variant 2 a fully
 corrective simplex Frank-Wolfe solve over all atom weights.  A Monte-Carlo
 duality-gap estimate per iteration doubles as stopping certificate, and
 ``curvature_probe`` exposes the smoothness surrogate used in the theory
-checks.
+checks.  The certificate and both step solves estimate E_s[log q - log p] on
+one table of each atom's fixed samples (``_atom_sample_table``).
 """
 
 from __future__ import annotations
@@ -168,17 +169,18 @@ LINE_SEARCH_GRID = 21  # gammas 0, 0.05, ..., 1 tried before the refinement
 CORRECTIVE_ITERS = 200  # simplex Frank-Wolfe steps of the corrective weight solve
 
 
-def _atom_sample_table(q: Mixture, model: TargetModel, noises) -> tuple[np.ndarray, np.ndarray]:
-    """Each atom's fixed samples evaluated once: for atom i and the i-th
-    (n, D) array of ``noises``, the samples ``locs[i] + scales[i] * noise`` give
-    ``comp_logs[i]`` (n, K), the log density of every atom there, and
-    ``logp[i]`` (n,), the model's log-joint.  One atom is standardized at a
-    time, so at most one (n, K, D) array is held."""
+def _atom_sample_table(q: Mixture, stacked: Mixture, model: TargetModel, noises):
+    """Each sampled atom's fixed samples evaluated once: for the i-th (n, D)
+    array of ``noises``, the samples ``stacked.locs[i] + stacked.scales[i] *
+    noise`` give ``comp_logs[i]`` (n, K), the log density of every atom of
+    ``q`` there, and ``logp[i]`` (n,), the model's log-joint.  One sampled
+    atom is standardized at a time, so at most one (n, K, D) array is held."""
     comp_logs, logp = [], []
     for i, noise in enumerate(noises):
-        z = q.locs[i] + q.scales[i] * noise
+        z = stacked.locs[i] + stacked.scales[i] * noise
         comp_logs.append(q.components(z)[0])
         logp.append(log_joint_batch(model, z))
+        del z, noise  # dropped before the next row's noise is drawn
     return np.stack(comp_logs), np.stack(logp)
 
 
@@ -212,7 +214,7 @@ def line_search_gamma(
     rng = np.random.default_rng(seed)
     u = rng.uniform(size=n_samples)
     noise = standard_noise(s.family, n_samples, s.dim, rng)
-    comp_logs, logp = _atom_sample_table(q, model, [noise] * len(atoms))
+    comp_logs, logp = _atom_sample_table(q, q, model, [noise] * len(atoms))
     rows = np.arange(n_samples)
 
     def objective(gamma: float) -> float:
@@ -276,20 +278,13 @@ def fully_corrective_weights(
     q = Mixture.from_unnormalized(atoms, np.ones(k))  # the atoms stacked once
     ss = np.random.SeedSequence(entropy=(_entropy_int(seed), 1414))
     # fixed samples of each atom, from its own stream, and cached log densities
-    comp_logs, logp = _atom_sample_table(q, model, (
+    comp_logs, logp = _atom_sample_table(q, q, model, (
         standard_noise(q.family, n_samples, q.dim, np.random.default_rng(s))
         for s in ss.spawn(k)
     ))
 
     def direct_grad(w: np.ndarray) -> np.ndarray:
-        logw = log_weights(w)
-        grad = np.empty(k)
-        for i in range(k):
-            shifted = comp_logs[i] + logw
-            m = shifted.max(axis=1)
-            logq = m + np.log(np.sum(np.exp(shifted - m[:, None]), axis=1))
-            grad[i] = np.mean(logq - logp[i])
-        return grad
+        return np.mean(logsumexp(comp_logs + log_weights(w), axis=2) - logp, axis=1)
 
     row_max = comp_logs.max(axis=2)  # (k, n)
     scaled = comp_logs - row_max[:, :, None]
@@ -351,7 +346,8 @@ def certificate_gap(
     With ``spike_probe`` the pool also gets a narrow atom at the sampled point
     the mixture under-covers the most — the supremum is approached by
     shrinking atoms at the residual minimizer, so this candidate tightens the
-    certificate further (it never influences the returned index).
+    certificate further (it never influences the returned index).  The
+    candidates, then the probe, are rows of one :func:`_atom_sample_table`.
 
     Returns the best estimate and the index of the provided atom attaining the
     best gap among ``candidates``.
@@ -360,35 +356,26 @@ def certificate_gap(
         raise ValueError("need at least one candidate atom")
     if any(s.family is not q_t.family or s.dim != q_t.dim for s in candidates):
         raise ValueError("candidates must share the mixture's family and dimension")
-    ss = np.random.SeedSequence(entropy=(_entropy_int(seed), 1618))
-    seeds = ss.spawn(len(candidates) + 2)
+    k = len(candidates)
+    seeds = np.random.SeedSequence(entropy=(_entropy_int(seed), 1618)).spawn(k + 2)
     zq = q_t.sample(n, seeds[0])
     aq = q_t.log_prob(zq) - log_joint_batch(model, zq)
-
-    def atom_estimate(s: BaseDensity, s_seed) -> GapEstimate:
-        noise = standard_noise(q_t.family, n, q_t.dim, np.random.default_rng(s_seed))
-        zs = s.loc + s.scale * noise
-        as_ = q_t.log_prob(zs) - log_joint_batch(model, zs)
-        return GapEstimate(
-            float(np.mean(aq) - np.mean(as_)),
-            float(math.sqrt(np.var(aq) / n + np.var(as_) / n)),
-        )
-
-    best: Optional[GapEstimate] = None
-    best_idx = 0
-    for i, s in enumerate(candidates):
-        est = atom_estimate(s, seeds[i + 1])
-        if best is None or est.value > best.value:
-            best, best_idx = est, i
-    if spike_probe:
-        z_star = zq[int(np.argmin(aq))]
-        probe = BaseDensity(
-            q_t.family, z_star, np.maximum(0.1 * q_t.scales.mean(axis=0), SCALE_FLOOR)
-        )
-        est = atom_estimate(probe, seeds[-1])
-        if est.value > best.value:
-            best = est
-    return best, best_idx
+    pool, streams = list(candidates), seeds[1:k + 1]
+    if spike_probe:  # one more row, at the sample q_t covers worst, on the last stream
+        pool.append(BaseDensity(q_t.family, zq[int(np.argmin(aq))],
+                                np.maximum(0.1 * q_t.scales.mean(axis=0), SCALE_FLOOR)))
+        streams.append(seeds[-1])
+    stacked = Mixture.from_unnormalized(pool, np.ones(len(pool)))  # the pool stacked once
+    comp_logs, logp = _atom_sample_table(q_t, stacked, model, (
+        standard_noise(q_t.family, n, q_t.dim, np.random.default_rng(s)) for s in streams
+    ))
+    comp_logs += log_weights(q_t.weights)  # in place: the table is (pool, n, K)
+    as_ = logsumexp(comp_logs, axis=2) - logp  # (pool, n)
+    values = np.mean(aq) - np.mean(as_, axis=1)
+    stderrs = np.sqrt(np.var(aq) / n + np.var(as_, axis=1) / n)
+    # argmax takes the first maximum: the probe, last, wins only when strictly greater
+    best = int(np.argmax(values))
+    return GapEstimate(float(values[best]), float(stderrs[best])), int(np.argmax(values[:k]))
 
 
 def curvature_probe(

@@ -67,15 +67,32 @@ def _parse_lambda(text) -> Optional[float]:
     raise CliError(f"invalid --lambda {text!r}: expected 'sqrt' or 'const:<v>'")
 
 
+def _path(value) -> str:
+    """A path given as a non-empty string; anything else, such as a number
+    that ``open`` would read as a file descriptor, raises a ValueError."""
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"expected a non-empty path string, got {value!r}")
+    return value
+
+
+def _out_dir(value) -> str:
+    """An output directory path that does not name an existing file; the
+    directory itself is made only when the artifacts are written."""
+    path = _path(value)
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise ValueError(f"{path!r} exists and is not a directory")
+    return path
+
+
 # config key -> (config it sets, field, conversion of the given value, None to
 # pass it as is); a key the user does not give keeps its dataclass default
 _SETTINGS = {
     "model": ("experiment", "model", None),
     "model_params": ("experiment", "model_params", None),
-    "data_path": ("experiment", "data_path", None),
+    "data_path": ("experiment", "data_path", _path),
     "split_fraction": ("experiment", "split_fraction", float),
     "n_seeds": ("experiment", "n_seeds", whole_number),
-    "out": ("experiment", "out_dir", None),
+    "out": ("experiment", "out_dir", _out_dir),
     "variant": ("fw", "variant", _parse_variant),
     "iters": ("fw", "max_iters", whole_number),
     "delta": ("fw", "delta", float),

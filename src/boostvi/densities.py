@@ -42,7 +42,9 @@ def logsumexp(a, axis: int, keepdims: bool = False) -> np.ndarray:
         with np.errstate(over="ignore"):  # spans beyond the float range
             shifted = a - a_max
         shifted[is_max] = -np.inf
-        rest = np.exp(shifted).sum(axis=axis, keepdims=True)
+        # in place: on the certificate's (pool, n, K) table a second array
+        # of that size would raise the run's peak memory
+        rest = np.exp(shifted, out=shifted).sum(axis=axis, keepdims=True)
         n_max = is_max.sum(axis=axis, keepdims=True, dtype=float)
         out = np.log1p(np.where(rest == 0, rest, rest / n_max)) + np.log(n_max) + a_max
     else:

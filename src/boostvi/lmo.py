@@ -63,10 +63,11 @@ class LmoConfig:
             raise ValueError("n_steps must be >= 1")
         if self.n_mc_samples < 1:
             raise ValueError("n_mc_samples must be >= 1")
-        if not self.step_size > 0:  # False for NaN
-            raise ValueError("step_size must be positive")
-        if self.entropy_weight is not None and not self.entropy_weight > 0:
-            raise ValueError("entropy_weight (lambda) must be positive")
+        # each range test is False for NaN, so NaN is rejected
+        if not 0 < self.step_size < math.inf:
+            raise ValueError("step_size must be finite and positive")
+        if self.entropy_weight is not None and not 0 < self.entropy_weight < math.inf:
+            raise ValueError("entropy_weight (lambda) must be finite and positive")
         object.__setattr__(self, "family", Family(self.family))
 
 

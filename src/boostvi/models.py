@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import expit, log_expit
 
-from .densities import LOG_2PI, BaseDensity, Family, Mixture, _as_loc, _as_scale
+from .densities import LOG_2PI, BaseDensity, Family, Mixture, _as_loc, _as_scale, _check_points
 
 
 @dataclass(frozen=True)
@@ -48,11 +48,7 @@ class TargetModel:
 def log_joint_batch(model: TargetModel, Z: np.ndarray) -> np.ndarray:
     """The model's log-joint at points ``Z`` of shape (n, D); any other shape
     raises a ValueError."""
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim != 2 or Z.shape[1] != model.dim:
-        raise ValueError(f"expected points (n, D) of dimension D={model.dim}, "
-                         f"got shape {Z.shape}")
-    return np.asarray(model.log_joint_batch(Z))
+    return np.asarray(model.log_joint_batch(_check_points(Z, model.dim)))
 
 
 class DataError(ValueError):

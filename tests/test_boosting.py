@@ -40,6 +40,7 @@ from oracles import (
     CHI_SQUARE_LIMIT_01_11,
     bimodal_logpdf,
     einsum_factorization_log_joint_and_grad,
+    reference_certificate,
 )
 
 GRID = QuadratureGrid(-12.0, 12.0, 4001)
@@ -426,6 +427,76 @@ class TestDualityGap:
         for s in (BaseDensity(Family.LAPLACE, [0.0], [1.0]), gaussian([0.0, 0.0], [1.0, 1.0])):
             with pytest.raises(ValueError, match="family and dimension"):
                 certificate_gap(q, [q.atoms[0], s], model, 64, seed=0)
+
+
+def certificate_case(family, dim, k, seed):
+    """A K-atom iterate q_t and a fresh atom; the candidate pool is the fresh
+    atom, then q_t's atoms, as in the loop.  An even seed's target is two
+    atoms wide, so the spike probe tends to win; an odd seed's is the fresh
+    atom moved away from q_t, so the fresh atom tends to."""
+    rng = np.random.default_rng((seed, dim, k, 1618))
+
+    def atom():
+        return BaseDensity(family, 2.0 * rng.normal(size=dim), rng.uniform(0.4, 1.5, dim))
+
+    q_t = Mixture.from_unnormalized([atom() for _ in range(k)], rng.uniform(0.2, 1.0, k))
+    fresh = atom()
+    if seed % 2:
+        fresh = BaseDensity(family, fresh.loc + 8.0, fresh.scale)
+        target = Mixture.single(fresh)
+    else:
+        target = Mixture.from_unnormalized([atom(), atom()], rng.uniform(0.2, 1.0, 2))
+    return q_t, [fresh] + list(q_t.atoms), density_model(target)
+
+
+class TestCertificateMatchesReferenceLoop:
+    @pytest.mark.parametrize("spike_probe", [True, False])
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("family", list(Family))
+    def test_bit_identical(self, family, dim, k, spike_probe):
+        winners = set()
+        for seed in range(6):
+            q_t, cands, model = certificate_case(family, dim, k, seed)
+            est, idx = certificate_gap(q_t, cands, model, 256, seed, spike_probe=spike_probe)
+            (value, stderr), ref_idx = reference_certificate(q_t, cands, model, 256, seed,
+                                                             spike_probe=spike_probe)
+            np.testing.assert_array_equal([est.value, est.stderr, idx], [value, stderr, ref_idx])
+            plain, _ = certificate_gap(q_t, cands, model, 256, seed, spike_probe=False)
+            winners.add("probe" if est.value > plain.value else "fresh" if idx == 0 else "atom")
+        # with the probe on, both a candidate's and the probe's estimate are returned
+        assert ("probe" in winners) == spike_probe
+        assert winners - {"probe"}
+
+
+@st.composite
+def certificate_pools(draw):
+    family = draw(st.sampled_from(list(Family)))
+    dim, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    q_t, cands, model = certificate_case(family, dim, k, draw(st.integers(0, 2**16)))
+    return q_t, cands, model, draw(st.integers(1, len(cands))), draw(st.integers(0, 2**16))
+
+
+class TestCertificatePoolProperties:
+    """Candidate i's samples come from stream i + 1 of the certificate's seed
+    whatever the pool around it, so these hold exactly."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(certificate_pools())
+    def test_prefix_never_certifies_more(self, case):
+        q_t, cands, model, m, seed = case
+        whole, _ = certificate_gap(q_t, cands, model, 128, seed, spike_probe=False)
+        prefix, _ = certificate_gap(q_t, cands[:m], model, 128, seed, spike_probe=False)
+        assert prefix.value <= whole.value
+
+    @settings(max_examples=30, deadline=None)
+    @given(certificate_pools())
+    def test_spike_probe_never_lowers_or_moves_the_index(self, case):
+        q_t, cands, model, _, seed = case
+        plain, plain_idx = certificate_gap(q_t, cands, model, 128, seed, spike_probe=False)
+        probed, probed_idx = certificate_gap(q_t, cands, model, 128, seed, spike_probe=True)
+        assert probed.value >= plain.value
+        assert probed_idx == plain_idx
 
 
 class TestCurvatureProbe:

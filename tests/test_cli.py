@@ -111,6 +111,7 @@ class TestRun:
         ("bimodal", "--gap-tol", "-0.5", "gap_tolerance"),
         ("bimodal", "--seed", "-1", "seed"),
         ("logistic", "--seed", "-1", "seed"),
+        ("bimodal", "--lambda", "const:inf", "lambda"),
     ])
     def test_bad_fw_value_rejected(self, tmp_path, capsys, model, flag, value, field):
         code = run_cli("run", "--model", model, flag, value, "--out", str(tmp_path / "o"))
@@ -119,6 +120,27 @@ class TestRun:
         assert field in err and "model_params" not in err
         assert "t=0" not in out
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("config, flags, key", [
+        ({"out": 5}, [], "'out'"),
+        ({"out": ["a"]}, [], "'out'"),
+        ({}, ["--out", ""], "'out'"),
+        ({}, ["--out", "taken.txt"], "'out'"),  # an existing file
+        # open(0) would read the CSV from standard input
+        ({"model": "logistic", "data_path": 0}, ["--out", "o"], "'data_path'"),
+        ({"model": "logistic"}, ["--data", "", "--out", "o"], "'data_path'"),
+    ])
+    def test_bad_path_value_rejected(self, tmp_path, monkeypatch, capsys, config, flags, key):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken.txt").write_text("")
+        (tmp_path / "cfg.json").write_text(json.dumps({"model": "bimodal", **config}))
+        code = run_cli("run", "--config", "cfg.json", *flags, *FAST)
+        assert code == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert f"config key {key}" in err
+        assert "t=0" not in out
+        assert not (tmp_path / "o").exists()
+        assert (tmp_path / "taken.txt").read_text() == ""
 
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_nonpositive_lmo_steps_rejected(self, tmp_path, capsys, steps):

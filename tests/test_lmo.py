@@ -222,9 +222,12 @@ class TestLmoSolve:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LmoConfig(n_mc_samples=0)
-        for step in (-0.1, 0.0, math.nan):
+        for step in (-0.1, 0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="step_size"):
                 LmoConfig(step_size=step)
+        for weight in (-0.1, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="lambda"):
+                LmoConfig(entropy_weight=weight)
         for steps in (0, -3):
             with pytest.raises(ValueError, match="n_steps"):
                 LmoConfig(n_steps=steps)

@@ -32,6 +32,24 @@ def test_bimodal_figure_data_writes_every_variant(tmp_path, capsys):
         assert summary["config"]["fw"]["variant"] == variant
 
 
+@pytest.mark.parametrize("args", [["--iters", "-1"], ["--seeds", "0"]])
+def test_bimodal_figure_data_rejects_arguments_before_fitting(tmp_path, monkeypatch, capsys,
+                                                              args):
+    script = _script("bimodal_figure_data")
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted despite a rejected argument")
+
+    monkeypatch.setattr(script, "run_experiment", no_fit)
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--out", str(tmp_path / "runs")] + args)
+    assert exc.value.code != 0
+    out, err = capsys.readouterr()
+    assert out == ""  # not even the table header
+    assert args[0] in err
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("args", [["--iters", "2"], ["--iters", "7"], ["--seeds", "0"]])
 def test_rate_probe_rejects_arguments_before_fitting(tmp_path, monkeypatch, capsys, args):
     # the slope fit reads the KL curve at t = 8, which a shorter run lacks

@@ -75,6 +75,19 @@ def test_model_callables_take_a_kernel_batch(tracer, workload):
     assert called >= 3  # log-joint, value-and-gradient and one extra
 
 
+def test_mixture_kernels_take_their_call_forms():
+    # the kernel microbenchmarks build a mixture per case with kernels._mixture
+    # and time one method on its own samples; a change to the Mixture API
+    # that breaks them fails here, at n cut to 32
+    kernels = _perfbench_module("kernels")
+    rng = np.random.default_rng(0)
+    for method, k, _ in kernels.MIXTURE_CASES:
+        mix = kernels._mixture(k, rng)
+        z = mix.sample(32, rng)
+        out = getattr(mix, method)(z)
+        assert out.shape[0] == 32 and np.isfinite(out).all(), (method, k)
+
+
 # the harness names the tracer and the benchmark runner patch; the harness
 # must look each up in its module globals at call time
 HARNESS_LOOKUPS = (
