@@ -19,7 +19,6 @@ from .models import (
     synthetic_bimodal_target,
 )
 from .lmo import (
-    Estimator,
     LmoConfig,
     LmoResult,
     elbo_estimate,

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 bad configuration or input data, 2 runtime failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -14,7 +15,8 @@ import sys
 from typing import Optional
 
 from .boosting import FwConfig, Variant, curvature_probe, mixture_from_dict
-from .harness import ExperimentConfig, run_experiment, whole_number, write_density_csv
+from .harness import ExperimentConfig, bimodal_target, real_number, run_experiment
+from .harness import whole_number, write_density_csv
 from .models import DataError
 from .lmo import LmoConfig
 from .probes import (
@@ -76,11 +78,15 @@ def _path(value) -> str:
 
 
 def _out_dir(value) -> str:
-    """An output directory path that does not name an existing file; the
-    directory itself is made only when the artifacts are written."""
+    """An output directory path whose nearest existing ancestor, the path
+    itself when it exists, is a writable directory; the directory itself is
+    made only when the artifacts are written."""
     path = _path(value)
-    if os.path.exists(path) and not os.path.isdir(path):
-        raise ValueError(f"{path!r} exists and is not a directory")
+    ancestor = path
+    while not os.path.lexists(ancestor):
+        ancestor = os.path.dirname(ancestor) or os.curdir
+    if not (os.path.isdir(ancestor) and os.access(ancestor, os.W_OK)):
+        raise ValueError(f"{path!r}: {ancestor!r} exists and is not a writable directory")
     return path
 
 
@@ -90,13 +96,13 @@ _SETTINGS = {
     "model": ("experiment", "model", None),
     "model_params": ("experiment", "model_params", None),
     "data_path": ("experiment", "data_path", _path),
-    "split_fraction": ("experiment", "split_fraction", float),
+    "split_fraction": ("experiment", "split_fraction", real_number),
     "n_seeds": ("experiment", "n_seeds", whole_number),
     "out": ("experiment", "out_dir", _out_dir),
     "variant": ("fw", "variant", _parse_variant),
     "iters": ("fw", "max_iters", whole_number),
-    "delta": ("fw", "delta", float),
-    "gap_tol": ("fw", "gap_tolerance", float),
+    "delta": ("fw", "delta", real_number),
+    "gap_tol": ("fw", "gap_tolerance", real_number),
     "seed": ("fw", "seed", whole_number),
     "family": ("lmo", "family", None),
     "mc_samples": ("lmo", "n_mc_samples", whole_number),
@@ -138,18 +144,26 @@ def build_parser() -> _Parser:
     return parser
 
 
+@contextlib.contextmanager
+def _json_file(path: str):
+    """The JSON content of the file ``path``.  A file that cannot be read (a
+    directory, not UTF-8) or is not JSON, or an entry the ``with`` body cannot
+    find or use, raises a :class:`CliError` that names the file."""
+    try:
+        with open(path) as fh:
+            yield json.load(fh)
+    except KeyError as e:
+        raise CliError(f"{path}: missing entry {e}")
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as e:
+        raise CliError(f"{path}: {e}")
+
+
 def _experiment_config(args) -> ExperimentConfig:
     settings = {}
     if args.config:
-        if not os.path.exists(args.config):
-            raise CliError(f"config file not found: {args.config}")
-        try:
-            with open(args.config) as fh:
-                settings = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise CliError(f"config file is not valid JSON: {e}")
-        if not isinstance(settings, dict):
-            raise CliError("config file must hold a JSON object")
+        with _json_file(args.config) as settings:
+            if not isinstance(settings, dict):
+                raise CliError(f"{args.config}: a config file must hold a JSON object")
         unknown = set(settings) - set(_SETTINGS)
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
@@ -222,29 +236,28 @@ def cmd_plotdata(args) -> int:
     summary_path = os.path.join(run_dir, "summary.json")
     if not (os.path.isdir(run_dir) and os.path.exists(trace_path) and os.path.exists(summary_path)):
         raise CliError(f"not a run directory (missing trace.json/summary.json): {run_dir}")
-    out_dir = args.out or run_dir
-    os.makedirs(out_dir, exist_ok=True)
-    with open(trace_path) as fh:
-        traces = json.load(fh)["traces"]
-    with open(summary_path) as fh:
-        config = json.load(fh)["config"]
+    try:
+        out_dir = run_dir if args.out is None else _out_dir(args.out)
+    except ValueError as e:
+        raise CliError(f"--out: {e}")
+    # both files are read and checked before the first output is written
+    with _json_file(summary_path) as summary:
+        bimodal = summary["config"]["model"] == "bimodal"
+        target = bimodal_target(summary["config"].get("model_params", {})) if bimodal else None
+    with _json_file(trace_path) as payload:
+        trace = payload["traces"][0]
+        # csv writes None (a missing oracle or gap) as an empty cell
+        rows = [[rec[k] for k in ("t", "gamma", "kl_oracle", "gap_estimate", "gap_stderr",
+                                  "train_ll")] for rec in trace["records"]]
+        mixtures = [mixture_from_dict(m) for m in trace["mixtures"]] if bimodal else []
 
-    trace = traces[0]
-    series_path = os.path.join(out_dir, "plot_series.csv")
-    with open(series_path, "w", newline="") as fh:
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "plot_series.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "gamma", "kl", "gap", "gap_stderr", "train_ll"])
-        # csv writes None (a missing oracle or gap) as an empty cell
-        for rec in trace["records"]:
-            writer.writerow([rec[k] for k in ("t", "gamma", "kl_oracle", "gap_estimate",
-                                              "gap_stderr", "train_ll")])
-
-    if config["model"] == "bimodal":
-        write_density_csv(
-            config.get("model_params", {}),
-            [mixture_from_dict(m) for m in trace["mixtures"]],
-            os.path.join(out_dir, "plot_density.csv"),
-        )
+        writer.writerows(rows)
+    if bimodal:
+        write_density_csv(target, mixtures, os.path.join(out_dir, "plot_density.csv"))
     return EXIT_OK
 
 

@@ -31,34 +31,21 @@ def logsumexp(a, axis: int, keepdims: bool = False) -> np.ndarray:
     out of the sum and enters through ``log1p``), so the two agree bit for
     bit, but skips SciPy's per-call array-API dispatch, which costs more than
     the arithmetic at the (32, K) sizes of the atom solver.  Every mixture
-    evaluation comes here, the bimodal target's log-joint included.
+    evaluation comes here, the bimodal target's log-joint included.  A row
+    whose maximum is +-inf meets inf - inf only at its maximal entries, which
+    leave the sum, so the one computation also gives SciPy's +-inf or NaN.
     """
     a = np.asarray(a, dtype=float)
     a_max = a.max(axis=axis, keepdims=True)
-    if np.isfinite(a_max).all():
-        # every row has a finite maximum: no shift below is inf - inf and
-        # every row has at least one maximal entry
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         is_max = a == a_max
-        with np.errstate(over="ignore"):  # spans beyond the float range
-            shifted = a - a_max
+        shifted = a - a_max
         shifted[is_max] = -np.inf
         # in place: on the certificate's (pool, n, K) table a second array
         # of that size would raise the run's peak memory
         rest = np.exp(shifted, out=shifted).sum(axis=axis, keepdims=True)
         n_max = is_max.sum(axis=axis, keepdims=True, dtype=float)
         out = np.log1p(np.where(rest == 0, rest, rest / n_max)) + np.log(n_max) + a_max
-    else:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            is_max = a == a_max
-            n_max = np.sum(is_max, axis=axis, keepdims=True, dtype=float)
-            rest = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max),
-                          axis=axis, keepdims=True)
-            rest = np.where(rest == 0, rest, rest / n_max)
-            out = np.log1p(rest) + np.log(n_max) + a_max
-            finite = np.isfinite(out)
-            # infinite or all -inf rows: the unshifted sum handles them
-            direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
-            out = np.where(finite, out, direct)
     return out if keepdims else np.squeeze(out, axis=axis)
 
 
@@ -123,11 +110,12 @@ def coordinate_log_prob(family: Family, norm: np.ndarray, u: np.ndarray) -> np.n
     return norm - np.abs(u)
 
 
-def coordinate_score(family: Family, u: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """d log density / dz per coordinate at standardized points ``u``."""
+def standard_score(family: Family, u: np.ndarray) -> np.ndarray:
+    """d log density / du of the standardized density at points ``u``; divided
+    by the scale it is the score d log density / dz."""
     if family is Family.GAUSSIAN:
-        return -u / scale
-    return -np.sign(u) / scale
+        return -u
+    return -np.sign(u)
 
 
 @dataclass(frozen=True)
@@ -168,7 +156,7 @@ class BaseDensity:
     def grad_log_prob(self, z):
         """Gradient of the log density in z (n, D) at a batch of points (n, D)."""
         Z = _check_points(z, self.dim)
-        return coordinate_score(self.family, (Z - self.loc) / self.scale, self.scale)
+        return standard_score(self.family, (Z - self.loc) / self.scale) / self.scale
 
     def entropy(self) -> float:
         """Closed-form differential entropy."""
@@ -280,7 +268,7 @@ class Mixture:
         """Per-atom log densities (n, K) at ``Z`` (n, D) and, with ``grads``,
         per-atom scores (n, K, D), else None, from one standardization of ``Z``."""
         u = (Z[:, None, :] - self.locs) / self.scales  # (n, K, D)
-        g = coordinate_score(self.family, u, self.scales) if grads else None
+        g = standard_score(self.family, u) / self.scales if grads else None
         return coordinate_log_prob(self.family, self._norm, u).sum(axis=2), g
 
     def log_prob(self, z):

@@ -247,6 +247,15 @@ def whole_number(value, name: str = "value") -> int:
     return int(value)
 
 
+def real_number(value, name: str = "value") -> float:
+    """A real number given as an int or a float, as a float.  Any other value
+    raises a :class:`DataError` naming ``name``: a bool, which ``float``
+    would read as 0 or 1, or a string, which it would parse."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DataError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _count_param(p: dict, key: str, default: int) -> int:
     """The count ``model_params[key]``, ``default`` when absent; see
     :func:`whole_number`."""
@@ -266,14 +275,15 @@ def _build_dataset(cfg: ExperimentConfig, seed: int) -> Optional[Dataset]:
             _count_param(p, "n", 400),
             _count_param(p, "n_features", 5),
             seed=(seed, 9001),
-            **{k: float(p[k]) for k in ("margin", "flip_fraction") if k in p},
+            **{k: real_number(p[k], f"model_params {k!r}")
+               for k in ("margin", "flip_fraction") if k in p},
         )
     return make_lowrank_matrix(
         _count_param(p, "rows", 20),
         _count_param(p, "cols", 15),
         _count_param(p, "rank", 2),
-        float(p.get("noise", 0.1)),
-        float(p.get("mask_fraction", 1.0)),
+        real_number(p.get("noise", 0.1), "model_params 'noise'"),
+        real_number(p.get("mask_fraction", 1.0), "model_params 'mask_fraction'"),
         seed=(seed, 9002),
     )
 
@@ -365,15 +375,14 @@ def write_artifacts(cfg: ExperimentConfig, summary: RunSummary) -> None:
     with open(os.path.join(cfg.out_dir, "summary.json"), "w") as fh:
         json.dump(summary_payload, fh, indent=2, sort_keys=True)
     if cfg.model == "bimodal":
-        write_density_csv(cfg.model_params, summary.traces[0].mixtures,
+        write_density_csv(bimodal_target(cfg.model_params), summary.traces[0].mixtures,
                           os.path.join(cfg.out_dir, "density.csv"))
 
 
-def write_density_csv(model_params: dict, mixtures: list[Mixture], path: str) -> None:
-    """The bimodal target and each mixture's density on ``DENSITY_GRID``."""
+def write_density_csv(target: TargetModel, mixtures: list[Mixture], path: str) -> None:
+    """The bimodal ``target``'s and each mixture's density on ``DENSITY_GRID``."""
     z = DENSITY_GRID.points()
-    target = np.exp(bimodal_target(model_params).posterior_log_pdf(z))
-    columns = [("z", z), ("target", target)]
+    columns = [("z", z), ("target", np.exp(target.posterior_log_pdf(z)))]
     for i, m in enumerate(mixtures):
         columns.append((f"q_{i}", np.exp(m.log_prob(z.reshape(-1, 1)))))
     with open(path, "w", newline="") as fh:

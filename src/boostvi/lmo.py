@@ -8,13 +8,12 @@ over the atom's (loc, log-scale) parameters.  With ``q_t`` absent and
 lambda = 1 this is exactly the ELBO, i.e. plain black-box VI.  Gradients come
 from the reparameterization trick when the model supplies its value-and-gradient
 callable, one model call per step, else from the score-function estimator with
-a baseline, which calls only the log-joint; the entropy term is always handled
-analytically.
+a baseline, which calls only the log-joint: the model alone picks the
+estimator.  The entropy term is always handled analytically.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -31,13 +30,9 @@ from .densities import (
     coordinate_log_prob,
     log_normalizer,
     standard_noise,
+    standard_score,
 )
 from .models import TargetModel
-
-
-class Estimator(str, enum.Enum):
-    REPARAMETERIZATION = "reparameterization"
-    SCORE_FUNCTION = "score_function"
 
 
 def lambda_at(t: int, entropy_weight: Optional[float] = None) -> float:
@@ -84,15 +79,11 @@ def _noise(family: Family, n: int, dim: int, seed) -> np.ndarray:
     return standard_noise(family, n, dim, np.random.default_rng(seed))
 
 
-def _check_inputs(
-    dim: int, model: TargetModel, q_t: Optional[Mixture], estimator: Optional[Estimator] = None
-) -> None:
+def _check_inputs(dim: int, model: TargetModel, q_t: Optional[Mixture]) -> None:
     if dim != model.dim:
         raise ValueError("atom and model dimension disagree")
     if q_t is not None and q_t.dim != model.dim:
         raise ValueError("mixture and model dimension disagree")
-    if estimator is Estimator.REPARAMETERIZATION and model.grad_log_joint_batch is None:
-        raise ValueError("reparameterization estimator needs the model gradient")
 
 
 def relbo_estimate(
@@ -104,29 +95,21 @@ def relbo_estimate(
     seed,
 ) -> float:
     """Monte-Carlo residual-ELBO estimate over ``n`` samples from ``s``: the
-    value the atom solver's steps compute, here on the score-function branch,
-    which needs no model gradient.
+    value the atom solver's steps compute.  Its bits do not depend on the
+    estimator the model picks, since a model's value-and-gradient callable
+    returns the log-joint's value bit for bit.
 
     Without ``q_t`` (first iteration) the residual term is dropped, so with
     lam = 1 this is the plain ELBO estimate on the same samples.
     """
     _check_inputs(s.dim, model, q_t)
     eps = _noise(s.family, n, s.dim, seed)
-    return _relbo_grad_parts(s.family, s.loc, s.scale, eps, model, q_t, lam,
-                             Estimator.SCORE_FUNCTION, None)[2]
+    return _relbo_grad_parts(s.family, s.loc, s.scale, eps, model, q_t, lam, None)[2]
 
 
 def elbo_estimate(s: BaseDensity, model: TargetModel, n: int, seed) -> float:
     """Plain black-box VI objective: RELBO with lam = 1 and no current iterate."""
     return relbo_estimate(s, model, None, 1.0, n, seed)
-
-
-def _score_param_grads(family: Family, u: np.ndarray, scale: np.ndarray):
-    """d log s(z) / d loc and / d log-scale, per sample and coordinate, at
-    standardized points ``u = (z - loc) / scale``."""
-    if family is Family.GAUSSIAN:
-        return u / scale, u * u - 1.0
-    return np.sign(u) / scale, np.abs(u) - 1.0
 
 
 def _relbo_grad_parts(
@@ -137,17 +120,17 @@ def _relbo_grad_parts(
     model: TargetModel,
     q_t: Optional[Mixture],
     lam: float,
-    estimator: Estimator,
     baseline: Optional[float],
 ):
-    """One estimator call at atom (family, loc, scale) on the noise ``eps`` (n, D).
+    """One estimator call at atom (family, loc, scale) on the noise ``eps`` (n, D):
+    reparameterization when the model has ``grad_log_joint_batch``, else the
+    score function with ``baseline`` (None: the batch mean).
 
-    Works on raw arrays: the caller has checked the dimensions and that the
-    model has a gradient where the estimator needs one.  Returns
+    Works on raw arrays: the caller has checked the dimensions.  Returns
     (g_loc, g_log_scale, relbo_value, residual_mean).
     """
     n = len(eps)
-    reparam = estimator is Estimator.REPARAMETERIZATION
+    reparam = model.grad_log_joint_batch is not None
     z = loc + scale * eps
     # residual integrand f = log p - log q_t, and its gradient g in z
     if reparam:
@@ -173,10 +156,11 @@ def _relbo_grad_parts(
         g_log_scale = (g * eps).sum(axis=0) / n * scale
     else:
         b = f_mean if baseline is None else baseline
-        d_loc, d_log_scale = _score_param_grads(family, u, scale)
+        # d log s / d loc = -psi / scale, d log s / d log-scale = -psi u - 1
+        neg_psi = -standard_score(family, u)
         centered = (f - b)[:, None]
-        g_loc = (centered * d_loc).sum(axis=0) / n
-        g_log_scale = (centered * d_log_scale).sum(axis=0) / n
+        g_loc = (centered * (neg_psi / scale)).sum(axis=0) / n
+        g_log_scale = (centered * (neg_psi * u - 1.0)).sum(axis=0) / n
     # entropy term handled analytically: d(lam * H)/d log-scale = lam per coordinate
     g_log_scale = g_log_scale + lam
     return g_loc, g_log_scale, value, float(f_mean)
@@ -189,15 +173,14 @@ def relbo_grad(
     lam: float,
     n: int,
     seed,
-    estimator: Estimator = Estimator.REPARAMETERIZATION,
     baseline: Optional[float] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stochastic gradient of the RELBO w.r.t. (loc, log-scale)."""
-    estimator = Estimator(estimator)
-    _check_inputs(s.dim, model, q_t, estimator)
+    """Stochastic gradient of the RELBO w.r.t. (loc, log-scale), by the
+    estimator the model picks, as in :func:`lmo_solve`."""
+    _check_inputs(s.dim, model, q_t)
     eps = _noise(s.family, n, s.dim, seed)
     g_loc, g_log_scale, _, _ = _relbo_grad_parts(
-        s.family, s.loc, s.scale, eps, model, q_t, lam, estimator, baseline
+        s.family, s.loc, s.scale, eps, model, q_t, lam, baseline
     )
     return g_loc, g_log_scale
 
@@ -263,8 +246,6 @@ def lmo_solve(
     lam = lambda_at(t, cfg.entropy_weight)
     d = model.dim
     _check_inputs(d, model, q_t)
-    estimator = (Estimator.SCORE_FUNCTION if model.grad_log_joint_batch is None
-                 else Estimator.REPARAMETERIZATION)
     family = cfg.family
     ss = np.random.SeedSequence(entropy=(seed, t))
     init_rng = np.random.default_rng(ss.spawn(1)[0])
@@ -283,7 +264,7 @@ def lmo_solve(
             scale = SCALE_FLOOR + _softplus(u)
             g_loc, g_log_scale, value, f_mean = _relbo_grad_parts(
                 family, loc, scale, _noise(family, cfg.n_mc_samples, d, step_seeds[k]),
-                model, q_t, lam, estimator, baseline,
+                model, q_t, lam, baseline,
             )
             if not (np.isfinite(g_loc).all() and np.isfinite(g_log_scale).all()
                     and math.isfinite(value)):

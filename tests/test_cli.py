@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import asdict, replace
@@ -129,6 +130,11 @@ class TestRun:
         # open(0) would read the CSV from standard input
         ({"model": "logistic", "data_path": 0}, ["--out", "o"], "'data_path'"),
         ({"model": "logistic"}, ["--data", "", "--out", "o"], "'data_path'"),
+        # a path under a file: makedirs would fail only after the fit.  The
+        # rule also rejects an unwritable directory, which is not tested here
+        # because root ignores file modes.
+        ({}, ["--out", "taken.txt/sub"], "'out'"),
+        ({"out": "taken.txt/sub/deeper"}, [], "'out'"),
     ])
     def test_bad_path_value_rejected(self, tmp_path, monkeypatch, capsys, config, flags, key):
         monkeypatch.chdir(tmp_path)
@@ -141,6 +147,38 @@ class TestRun:
         assert "t=0" not in out
         assert not (tmp_path / "o").exists()
         assert (tmp_path / "taken.txt").read_text() == ""
+
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_config_file_rejected(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "cfg.json"
+        if kind == "directory":
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(b'{"model": "bimodal", "family": "\xff"}')
+        code = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o"), *FAST)
+        assert code == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        message = "Is a directory" if kind == "directory" else "can't decode byte 0xff"
+        assert f"{cfg}: " in err and message in err and "runtime error" not in err
+        assert "t=0" not in out
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("config, key", [
+        ({"delta": True}, "delta"),
+        ({"gap_tol": False}, "gap_tol"),
+        ({"split_fraction": "0.5"}, "split_fraction"),
+        ({"delta": "0.5"}, "delta"),
+    ])
+    def test_non_real_number_rejected(self, tmp_path, capsys, config, key):
+        # float() would read a bool as 0 or 1 and parse a string
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "bimodal", **config}))
+        code = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o"), *FAST)
+        assert code == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert f"config key {key!r}: value must be a real number, got {config[key]!r}" in err
+        assert "t=0" not in out
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_nonpositive_lmo_steps_rejected(self, tmp_path, capsys, steps):
@@ -169,6 +207,46 @@ class TestProbe:
 
 
 class TestPlotData:
+    @pytest.fixture(scope="class")
+    def bimodal_run(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("plotdata") / "run"
+        assert run_cli("run", "--model", "bimodal", "--variant", "fixed",
+                       "--seed", "1", "--out", str(out), *FAST) == EXIT_OK
+        return out
+
+    @pytest.mark.parametrize("out", ["taken.txt", "taken.txt/sub"])
+    def test_out_at_or_under_a_file_rejected(self, bimodal_run, tmp_path, monkeypatch,
+                                             capsys, out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken.txt").write_text("")
+        assert run_cli("plotdata", "--run", str(bimodal_run), "--out", out) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--out" in err and "not a writable directory" in err and "runtime error" not in err
+        assert (tmp_path / "taken.txt").read_text() == ""
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("trace.json", lambda text: "not json", "Expecting value"),
+        ("trace.json", lambda text: "{}", "missing entry 'traces'"),
+        ("trace.json", lambda text: text.replace('"gamma"', '"step"', 1), "missing entry 'gamma'"),
+        ("trace.json", lambda text: json.dumps({"traces": []}), "list index out of range"),
+        ("summary.json", lambda text: text.replace('"config"', '"settings"', 1),
+         "missing entry 'config'"),
+        ("summary.json", lambda text: text.replace('"model_params": {}',
+                                                   '"model_params": {"sigma": [-1.0, 0.5]}', 1),
+         "sigma entries must be finite"),
+    ], ids=["not-json", "empty-object", "record-without-gamma", "no-traces",
+            "summary-without-config", "summary-bad-model-params"])
+    def test_malformed_run_file_is_config_error(self, bimodal_run, tmp_path, capsys,
+                                                name, edit, message):
+        run = tmp_path / "run"
+        shutil.copytree(bimodal_run, run)
+        (run / name).write_text(edit((run / name).read_text()))
+        assert run_cli("plotdata", "--run", str(run)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{run / name}: {message}" in err and "runtime error" not in err
+        assert not (run / "plot_series.csv").exists()
+        assert not (run / "plot_density.csv").exists()
+
     def test_plotdata_outputs(self, tmp_path):
         out = tmp_path / "run"
         assert run_cli("run", "--model", "bimodal", "--variant", "fixed",
@@ -300,6 +378,9 @@ class TestBadInputData:
         ("bimodal", {"mu": [-1.0, 0.0, 1.0]}, "mu"),
         ("bimodal", {"pi": [0.2, 0.3, 0.5]}, "pi"),
         ("bimodal", {"mu": [[-1.0, 1.0]]}, "mu"),
+        # float() would read a bool as 1.0 and parse a string
+        ("logistic", {"margin": True}, "margin"),
+        ("matrix_factorization", {"noise": "0.1"}, "noise"),
     ])
     def test_bad_model_params_value(self, tmp_path, capsys, model, params, key):
         cfg = tmp_path / "cfg.json"

@@ -238,6 +238,10 @@ class TestLogSumExp:
         wide = np.full((4, 3), 1e308)
         wide[0, 0] = -1e308
         cases.append(wide)
+        # rows whose maximum is not finite
+        cases.append(np.array([[np.inf, np.inf, 1.0], [np.inf, -np.inf, 0.0],
+                               [np.nan, np.inf, 0.0], [1e308, np.inf, 3.0],
+                               [-np.inf, -np.inf, -np.inf]]))
         for a in cases:
             with np.errstate(all="ignore"):
                 ref = scipy_logsumexp(a, axis=axis, keepdims=keepdims)

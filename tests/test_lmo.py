@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from boostvi import (
     BaseDensity,
-    Estimator,
     Family,
     LmoConfig,
     Mixture,
@@ -23,7 +22,12 @@ from boostvi import (
 )
 from boostvi.densities import PARAM_BOX, SCALE_FLOOR, standard_noise
 from boostvi.lmo import _Adam, _initial_params
-from boostvi.models import Dataset, TargetModel, logistic_regression_model
+from boostvi.models import (
+    Dataset,
+    TargetModel,
+    logistic_regression_model,
+    matrix_factorization_model,
+)
 
 from oracles import RESIDUAL_ATOM_OPT, SINGLE_GAUSSIAN_FIT, gaussian_logpdf, relative_error
 
@@ -96,6 +100,40 @@ class TestRelboEstimate:
             s, model, None, 0.5, 64, seed=9
         )
 
+    @pytest.mark.parametrize("name", ["bimodal", "logistic", "factorization"])
+    @pytest.mark.parametrize("with_q_t", [False, True])
+    def test_same_bits_without_model_gradient(self, name, with_q_t):
+        # the model's gradient picks the estimator; the RELBO value is the
+        # same either way, since the value-and-gradient callable's value is
+        # the log-joint bit for bit, and a mixture's log_prob_and_grad value
+        # its log_prob
+        rng = np.random.default_rng(31)
+        if name == "bimodal":
+            model = synthetic_bimodal_target()
+        elif name == "logistic":
+            model = _random_logistic_model(seed=4, n=40, n_feat=3)
+        else:
+            model = matrix_factorization_model(
+                Dataset(features=None, labels=rng.standard_normal((5, 4)),
+                        mask=rng.uniform(size=(5, 4)) < 0.7),
+                latent_dim=2,
+            )
+        d = model.dim
+        s = BaseDensity(Family.GAUSSIAN, rng.standard_normal(d), rng.uniform(0.3, 1.5, d))
+        q_t = None
+        if with_q_t:
+            q_t = Mixture.from_unnormalized(
+                [BaseDensity(Family.GAUSSIAN, rng.standard_normal(d), rng.uniform(0.3, 1.5, d))
+                 for _ in range(3)],
+                rng.uniform(0.5, 1.5, 3),
+            )
+        gradient_free = replace(model, grad_log_joint_batch=None)
+        for lam in (1.0, 0.3):
+            a = relbo_estimate(s, model, q_t, lam, 64, seed=6)
+            b = relbo_estimate(s, gradient_free, q_t, lam, 64, seed=6)
+            assert np.isfinite(a)
+            assert a == b
+
     def test_dimension_mismatch(self):
         model = synthetic_bimodal_target()
         with pytest.raises(ValueError, match="dimension"):
@@ -121,17 +159,16 @@ class TestRelboGrad:
         model = TargetModel(dim=2, log_joint_batch=lambda Z: np.ones(len(Z)))
         s = BaseDensity(Family.GAUSSIAN, [0.0, 0.5], [1.0, 2.0])
         n = 100_000
-        g_loc, g_ls = relbo_grad(
-            s, model, None, 0.7, n, seed=2, estimator=Estimator.SCORE_FUNCTION,
-            baseline=1.0,
-        )
+        # the model has no gradient, so relbo_grad takes the score function
+        g_loc, g_ls = relbo_grad(s, model, None, 0.7, n, seed=2, baseline=1.0)
         se = 4.0 / math.sqrt(n)
         assert np.all(np.abs(g_loc) < 4 * se)
         assert np.all(np.abs(g_ls - 0.7) < 8 * se)
 
     def test_estimators_match_finite_differences(self):
         # central differences of the Monte-Carlo objective under common
-        # random numbers, compared against both gradient estimators
+        # random numbers, compared against both gradient estimators: the
+        # model's reparameterization and, without its gradient, the score function
         model = _random_logistic_model()
         s = BaseDensity(Family.GAUSSIAN, [0.3, -0.2], [0.8, 1.2])
         lam, n, seed = 0.8, 100_000, 4
@@ -149,8 +186,9 @@ class TestRelboGrad:
             e[i] = h
             fd_loc[i] = (objective(loc0 + e, ls0) - objective(loc0 - e, ls0)) / (2 * h)
             fd_ls[i] = (objective(loc0, ls0 + e) - objective(loc0, ls0 - e)) / (2 * h)
-        for estimator in (Estimator.REPARAMETERIZATION, Estimator.SCORE_FUNCTION):
-            g_loc, g_ls = relbo_grad(s, model, None, lam, n, seed, estimator=estimator)
+        for estimator, m in (("reparameterization", model),
+                             ("score_function", replace(model, grad_log_joint_batch=None))):
+            g_loc, g_ls = relbo_grad(s, m, None, lam, n, seed)
             assert relative_error(g_loc, fd_loc) < 0.05, estimator
             assert relative_error(g_ls, fd_ls) < 0.05, estimator
 
@@ -164,10 +202,14 @@ class TestRelboGrad:
         with pytest.raises(TypeError, match="tuple"):
             relbo_grad(s, model, None, 1.0, n, seed=0)
 
-    def test_reparameterization_needs_model_gradient(self):
-        model = TargetModel(dim=1, log_joint_batch=lambda Z: np.zeros(len(Z)))
-        with pytest.raises(ValueError, match="gradient"):
-            relbo_grad(gaussian(0, 1), model, None, 1.0, 8, seed=0)
+    def test_gradient_free_model_calls_only_the_log_joint(self):
+        # the model picks the estimator: without a gradient, relbo_grad takes
+        # the score function, which needs the log-joint alone
+        model, calls = _counting_model(
+            TargetModel(dim=1, log_joint_batch=lambda Z: np.zeros(len(Z))))
+        g_loc, g_ls = relbo_grad(gaussian(0, 1), model, None, 1.0, 8, seed=0)
+        assert calls == {"log_joint": 1, "value_and_grad": 0}
+        assert np.isfinite(g_loc).all() and np.isfinite(g_ls).all()
 
 
 class TestLmoSolve:
@@ -296,15 +338,16 @@ class TestModelCallsPerStep:
         cfg = LmoConfig(n_steps=50, n_mc_samples=16)
         lmo_solve(model, None, 1, cfg, 5)
         assert calls == {"log_joint": cfg.n_steps, "value_and_grad": 0}
-        # also on a model that has a gradient, when the estimator is chosen
-        model, calls = _counting_model(_random_logistic_model(seed=3, n=30, n_feat=2))
+        # also outside the solver: relbo_grad and relbo_estimate on the same model
+        model, calls = _counting_model(
+            replace(_random_logistic_model(seed=3, n=30, n_feat=2), grad_log_joint_batch=None))
         s = gaussian([0.2, -0.1], [0.7, 1.1])
-        relbo_grad(s, model, None, 1.0, 16, 0, estimator=Estimator.SCORE_FUNCTION)
+        relbo_grad(s, model, None, 1.0, 16, 0)
         relbo_estimate(s, model, None, 1.0, 16, 0)
         assert calls == {"log_joint": 2, "value_and_grad": 0}
 
 
-def _reference_solve(model, q_t, t, cfg, seed, estimator):
+def _reference_solve(model, q_t, t, cfg, seed):
     """lmo_solve rebuilt from public pieces: a validated BaseDensity and a
     relbo_grad call per step, the RELBO value from the atom's own log_prob,
     the same seed layout and the same Adam, EMA and box steps."""
@@ -320,8 +363,7 @@ def _reference_solve(model, q_t, t, cfg, seed, estimator):
     for k in range(cfg.n_steps):
         scale = floor + np.logaddexp(0.0, u)
         s = BaseDensity(cfg.family, loc, scale)
-        g_loc, g_log_scale = relbo_grad(s, model, q_t, lam, n, step_seeds[k],
-                                        estimator, baseline)
+        g_loc, g_log_scale = relbo_grad(s, model, q_t, lam, n, step_seeds[k], baseline)
         rng = np.random.default_rng(step_seeds[k])
         z = s.transform(standard_noise(cfg.family, n, d, rng))
         f = model.log_joint_batch(z)
@@ -347,12 +389,13 @@ def _reference_solve(model, q_t, t, cfg, seed, estimator):
 
 class TestSolverMatchesReferenceLoop:
     @pytest.mark.parametrize("family", list(Family))
-    @pytest.mark.parametrize("estimator", list(Estimator))
+    # ids name the estimator that the model's gradient, or its absence, picks
+    @pytest.mark.parametrize("with_gradient", [True, False],
+                             ids=["reparameterization", "score_function"])
     @pytest.mark.parametrize("n_atoms", [None, 3])
-    def test_bit_identical(self, family, estimator, n_atoms):
+    def test_bit_identical(self, family, with_gradient, n_atoms):
         model = _random_logistic_model(seed=2, n=40, n_feat=3)
-        if estimator is Estimator.SCORE_FUNCTION:
-            # lmo_solve takes the score-function estimator for a model without a gradient
+        if not with_gradient:
             model = replace(model, grad_log_joint_batch=None)
         q_t = None
         if n_atoms is not None:
@@ -364,7 +407,7 @@ class TestSolverMatchesReferenceLoop:
             )
         cfg = LmoConfig(family=family, n_steps=80, n_mc_samples=16, step_size=0.05)
         res = lmo_solve(model, q_t, 2, cfg, 4)
-        atom, relbo, converged = _reference_solve(model, q_t, 2, cfg, 4, estimator)
+        atom, relbo, converged = _reference_solve(model, q_t, 2, cfg, 4)
         np.testing.assert_array_equal(res.atom.loc, atom.loc)
         np.testing.assert_array_equal(res.atom.scale, atom.scale)
         assert res.relbo_estimate == relbo
