@@ -15,11 +15,11 @@ estimator.  The entropy term is always handled analytically.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .densities import (
     PARAM_BOX,
@@ -33,6 +33,11 @@ from .densities import (
     standard_score,
 )
 from .models import TargetModel
+
+
+# Adam squares the log-scale gradient, which carries lambda, so a larger
+# constant lambda overflows on the first step
+MAX_ENTROPY_WEIGHT = math.sqrt(sys.float_info.max)
 
 
 def lambda_at(t: int, entropy_weight: Optional[float] = None) -> float:
@@ -61,8 +66,10 @@ class LmoConfig:
         # each range test is False for NaN, so NaN is rejected
         if not 0 < self.step_size < math.inf:
             raise ValueError("step_size must be finite and positive")
-        if self.entropy_weight is not None and not 0 < self.entropy_weight < math.inf:
-            raise ValueError("entropy_weight (lambda) must be finite and positive")
+        if (self.entropy_weight is not None
+                and not 0 < self.entropy_weight <= MAX_ENTROPY_WEIGHT):
+            raise ValueError(f"entropy_weight (lambda) must be positive and at most "
+                             f"{MAX_ENTROPY_WEIGHT:.4g}")
         object.__setattr__(self, "family", Family(self.family))
 
 
@@ -261,7 +268,8 @@ def lmo_solve(
         ema_checkpoint = None
         failed = False
         for k in range(cfg.n_steps):
-            scale = SCALE_FLOOR + _softplus(u)
+            softplus_u = _softplus(u)
+            scale = SCALE_FLOOR + softplus_u
             g_loc, g_log_scale, value, f_mean = _relbo_grad_parts(
                 family, loc, scale, _noise(family, cfg.n_mc_samples, d, step_seeds[k]),
                 model, q_t, lam, baseline,
@@ -278,8 +286,9 @@ def lmo_solve(
                 best_params = (loc, u)
             if k == (3 * cfg.n_steps) // 4:
                 ema_checkpoint = ema
-            # chain rule through scale = floor + softplus(u)
-            g_u = g_log_scale * expit(u) / scale
+            # chain rule through scale = floor + softplus(u): softplus'(u) =
+            # sigmoid(u) = 1 - exp(-softplus(u)), from the softplus in hand
+            g_u = g_log_scale * -np.expm1(-softplus_u) / scale
             delta = opt.step(np.concatenate([g_loc, g_u]))
             loc = _to_box(loc + delta[:d])
             u = u + delta[d:]

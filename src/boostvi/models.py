@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import expit, log_expit
 
 from .densities import LOG_2PI, BaseDensity, Family, Mixture, _as_loc, _as_scale, _check_points
 
@@ -113,10 +112,45 @@ def synthetic_bimodal_target(
     )
 
 
+def _exp_neg_abs(x: np.ndarray) -> np.ndarray:
+    """e = exp(-|x|), in [0, 1]: the one ``exp`` per element that the sigmoid
+    and the log-sigmoid share, the same for x and -x.  It cannot overflow,
+    and it is formed in one new array."""
+    e = np.abs(x)
+    np.negative(e, out=e)
+    return np.exp(e, out=e)
+
+
+def _sigmoid(x: np.ndarray, e: Optional[np.ndarray] = None) -> np.ndarray:
+    """sigma(x) = where(x >= 0, 1, e) / (1 + e), elementwise, with e =
+    exp(-|x|) formed here unless given.  A given e is left as it is; one
+    formed here takes 1 + e in place, so no array beyond e and the result
+    is made."""
+    formed = e is None
+    if formed:
+        e = _exp_neg_abs(x)
+    out = np.where(x >= 0, 1.0, e)
+    out /= np.add(e, 1.0, out=e if formed else None)
+    return out
+
+
+def _log_sigmoid(x: np.ndarray, e: Optional[np.ndarray] = None,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+    """log sigma(x) = min(x, 0) - log1p(e), elementwise, with e = exp(-|x|)
+    formed here unless given.  Works in place: a given e is overwritten, and
+    the result goes to ``out``, which may be x itself."""
+    if e is None:
+        e = _exp_neg_abs(x)
+    np.log1p(e, out=e)
+    out = np.minimum(x, 0.0, out=out)
+    out -= e
+    return out
+
+
 def class_probabilities(samples: np.ndarray, features: np.ndarray) -> np.ndarray:
     """Posterior-predictive P(y = 1) of each row of ``features`` (m, F): the
     sigmoid of its logit under each weight sample (n, F), averaged over samples."""
-    return expit(samples @ features.T).mean(axis=0)
+    return _sigmoid(samples @ features.T).mean(axis=0)
 
 
 def _mean_bernoulli_ll(probs: np.ndarray, y: np.ndarray) -> float:
@@ -134,21 +168,27 @@ def logistic_regression_model(data: Dataset) -> TargetModel:
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise DataError("labels must be binary (0/1)")
     n_feat = X.shape[1]
-    # y log sigma(l) + (1 - y) log sigma(-l) = log sigma(sign * l) for y in {0, 1}
+    # y log sigma(l) + (1 - y) log sigma(-l) = log sigma(s) with s = sign * l
+    # for y in {0, 1}, and the residual y - sigma(l) is sign * sigma(-s)
     sign = 2.0 * y - 1.0
 
-    def log_joint(W: np.ndarray, signed_logits: np.ndarray) -> np.ndarray:
+    def log_joint(W: np.ndarray, log_lik: np.ndarray) -> np.ndarray:
         prior = -0.5 * np.sum(W * W, axis=1) - 0.5 * n_feat * LOG_2PI
-        return prior + log_expit(signed_logits).sum(axis=1)
+        return prior + log_lik.sum(axis=1)
 
     def batch(W: np.ndarray) -> np.ndarray:
-        # the product reuses the buffer of the unnamed W @ X.T, which keeps
-        # one (n, N) array fewer alive on the n = 2048 certificate batches
-        return log_joint(W, (W @ X.T) * sign)
+        # in place: two (n, N) arrays alive, s and e, on the n = 2048
+        # certificate batches
+        s = W @ X.T
+        s *= sign
+        return log_joint(W, _log_sigmoid(s, out=s))
 
     def value_and_grad(W: np.ndarray):
-        logits = W @ X.T
-        return log_joint(W, logits * sign), -W + (y - expit(logits)) @ X
+        # one exp per element, shared by the value and the residual
+        s = (W @ X.T) * sign
+        e = _exp_neg_abs(s)
+        resid = sign * _sigmoid(-s, e)
+        return log_joint(W, _log_sigmoid(s, e)), -W + resid @ X
 
     def train_ll(samples: np.ndarray) -> float:
         return _mean_bernoulli_ll(class_probabilities(samples, X), y)

@@ -3,7 +3,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import expit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +20,7 @@ from boostvi import (
     synthetic_bimodal_target,
 )
 from boostvi.densities import PARAM_BOX, SCALE_FLOOR, standard_noise
-from boostvi.lmo import _Adam, _initial_params
+from boostvi.lmo import MAX_ENTROPY_WEIGHT, _Adam, _initial_params
 from boostvi.models import (
     Dataset,
     TargetModel,
@@ -47,9 +46,11 @@ class TestLambdaSchedule:
             assert lambda_at(t, 0.7) == 0.7
 
     def test_validation(self):
-        for weight in (0.0, -1.0, math.nan):
+        for weight in (0.0, -1.0, math.nan, 1e200, math.nextafter(MAX_ENTROPY_WEIGHT, math.inf)):
             with pytest.raises(ValueError, match="entropy_weight"):
                 LmoConfig(entropy_weight=weight)
+        for weight in (1e150, MAX_ENTROPY_WEIGHT):
+            assert LmoConfig(entropy_weight=weight).entropy_weight == weight
         with pytest.raises(ValueError):
             lambda_at(-1)
 
@@ -361,7 +362,8 @@ def _reference_solve(model, q_t, t, cfg, seed):
     ema = baseline = checkpoint = best = None
     best_ema = -np.inf
     for k in range(cfg.n_steps):
-        scale = floor + np.logaddexp(0.0, u)
+        softplus_u = np.logaddexp(0.0, u)
+        scale = floor + softplus_u
         s = BaseDensity(cfg.family, loc, scale)
         g_loc, g_log_scale = relbo_grad(s, model, q_t, lam, n, step_seeds[k], baseline)
         rng = np.random.default_rng(step_seeds[k])
@@ -377,7 +379,8 @@ def _reference_solve(model, q_t, t, cfg, seed):
             best_ema, best = ema, (loc.copy(), u.copy())
         if k == (3 * cfg.n_steps) // 4:
             checkpoint = ema
-        g_u = g_log_scale * expit(u) / scale
+        # softplus'(u) = sigmoid(u) = 1 - exp(-softplus(u))
+        g_u = g_log_scale * -np.expm1(-softplus_u) / scale
         delta = opt.step(np.concatenate([g_loc, g_u]))
         loc = np.clip(loc + delta[:d], -box, box)
         u = u + delta[d:]

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import log_expit
+from scipy.special import expit, log_expit
 from scipy.stats import rankdata
 
 from boostvi import (
@@ -17,7 +18,7 @@ from boostvi import (
     synthetic_bimodal_target,
 )
 from boostvi.densities import LOG_2PI, BaseDensity, Family, QuadratureGrid
-from boostvi.models import _reconstruct, _unpack_uv, log_joint_batch
+from boostvi.models import _log_sigmoid, _reconstruct, _sigmoid, _unpack_uv, log_joint_batch
 
 from oracles import (
     BIMODAL_LOGPDF_AT_0,
@@ -171,6 +172,42 @@ class TestLogisticRegression:
             logistic_regression_model(
                 Dataset(features=np.ones((2, 1)), labels=np.array([0.0, 2.0]))
             )
+
+
+class TestSigmoidHelpers:
+    """The numpy sigmoid and log-sigmoid against SciPy's expit and log_expit."""
+
+    @pytest.mark.parametrize("ours, ref", [(_sigmoid, expit), (_log_sigmoid, log_expit)],
+                             ids=["sigmoid", "log_sigmoid"])
+    def test_matches_scipy_without_warnings(self, ours, ref):
+        rng = np.random.default_rng(21)
+        logits = rng.standard_normal((4, 2000)) * np.array([[1.0], [10.0], [100.0], [800.0]])
+        far = rng.uniform(700.0, 1e5, 2000) * rng.choice([-1.0, 1.0], 2000)
+        edges = [0.0, -0.0, 700.0, -700.0, 745.0, -745.0, 1e308, -1e308,
+                 np.inf, -np.inf, np.nan]
+        x = np.concatenate([logits.ravel(), far, edges])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = ours(x)
+        expected = ref(x)
+        # below x = -709.78 SciPy's 1 / (1 + exp(-x)) overflows in exp and
+        # returns 0, where e / (1 + e) keeps the subnormal tail; there both
+        # lie below the smallest normal number
+        tiny = np.finfo(float).tiny
+        normal = ~(np.abs(expected) < tiny)  # NaN included
+        np.testing.assert_allclose(got[normal], expected[normal], rtol=1e-15, atol=0)
+        assert np.all(np.abs(got[~normal]) <= tiny)
+        assert np.isnan(got[-1]) and np.all(np.isfinite(got[:-3]))
+
+    def test_logistic_gradient_matches_scipy_residual(self):
+        # the kernel's residual sign * sigma(-s) against y - expit(l),
+        # saturated logits included
+        rng = np.random.default_rng(22)
+        X = rng.standard_normal((30, 2)) * np.array([1.0, 200.0])
+        y = (rng.uniform(size=30) < 0.5).astype(float)
+        W = rng.standard_normal((8, 2))
+        _, grad = logistic_regression_model(Dataset(features=X, labels=y)).grad_log_joint_batch(W)
+        np.testing.assert_allclose(grad, -W + (y - expit(W @ X.T)) @ X, rtol=1e-12)
 
 
 class TestMatrixFactorization:
