@@ -409,6 +409,25 @@ def _kl_oracle(model: TargetModel, q: Mixture) -> Optional[float]:
     return quadrature_kl(q, model.posterior_log_pdf, _ORACLE_GRID)
 
 
+def check_kl_oracle_grid(model: TargetModel, source: str) -> None:
+    """Raise a :class:`DataError`, naming ``source`` as the cause, unless the
+    KL oracle's grid holds and resolves the model's normalized 1-D posterior:
+    its trapezoid mass there must be 1 to within 1e-6.  The oracle
+    renormalizes the posterior on its grid, so its KL is garbage for a
+    component off the grid or narrower than the grid spacing.  A model
+    without an oracle passes."""
+    if model.posterior_log_pdf is None or model.dim != 1:
+        return
+    grid = _ORACLE_GRID
+    z = grid.points()
+    mass = float(_trapezoid(np.exp(model.posterior_log_pdf(z)), z))
+    if not abs(mass - 1.0) <= 1e-6:
+        spacing = (grid.hi - grid.lo) / (grid.n_points - 1)
+        raise DataError(f"{source} give the target mass {mass:.6g} on the KL oracle's grid, "
+                        f"not 1: every component must lie inside [{grid.lo:g}, {grid.hi:g}] "
+                        f"and span several of its {spacing:g} steps")
+
+
 def run_boosting(
     model: TargetModel,
     cfg: FwConfig,

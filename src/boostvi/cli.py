@@ -69,6 +69,16 @@ def _parse_lambda(text) -> Optional[float]:
     raise CliError(f"invalid --lambda {text!r}: expected 'sqrt' or 'const:<v>'")
 
 
+def number(text: str):
+    """A numeric flag's text as the number a JSON config would give: an int
+    when it spells one, else a float.  Its key's ``_SETTINGS`` conversion then
+    reads it as it reads the config value."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def _path(value) -> str:
     """A path given as a non-empty string; anything else, such as a number
     that ``open`` would read as a file descriptor, raises a ValueError."""
@@ -120,14 +130,14 @@ def build_parser() -> _Parser:
     run.add_argument("--model", help="bimodal | logistic | matrix_factorization")
     run.add_argument("--data", dest="data_path", help="CSV dataset path")
     run.add_argument("--variant", help="fixed | linesearch | fullycorrective")
-    run.add_argument("--iters", type=int, help="number of boosting iterations")
-    run.add_argument("--mc-samples", type=int, help="Monte-Carlo samples per LMO step")
-    run.add_argument("--lmo-steps", type=int, help="gradient steps per LMO solve")
+    run.add_argument("--iters", type=number, help="number of boosting iterations")
+    run.add_argument("--mc-samples", type=number, help="Monte-Carlo samples per LMO step")
+    run.add_argument("--lmo-steps", type=number, help="gradient steps per LMO solve")
     run.add_argument("--lambda", help="sqrt | const:<v>")
-    run.add_argument("--delta", type=float, help="assumed LMO accuracy in (0, 1]")
-    run.add_argument("--gap-tol", type=float, help="duality-gap stopping tolerance")
-    run.add_argument("--seed", type=int, help="base seed")
-    run.add_argument("--n-seeds", type=int, help="number of seeds to aggregate")
+    run.add_argument("--delta", type=number, help="assumed LMO accuracy in (0, 1]")
+    run.add_argument("--gap-tol", type=number, help="duality-gap stopping tolerance")
+    run.add_argument("--seed", type=number, help="base seed")
+    run.add_argument("--n-seeds", type=number, help="number of seeds to aggregate")
     run.add_argument("--family", help="gaussian | laplace")
     run.add_argument("--out", help="output directory")
 

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .boosting import BoostTrace, FwConfig, run_boosting
+from .boosting import BoostTrace, FwConfig, check_kl_oracle_grid, run_boosting
 from .densities import Mixture, QuadratureGrid
 from .models import (
     DataError,
@@ -30,17 +30,42 @@ from .models import (
     synthetic_bimodal_target,
 )
 
-# the model_params keys that shape each data model's synthetic data set; a
-# data file replaces that data set, so ExperimentConfig rejects them beside one
-SYNTHETIC_DATA_PARAMS = {
-    "logistic": ("n", "n_features", "margin", "flip_fraction"),
-    "matrix_factorization": ("rows", "cols", "rank", "noise", "mask_fraction"),
-}
-# the model_params keys each model reads; ExperimentConfig rejects any other
+
+def whole_number(value, name: str = "value") -> int:
+    """A count given as an int or a whole float, as an int.  Any other value
+    raises a :class:`DataError` naming ``name``: a fraction, which ``int``
+    would truncate, a bool, which it would read as 0 or 1, or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        whole = False
+    else:
+        whole = isinstance(value, numbers.Integral) or float(value).is_integer()
+    if not whole:
+        raise DataError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def real_number(value, name: str = "value") -> float:
+    """A real number given as an int or a float, as a float.  Any other value
+    raises a :class:`DataError` naming ``name``: a bool, which ``float``
+    would read as 0 or 1, or a string, which it would parse."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DataError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+# each model's model_params keys and how a given value is read (None: as
+# given): first the keys of its synthetic-data generator, then those of its
+# model builder.  A key the config leaves out keeps the default of the function
+# that takes it.  A data file replaces the synthetic data, so ExperimentConfig
+# rejects the generator's keys beside one, and any key not listed here.
 MODEL_PARAMS = {
-    "bimodal": ("mu", "sigma", "pi"),
-    "logistic": SYNTHETIC_DATA_PARAMS["logistic"],
-    "matrix_factorization": SYNTHETIC_DATA_PARAMS["matrix_factorization"] + ("latent_dim",),
+    "bimodal": ({}, {"mu": None, "sigma": None, "pi": None}),
+    "logistic": ({"n": whole_number, "n_features": whole_number,
+                  "margin": real_number, "flip_fraction": real_number}, {}),
+    "matrix_factorization": ({"rows": whole_number, "cols": whole_number,
+                              "rank": whole_number, "noise": real_number,
+                              "mask_fraction": real_number},
+                             {"latent_dim": whole_number}),
 }
 # posterior samples behind each held-out predictive metric
 METRIC_SAMPLES = 2048
@@ -142,16 +167,23 @@ def split(data: Dataset, fraction: float, seed) -> tuple[Dataset, Dataset]:
 
 
 def make_separable_classification(
-    n: int, n_feat: int, seed, margin: float = 1.0, flip_fraction: float = 0.0
+    n: int = 400, n_features: int = 5, margin: float = 1.0, flip_fraction: float = 0.0, *, seed
 ) -> Dataset:
     """Synthetic binary data with a known hyperplane; ``flip_fraction``
-    mislabels that share of rows so metrics stay off their ceiling."""
+    mislabels that share of rows so metrics stay off their ceiling.  A value
+    out of range raises a ValueError naming its key."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n_features < 1:
+        raise ValueError("n_features must be >= 1")
+    if not math.isfinite(margin):
+        raise ValueError("margin must be finite")
     if not 0.0 <= flip_fraction < 0.5:
         raise ValueError("flip_fraction must lie in [0, 0.5)")
     rng = np.random.default_rng(seed)
-    w = rng.standard_normal(n_feat)
+    w = rng.standard_normal(n_features)
     w = w / np.linalg.norm(w)
-    X = rng.standard_normal((n, n_feat))
+    X = rng.standard_normal((n, n_features))
     score = X @ w
     X = X + np.outer(np.sign(score) * margin, w)  # push rows away from the plane
     y = ((X @ w) > 0).astype(float)
@@ -163,9 +195,19 @@ def make_separable_classification(
 
 
 def make_lowrank_matrix(
-    rows: int, cols: int, rank: int, noise: float, mask_fraction: float, seed
+    rows: int = 20, cols: int = 15, rank: int = 2, noise: float = 0.1,
+    mask_fraction: float = 1.0, *, seed
 ) -> Dataset:
-    """Noisy low-rank matrix with a random observation mask."""
+    """Noisy low-rank matrix with a random observation mask that keeps each
+    cell with probability ``mask_fraction``.  A value out of range raises a
+    ValueError naming its key."""
+    for key, count in (("rows", rows), ("cols", cols), ("rank", rank)):
+        if count < 1:
+            raise ValueError(f"{key} must be >= 1")
+    if not 0.0 <= noise < math.inf:
+        raise ValueError("noise must be finite and >= 0")
+    if not 0.0 < mask_fraction <= 1.0:
+        raise ValueError("mask_fraction must lie in (0, 1]")
     rng = np.random.default_rng(seed)
     U = rng.standard_normal((rank, rows))
     V = rng.standard_normal((rank, cols))
@@ -187,15 +229,17 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.model not in MODEL_PARAMS:
             raise ValueError(f"unknown model {self.model!r}, expected one of {tuple(MODEL_PARAMS)}")
-        unknown = sorted(set(self.model_params) - set(MODEL_PARAMS[self.model]))
+        data_keys, model_keys = MODEL_PARAMS[self.model]
+        known = [*data_keys, *model_keys]
+        unknown = sorted(set(self.model_params) - set(known))
         if unknown:
             raise ValueError(f"unknown model_params keys for {self.model!r}: {unknown}, "
-                             f"expected some of {list(MODEL_PARAMS[self.model])}")
+                             f"expected some of {known}")
         if self.data_path is not None:
             if self.model == "bimodal":
                 raise ValueError("data_path (--data) is set, but the bimodal target "
                                  "reads no data")
-            replaced = sorted(set(self.model_params) & set(SYNTHETIC_DATA_PARAMS[self.model]))
+            replaced = sorted(set(self.model_params) & set(data_keys))
             if replaced:
                 raise ValueError(f"model_params keys {replaced} shape the synthetic data "
                                  f"that data_path (--data) replaces")
@@ -226,66 +270,29 @@ def _aggregate(per_seed: list[dict]) -> tuple[dict, dict]:
     return mean, std
 
 
+def _given(model_params: dict, keys: dict) -> dict:
+    """The values ``model_params`` gives for ``keys``, a group of a
+    :data:`MODEL_PARAMS` entry, each read by its entry there."""
+    return {k: model_params[k] if read is None else read(model_params[k], f"model_params {k!r}")
+            for k, read in keys.items() if k in model_params}
+
+
 def bimodal_target(model_params: dict) -> TargetModel:
     """The bimodal target of a config's ``model_params``; absent keys take
     the defaults of :func:`synthetic_bimodal_target`."""
-    return synthetic_bimodal_target(
-        **{k: model_params[k] for k in MODEL_PARAMS["bimodal"] if k in model_params}
-    )
-
-
-def whole_number(value, name: str = "value") -> int:
-    """A count given as an int or a whole float, as an int.  Any other value
-    raises a :class:`DataError` naming ``name``: a fraction, which ``int``
-    would truncate, a bool, which it would read as 0 or 1, or a string."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        whole = False
-    else:
-        whole = isinstance(value, numbers.Integral) or float(value).is_integer()
-    if not whole:
-        raise DataError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
-
-
-def real_number(value, name: str = "value") -> float:
-    """A real number given as an int or a float, as a float.  Any other value
-    raises a :class:`DataError` naming ``name``: a bool, which ``float``
-    would read as 0 or 1, or a string, which it would parse."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise DataError(f"{name} must be a real number, got {value!r}")
-    return float(value)
-
-
-def _count_param(p: dict, key: str, default: int) -> int:
-    """The count ``model_params[key]``, ``default`` when absent; see
-    :func:`whole_number`."""
-    return whole_number(p.get(key, default), f"model_params {key!r}")
+    return synthetic_bimodal_target(**_given(model_params, MODEL_PARAMS["bimodal"][1]))
 
 
 def _build_dataset(cfg: ExperimentConfig, seed: int) -> Optional[Dataset]:
-    p = cfg.model_params
     if cfg.model == "bimodal":
         return None
     if cfg.data_path is not None:
         schema = "matrix" if cfg.model == "matrix_factorization" else "classification"
         return load_csv(cfg.data_path, schema)
+    given = _given(cfg.model_params, MODEL_PARAMS[cfg.model][0])
     if cfg.model == "logistic":
-        # margin and flip_fraction keep the generator's defaults unless given
-        return make_separable_classification(
-            _count_param(p, "n", 400),
-            _count_param(p, "n_features", 5),
-            seed=(seed, 9001),
-            **{k: real_number(p[k], f"model_params {k!r}")
-               for k in ("margin", "flip_fraction") if k in p},
-        )
-    return make_lowrank_matrix(
-        _count_param(p, "rows", 20),
-        _count_param(p, "cols", 15),
-        _count_param(p, "rank", 2),
-        real_number(p.get("noise", 0.1), "model_params 'noise'"),
-        real_number(p.get("mask_fraction", 1.0), "model_params 'mask_fraction'"),
-        seed=(seed, 9002),
-    )
+        return make_separable_classification(**given, seed=(seed, 9001))
+    return make_lowrank_matrix(**given, seed=(seed, 9002))
 
 
 def _build_model(cfg: ExperimentConfig, seed: int) -> tuple[TargetModel, Optional[Dataset]]:
@@ -297,12 +304,13 @@ def _build_model(cfg: ExperimentConfig, seed: int) -> tuple[TargetModel, Optiona
     try:
         data = _build_dataset(cfg, seed)
         if data is None:
-            return bimodal_target(p), None
+            model = bimodal_target(p)
+            check_kl_oracle_grid(model, "model_params 'mu' and 'sigma'")
+            return model, None
         train, test = split(data, cfg.split_fraction, seed=(seed, 777))
-        if cfg.model == "logistic":
-            model = logistic_regression_model(train)
-        else:
-            model = matrix_factorization_model(train, _count_param(p, "latent_dim", 2))
+        build = (logistic_regression_model if cfg.model == "logistic"
+                 else matrix_factorization_model)
+        model = build(train, **_given(p, MODEL_PARAMS[cfg.model][1]))
     except DataError:
         raise
     except (TypeError, ValueError) as e:

@@ -226,7 +226,7 @@ def gaussian_log_likelihood(resid: np.ndarray) -> float:
     return float(np.mean(-0.5 * resid**2 - 0.5 * LOG_2PI))
 
 
-def matrix_factorization_model(data: Dataset, latent_dim: int) -> TargetModel:
+def matrix_factorization_model(data: Dataset, latent_dim: int = 2) -> TargetModel:
     """Bayesian matrix factorization R ~ N(U^T V, I) with standard-normal
     entries of U and V; the latent vector is vec(U) followed by vec(V)."""
     if latent_dim < 1:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from boostvi import harness
-from boostvi.cli import EXIT_CONFIG, EXIT_OK, main
+from boostvi.cli import EXIT_CONFIG, EXIT_OK, CliError, _experiment_config, build_parser, main
 from boostvi.harness import ExperimentConfig
 
 FAST = ["--lmo-steps", "150", "--mc-samples", "8", "--iters", "2"]
@@ -187,6 +187,38 @@ class TestRun:
         assert f"config key {key!r}: value must be a real number, got {config[key]!r}" in err
         assert "t=0" not in out
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag, key, text", [
+        ("--iters", "iters", "2.0"),
+        ("--iters", "iters", "2.5"),
+        ("--mc-samples", "mc_samples", "8.0"),
+        ("--lmo-steps", "lmo_steps", "1e2"),
+        ("--seed", "seed", "3.0"),
+        ("--seed", "seed", "-1"),
+        ("--n-seeds", "n_seeds", "2.0"),
+        ("--n-seeds", "n_seeds", "0.5"),
+        ("--delta", "delta", "1"),
+        ("--gap-tol", "gap_tol", "0"),
+    ])
+    def test_flag_reads_as_its_config_key(self, tmp_path, flag, key, text):
+        # a numeric flag is read into the number its JSON text gives, then
+        # converted as the config key is: both give one config or one error
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: json.loads(text)}))
+        outcomes = []
+        for argv in (["run", flag, text], ["run", "--config", str(cfg)]):
+            try:
+                outcomes.append(_experiment_config(build_parser().parse_args(argv)))
+            except CliError as e:
+                outcomes.append(str(e))
+        assert outcomes[0] == outcomes[1]
+
+    def test_whole_float_count_flag_fits(self, tmp_path):
+        code = run_cli("run", "--model", "bimodal", "--out", str(tmp_path / "o"),
+                       "--lmo-steps", "150", "--mc-samples", "8", "--iters", "2.0")
+        assert code == EXIT_OK
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["config"]["fw"]["max_iters"] == 2
 
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_nonpositive_lmo_steps_rejected(self, tmp_path, capsys, steps):
@@ -398,6 +430,36 @@ class TestBadInputData:
         out, err = capsys.readouterr()
         assert key in err and "runtime error" not in err
         assert "t=0" not in out
+
+    @pytest.mark.parametrize("model, params, message", [
+        ("logistic", {"n": 0}, "invalid model_params for 'logistic': n must be >= 1"),
+        ("logistic", {"n_features": 0},
+         "invalid model_params for 'logistic': n_features must be >= 1"),
+        ("logistic", {"margin": float("nan")},
+         "invalid model_params for 'logistic': margin must be finite"),
+        ("matrix_factorization", {"rows": 0}, "rows must be >= 1"),
+        ("matrix_factorization", {"cols": -2}, "cols must be >= 1"),
+        ("matrix_factorization", {"rank": 0}, "rank must be >= 1"),
+        ("matrix_factorization", {"noise": -1}, "noise must be finite and >= 0"),
+        ("matrix_factorization", {"noise": float("inf")}, "noise must be finite and >= 0"),
+        ("matrix_factorization", {"mask_fraction": 0}, "mask_fraction must lie in (0, 1]"),
+        ("matrix_factorization", {"mask_fraction": -1}, "mask_fraction must lie in (0, 1]"),
+        ("matrix_factorization", {"mask_fraction": 2}, "mask_fraction must lie in (0, 1]"),
+        # the KL oracle renormalizes the target on its grid [-12, 12]: off it,
+        # or narrower than its spacing, the oracle's KL is meaningless
+        ("bimodal", {"mu": [-20.0, 20.0]}, "model_params 'mu' and 'sigma' give the target mass"),
+        ("bimodal", {"mu": [-1.0, 11.0]}, "model_params 'mu' and 'sigma' give the target mass"),
+        ("bimodal", {"sigma": [0.002, 0.5]}, "model_params 'mu' and 'sigma' give the target mass"),
+    ])
+    def test_out_of_range_model_params_value(self, tmp_path, capsys, model, params, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model, "model_params": params}))
+        code = self._run(tmp_path, "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert message in err and "runtime error" not in err
+        assert "t=0" not in out
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("model, params, key", [
         ("logistic", {"model_params": {"n": 40.9, "n_features": 2}}, "n"),

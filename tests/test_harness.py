@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boostvi import harness
 from boostvi import (
     DataError,
     Dataset,
@@ -16,8 +17,10 @@ from boostvi import (
     logistic_regression_model,
     make_lowrank_matrix,
     make_separable_classification,
+    matrix_factorization_model,
     run_experiment,
     split,
+    synthetic_bimodal_target,
 )
 
 
@@ -185,6 +188,44 @@ class TestSyntheticData:
         data = make_lowrank_matrix(50, 40, 2, 0.1, 0.5, seed=3)
         frac = data.mask.mean()
         assert 0.4 < frac < 0.6
+
+
+class TestModelParamsDefaults:
+    """An empty ``model_params`` builds what explicit calls with the
+    defaults of earlier versions build: each default now lives in the
+    signature of the function that takes its key."""
+
+    SEED = 3
+
+    def _log_joints(self, model, dim):
+        z = 0.3 * np.random.default_rng(0).standard_normal((16, dim))
+        return model.log_joint_batch(z), model.grad_log_joint_batch(z)[1]
+
+    @pytest.mark.parametrize("model", ["logistic", "matrix_factorization"])
+    def test_empty_model_params(self, model):
+        cfg = ExperimentConfig(model=model)
+        if model == "logistic":
+            data = make_separable_classification(400, 5, 1.0, 0.0, seed=(self.SEED, 9001))
+        else:
+            data = make_lowrank_matrix(20, 15, 2, 0.1, 1.0, seed=(self.SEED, 9002))
+        built = harness._build_dataset(cfg, self.SEED)
+        for name in ("features", "labels", "mask"):
+            np.testing.assert_array_equal(getattr(built, name), getattr(data, name))
+        train, test = split(data, 0.7, seed=(self.SEED, 777))
+        expected = (logistic_regression_model(train) if model == "logistic"
+                    else matrix_factorization_model(train, 2))
+        got, got_test = harness._build_model(cfg, self.SEED)
+        assert got.dim == expected.dim
+        for a, b in zip(self._log_joints(got, got.dim), self._log_joints(expected, got.dim)):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(got_test.labels, test.labels)
+
+    def test_empty_bimodal_params(self):
+        got, test = harness._build_model(ExperimentConfig(model="bimodal"), self.SEED)
+        expected = synthetic_bimodal_target((-1.0, 1.0), (0.5, 0.5), (0.4, 0.6))
+        assert test is None
+        for a, b in zip(self._log_joints(got, 1), self._log_joints(expected, 1)):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestRunExperiment:
