@@ -31,7 +31,7 @@ from .densities import (
     standard_noise,
     _trapezoid,
 )
-from .lmo import LmoConfig, LmoResult, lmo_solve
+from .lmo import LmoConfig, LmoResult, _to_box, lmo_solve
 from .models import DataError, TargetModel, log_joint_batch
 
 
@@ -102,11 +102,11 @@ class BoostTrace:
                     "weights": m.weights.tolist(),
                     "atoms": [
                         {
-                            "family": a.family.value,
-                            "loc": a.loc.tolist(),
-                            "scale": a.scale.tolist(),
+                            "family": m.family.value,
+                            "loc": loc.tolist(),
+                            "scale": scale.tolist(),
                         }
-                        for a in m.atoms
+                        for loc, scale in zip(m.locs, m.scales)
                     ],
                 }
                 for m in self.mixtures
@@ -149,6 +149,14 @@ def fixed_step_gamma(t: int, delta: float) -> float:
     return 2.0 / (delta * t + 2.0)
 
 
+def _append(q_t: Mixture, s: BaseDensity, weights: np.ndarray) -> Mixture:
+    """q_t's rows and then ``s`` as row K, with the K + 1 ``weights`` over their sum."""
+    if s.family is not q_t.family or s.dim != q_t.dim:
+        raise ValueError("the atom must share the mixture's family and dimension")
+    return Mixture(q_t.family, np.vstack([q_t.locs, s.loc]), np.vstack([q_t.scales, s.scale]),
+                   weights / weights.sum())
+
+
 def mixture_step(q_t: Mixture, s: BaseDensity, gamma: float) -> Mixture:
     """Convex step (1 - gamma) * q_t + gamma * s, merging duplicate atoms."""
     if not 0.0 <= gamma <= 1.0:
@@ -160,24 +168,24 @@ def mixture_step(q_t: Mixture, s: BaseDensity, gamma: float) -> Mixture:
     weights = q_t.weights * (1.0 - gamma)
     i = q_t.index_of(s)
     if i is None:
-        return Mixture.from_unnormalized(q_t.atoms + (s,), np.append(weights, gamma))
+        return _append(q_t, s, np.append(weights, gamma))
     weights[i] += gamma
-    return Mixture.from_unnormalized(q_t.atoms, weights)
+    return replace(q_t, weights=weights / weights.sum())
 
 
 LINE_SEARCH_GRID = 21  # gammas 0, 0.05, ..., 1 tried before the refinement
 CORRECTIVE_ITERS = 200  # simplex Frank-Wolfe steps of the corrective weight solve
 
 
-def _atom_sample_table(q: Mixture, stacked: Mixture, model: TargetModel, noises):
+def _atom_sample_table(q: Mixture, locs, scales, model: TargetModel, noises):
     """Each sampled atom's fixed samples evaluated once: for the i-th (n, D)
-    array of ``noises``, the samples ``stacked.locs[i] + stacked.scales[i] *
-    noise`` give ``comp_logs[i]`` (n, K), the log density of every atom of
-    ``q`` there, and ``logp[i]`` (n,), the model's log-joint.  One sampled
+    array of ``noises``, the samples ``locs[i] + scales[i] * noise`` (rows of
+    (P, D) arrays) give ``comp_logs[i]`` (n, K), the log density of every atom
+    of ``q`` there, and ``logp[i]`` (n,), the model's log-joint.  One sampled
     atom is standardized at a time, so at most one (n, K, D) array is held."""
     comp_logs, logp = [], []
-    for i, noise in enumerate(noises):
-        z = stacked.locs[i] + stacked.scales[i] * noise
+    for loc, scale, noise in zip(locs, scales, noises):
+        z = loc + scale * noise
         comp_logs.append(q.components(z)[0])
         logp.append(log_joint_batch(model, z))
         del z, noise  # dropped before the next row's noise is drawn
@@ -209,12 +217,12 @@ def line_search_gamma(
     ever draws one of the K + 1 atoms' transforms of the noise, so each atom's
     transform meets the model once, and each gamma is a selection from that
     table."""
-    atoms = q_t.atoms + (s,)
-    q = Mixture.from_unnormalized(atoms, np.ones(len(atoms)))  # the atoms stacked once
+    k = len(q_t.weights) + 1
+    q = _append(q_t, s, np.ones(k))  # q_t's atoms and s as one mixture
     rng = np.random.default_rng(seed)
     u = rng.uniform(size=n_samples)
     noise = standard_noise(s.family, n_samples, s.dim, rng)
-    comp_logs, logp = _atom_sample_table(q, q, model, [noise] * len(atoms))
+    comp_logs, logp = _atom_sample_table(q, q.locs, q.scales, model, [noise] * k)
     rows = np.arange(n_samples)
 
     def objective(gamma: float) -> float:
@@ -252,14 +260,14 @@ def line_search_gamma(
 
 
 def fully_corrective_weights(
-    atoms,
+    q: Mixture,
     model: TargetModel,
     n_samples: int = 2048,
     seed=0,
 ) -> np.ndarray:
     """Variant-2 weight solve: at most ``CORRECTIVE_ITERS`` steps of
-    simplex-constrained Frank-Wolfe on the Monte-Carlo negative ELBO, with
-    fixed per-atom samples (CRN).
+    simplex-constrained Frank-Wolfe on the Monte-Carlo negative ELBO over the
+    weights of ``q``'s atoms, from uniform, with fixed per-atom samples (CRN).
 
     Uses the identity grad_i = E_{s_i}[log q_w - log p] (up to a constant on
     the simplex) so one batch of samples per atom serves every inner step.
@@ -272,13 +280,12 @@ def fully_corrective_weights(
     stopping test within its rounding error; the returned weights are those
     of the direct solve.
     """
-    k = len(atoms)
+    k = len(q.weights)
     if k == 1:
         return np.array([1.0])
-    q = Mixture.from_unnormalized(atoms, np.ones(k))  # the atoms stacked once
     ss = np.random.SeedSequence(entropy=(_entropy_int(seed), 1414))
     # fixed samples of each atom, from its own stream, and cached log densities
-    comp_logs, logp = _atom_sample_table(q, q, model, (
+    comp_logs, logp = _atom_sample_table(q, q.locs, q.scales, model, (
         standard_noise(q.family, n_samples, q.dim, np.random.default_rng(s))
         for s in ss.spawn(k)
     ))
@@ -344,10 +351,11 @@ def certificate_gap(
     Pools that include the current mixture's own atoms keep the estimate
     nonnegative in expectation, since the weighted atom gaps sum to zero.
     With ``spike_probe`` the pool also gets a narrow atom at the sampled point
-    the mixture under-covers the most — the supremum is approached by
-    shrinking atoms at the residual minimizer, so this candidate tightens the
-    certificate further (it never influences the returned index).  The
-    candidates, then the probe, are rows of one :func:`_atom_sample_table`.
+    the mixture under-covers the most, clipped to the location box — the
+    supremum is approached by shrinking atoms at the residual minimizer, so
+    this candidate tightens the certificate further (it never influences the
+    returned index).  The candidates, then the probe, are rows of one
+    :func:`_atom_sample_table`.
 
     Returns the best estimate and the index of the provided atom attaining the
     best gap among ``candidates``.
@@ -360,13 +368,13 @@ def certificate_gap(
     seeds = np.random.SeedSequence(entropy=(_entropy_int(seed), 1618)).spawn(k + 2)
     zq = q_t.sample(n, seeds[0])
     aq = q_t.log_prob(zq) - log_joint_batch(model, zq)
-    pool, streams = list(candidates), seeds[1:k + 1]
+    locs, scales = [s.loc for s in candidates], [s.scale for s in candidates]
+    streams = seeds[1:k + 1]
     if spike_probe:  # one more row, at the sample q_t covers worst, on the last stream
-        pool.append(BaseDensity(q_t.family, zq[int(np.argmin(aq))],
-                                np.maximum(0.1 * q_t.scales.mean(axis=0), SCALE_FLOOR)))
+        locs.append(_to_box(zq[int(np.argmin(aq))]))
+        scales.append(np.maximum(0.1 * q_t.scales.mean(axis=0), SCALE_FLOOR))
         streams.append(seeds[-1])
-    stacked = Mixture.from_unnormalized(pool, np.ones(len(pool)))  # the pool stacked once
-    comp_logs, logp = _atom_sample_table(q_t, stacked, model, (
+    comp_logs, logp = _atom_sample_table(q_t, np.stack(locs), np.stack(scales), model, (
         standard_noise(q_t.family, n, q_t.dim, np.random.default_rng(s)) for s in streams
     ))
     comp_logs += log_weights(q_t.weights)  # in place: the table is (pool, n, K)
@@ -478,7 +486,7 @@ def run_boosting(
     def certify(q: Mixture, atom: BaseDensity, t: int) -> tuple[GapEstimate, BaseDensity]:
         """Gap of q over {atom} + its support, stored on the last record; also
         returns the pool's best-gap atom."""
-        candidates = [atom] + list(q.atoms)
+        candidates = [atom] + [q.atom(k) for k in range(len(q.weights))]
         gap, best_cand = certificate_gap(
             q, candidates, model, cfg.gap_samples, _entropy_int(gap_seeds[t])
         )
@@ -514,10 +522,9 @@ def run_boosting(
             q = mixture_step(q, direction, gamma)
         else:
             trial = mixture_step(q, res.atom, 0.5)  # appends/merges the atom
-            weights = fully_corrective_weights(
-                trial.atoms, model, n_samples=cfg.gap_samples, seed=step_seed
-            )
-            q = Mixture(trial.atoms, weights)
+            weights = fully_corrective_weights(trial, model, n_samples=cfg.gap_samples,
+                                               seed=step_seed)
+            q = replace(trial, weights=weights)
             # the fresh atom's weight, at the index it merged into or was appended at
             gamma = float(weights[trial.index_of(res.atom)])
         record(t, gamma, q, res, t_iter)

@@ -216,7 +216,7 @@ def cmd_probe(args) -> int:
             (value,) = curvature_probe(s, q, [args.gamma], PROBE_GRID)
             print(
                 f"s=N({s.loc[0]:+.1f},{s.scale[0]:.1f}) "
-                f"q=N({q.atoms[0].loc[0]:+.1f},{q.atoms[0].scale[0]:.1f}) "
+                f"q=N({q.locs[0, 0]:+.1f},{q.scales[0, 0]:.1f}) "
                 f"(2/g^2)KL={value:.6f}"
             )
         return EXIT_OK
@@ -260,6 +260,9 @@ def cmd_plotdata(args) -> int:
         rows = [[rec[k] for k in ("t", "gamma", "kl_oracle", "gap_estimate", "gap_stderr",
                                   "train_ll")] for rec in trace["records"]]
         mixtures = [mixture_from_dict(m) for m in trace["mixtures"]] if bimodal else []
+        if any(m.dim != target.dim for m in mixtures):
+            raise ValueError(f"every mixture must have the target's dimension {target.dim}, "
+                             f"got {sorted({m.dim for m in mixtures})}")
 
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "plot_series.csv"), "w", newline="") as fh:

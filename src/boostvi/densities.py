@@ -1,8 +1,9 @@
 """Mean-field location-scale base densities, mixtures, and 1-D quadrature oracles.
 
 Atoms are diagonal Gaussian or Laplace densities with a hard lower bound on
-every scale entry (non-degeneracy) and locations confined to a box.  Mixtures
-are convex combinations of atoms; all log-density evaluation goes through a
+every scale entry (non-degeneracy) and locations confined to a box.  A mixture
+is a family, the stacked locations and scales (K, D) of its atoms, one row per
+atom, and simplex weights (K,); all log-density evaluation goes through a
 max-shifted log-sum-exp.
 """
 
@@ -69,30 +70,42 @@ def log_weights(w: np.ndarray) -> np.ndarray:
         return np.where(w > 0, np.log(np.maximum(w, 1e-300)), -np.inf)
 
 
-def _as_vector(x, name: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D array, got shape {arr.shape}")
+def _as_vector(x, name: str, ndim: int = 1) -> np.ndarray:
+    """A read-only float copy of ``x`` with ``ndim`` dimensions."""
+    arr = np.array(x, dtype=float, ndmin=1)
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be a {ndim}-D array, got shape {arr.shape}")
+    arr.setflags(write=False)
     return arr
 
 
 # every range check below is written to be False for NaN, so NaN is rejected
-def _as_loc(x, name: str = "loc") -> np.ndarray:
-    """``x`` as a vector of atom locations; an entry outside ``[-PARAM_BOX,
+def _as_loc(x, name: str = "loc", ndim: int = 1) -> np.ndarray:
+    """``x`` as an array of atom locations; an entry outside ``[-PARAM_BOX,
     PARAM_BOX]`` raises a ValueError that names ``name``."""
-    loc = _as_vector(x, name)
+    loc = _as_vector(x, name, ndim)
     if not (np.abs(loc) <= PARAM_BOX).all():
         raise ValueError(f"{name} entries must lie in the param_box [-{PARAM_BOX}, {PARAM_BOX}]")
     return loc
 
 
-def _as_scale(x, name: str = "scale") -> np.ndarray:
-    """``x`` as a vector of atom scales; an entry below ``SCALE_FLOOR`` or
+def _as_scale(x, name: str = "scale", ndim: int = 1) -> np.ndarray:
+    """``x`` as an array of atom scales; an entry below ``SCALE_FLOOR`` or
     not finite raises a ValueError that names ``name``."""
-    scale = _as_vector(x, name)
+    scale = _as_vector(x, name, ndim)
     if not ((scale >= SCALE_FLOOR * (1.0 - 1e-12)) & (scale < math.inf)).all():
         raise ValueError(f"{name} entries must be finite and >= scale_floor={SCALE_FLOOR}")
     return scale
+
+
+def _as_params(loc, scale, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Checked loc and scale arrays of one shape, (D,) or (K, D), with D >= 1."""
+    loc, scale = _as_loc(loc, ndim=ndim), _as_scale(scale, ndim=ndim)
+    if loc.shape != scale.shape:
+        raise ValueError("loc and scale must have the same length")
+    if loc.shape[-1] == 0:
+        raise ValueError("an atom needs at least one dimension, got D = 0")
+    return loc, scale
 
 
 def log_normalizer(family: Family, scale: np.ndarray) -> np.ndarray:
@@ -132,12 +145,7 @@ class BaseDensity:
     scale: np.ndarray
 
     def __post_init__(self):
-        loc = _as_loc(self.loc)
-        scale = _as_scale(self.scale)
-        if loc.shape != scale.shape:
-            raise ValueError("loc and scale must have the same length")
-        loc.setflags(write=False)
-        scale.setflags(write=False)
+        loc, scale = _as_params(self.loc, self.scale, ndim=1)
         object.__setattr__(self, "family", Family(self.family))
         object.__setattr__(self, "loc", loc)
         object.__setattr__(self, "scale", scale)
@@ -202,57 +210,58 @@ def kl_gaussian_closed(p: BaseDensity, q: BaseDensity) -> float:
 
 @dataclass(frozen=True)
 class Mixture:
-    """Convex combination of atoms of one ``family`` with simplex weights,
-    evaluated, sampled and matched through their stacked ``locs``, ``scales`` (K, D)."""
+    """Convex combination of K atoms of one ``family`` with simplex ``weights``
+    (K,): atom k is row k of ``locs`` and ``scales`` (K, D)."""
 
-    atoms: tuple[BaseDensity, ...]
+    family: Family
+    locs: np.ndarray
+    scales: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        atoms = tuple(self.atoms)
-        if not atoms:
-            raise ValueError("mixture needs at least one atom")
+        locs, scales = _as_params(self.locs, self.scales, ndim=2)
         w = _as_vector(self.weights, "weights")
-        if len(w) != len(atoms):
+        if len(w) != len(locs):
             raise ValueError("weights and atoms must have the same length")
         if not (w >= 0).all():  # False for NaN, like the sum test below
             raise ValueError("weights must be nonnegative and not NaN")
         total = w.sum()
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"weights must sum to 1, got {total}")
-        dims = {a.dim for a in atoms}
-        if len(dims) != 1:
-            raise ValueError("all atoms must share one dimension")
-        family = atoms[0].family
-        if any(a.family is not family for a in atoms):
-            raise ValueError("all atoms must share one family")
-        locs = np.stack([a.loc for a in atoms])
-        scales = np.stack([a.scale for a in atoms])
-        for arr in (w, locs, scales):
-            arr.setflags(write=False)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "family", Family(self.family))
         object.__setattr__(self, "locs", locs)
         object.__setattr__(self, "scales", scales)
+        object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_log_weights", log_weights(w))
-        object.__setattr__(self, "_norm", log_normalizer(family, scales))
+        object.__setattr__(self, "_norm", log_normalizer(self.family, scales))
 
     @classmethod
     def from_unnormalized(cls, atoms, weights) -> "Mixture":
+        """A sequence of :class:`BaseDensity` atoms as rows, weights over their sum."""
         w = _as_vector(weights, "weights")
         # checked before the division, which would warn on a zero or inf sum
         if not (np.isfinite(w).all() and w.sum() > 0):
             raise ValueError(f"weights must be finite with a positive sum, got {w}")
-        return cls(tuple(atoms), w / w.sum())
+        if not atoms:
+            raise ValueError("mixture needs at least one atom")
+        if len({a.dim for a in atoms}) != 1:
+            raise ValueError("all atoms must share one dimension")
+        if len({a.family for a in atoms}) != 1:
+            raise ValueError("all atoms must share one family")
+        locs, scales = np.stack([a.loc for a in atoms]), np.stack([a.scale for a in atoms])
+        return cls(atoms[0].family, locs, scales, w / w.sum())
 
     @classmethod
     def single(cls, atom: BaseDensity) -> "Mixture":
-        return cls((atom,), np.array([1.0]))
+        return cls.from_unnormalized((atom,), [1.0])
 
     @property
     def dim(self) -> int:
         return self.locs.shape[1]
+
+    def atom(self, k: int) -> BaseDensity:
+        """Row ``k`` as an atom."""
+        return BaseDensity(self.family, self.locs[k], self.scales[k])
 
     def index_of(self, s: BaseDensity) -> int | None:
         """Index of the first atom of ``s``'s family whose loc and scale are
@@ -294,7 +303,7 @@ class Mixture:
         if n < 1:
             raise ValueError("n must be >= 1")
         rng = np.random.default_rng(seed)
-        idx = rng.choice(len(self.atoms), size=n, p=self.weights)
+        idx = rng.choice(len(self.weights), size=n, p=self.weights)
         # one noise draw, its rows dealt to atom 0's samples first, then atom
         # 1's, and so on: the stream of one draw per atom in turn
         noise = np.empty((n, self.dim))

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .densities import LOG_2PI, BaseDensity, Family, Mixture, _as_loc, _as_scale, _check_points
+from .densities import LOG_2PI, Family, Mixture, _as_loc, _as_scale, _check_points
 
 
 @dataclass(frozen=True)
@@ -91,17 +91,16 @@ class Dataset:
 def synthetic_bimodal_target(
     mu=(-1.0, 1.0), sigma=(0.5, 0.5), pi=(0.4, 0.6)
 ) -> TargetModel:
-    """1-D Gaussian-mixture target: the :class:`Mixture` of atoms
-    N(mu_k, sigma_k^2) with weights pi, whose own methods are the model's
-    callables, so the log-joint is the normalized log pdf.  A value that no
-    atom or mixture can take raises a ValueError naming its key."""
+    """1-D Gaussian-mixture target: the :class:`Mixture` of the atoms
+    N(mu_k, sigma_k^2), one row each, with weights pi, whose own methods are
+    the model's callables, so the log-joint is the normalized log pdf.  A
+    value that no atom or mixture can take raises a ValueError naming its key."""
     locs, scales = _as_loc(mu, "mu"), _as_scale(sigma, "sigma")
     if not 0 < len(locs) == len(scales):
         raise ValueError(f"mu and sigma must hold one entry per component, "
                          f"got {len(locs)} and {len(scales)}")
-    atoms = tuple(BaseDensity(Family.GAUSSIAN, [m], [s]) for m, s in zip(locs, scales))
     try:
-        target = Mixture(atoms, pi)
+        target = Mixture(Family.GAUSSIAN, locs[:, None], scales[:, None], pi)
     except ValueError as e:
         raise ValueError(f"pi: {e}") from None
     return TargetModel(

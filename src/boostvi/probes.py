@@ -113,7 +113,7 @@ def curvature_probe_suite() -> list[ProbeResult]:
         values = curvature_probe(s, q, CURVATURE_GAMMAS, PROBE_GRID)
         finite_ok = finite_ok and all(np.isfinite(v) for v in values)
         max_value = max(max_value, max(values))
-        kl_sq = kl_gaussian_closed(s, q.atoms[0])
+        kl_sq = kl_gaussian_closed(s, q.atom(0))
         endpoint_err = max(endpoint_err, abs(values[-1] - 2.0 * kl_sq))
         limit = chi_square_limit(s, q)
         if limit <= 1e-12:

@@ -103,7 +103,7 @@ def reference_certificate(q_t, candidates, model, n, seed, spike_probe=True):
     each meet the mixture ``q_t`` and the model in a call of their own.
     It takes the package's ``Mixture`` and atoms, and draws the streams of
     ``boostvi.certificate_gap``, so that the two agree bit for bit."""
-    from boostvi.densities import SCALE_FLOOR, BaseDensity, standard_noise
+    from boostvi.densities import PARAM_BOX, SCALE_FLOOR, BaseDensity, standard_noise
 
     ss = np.random.SeedSequence(entropy=(int(seed), 1618))
     seeds = ss.spawn(len(candidates) + 2)
@@ -123,7 +123,7 @@ def reference_certificate(q_t, candidates, model, n, seed, spike_probe=True):
         if best is None or est[0] > best[0]:
             best, best_idx = est, i
     if spike_probe:
-        z_star = zq[int(np.argmin(aq))]
+        z_star = np.clip(zq[int(np.argmin(aq))], -PARAM_BOX, PARAM_BOX)
         probe = BaseDensity(q_t.family, z_star,
                             np.maximum(0.1 * q_t.scales.mean(axis=0), SCALE_FLOOR))
         est = atom_estimate(probe, seeds[-1])

@@ -74,11 +74,7 @@ def test_criterion_1_bimodal_mixture_recovery(bimodal_runs):
     model, runs, elapsed = bimodal_runs
     # sanity on the benchmark itself: the target is exactly representable, so
     # the quadrature error of the true component mixture is numerically zero
-    exact = Mixture(
-        (BaseDensity(Family.GAUSSIAN, [-1.0], [0.5]),
-         BaseDensity(Family.GAUSSIAN, [1.0], [0.5])),
-        np.array([0.4, 0.6]),
-    )
+    exact = Mixture(Family.GAUSSIAN, [[-1.0], [1.0]], [[0.5], [0.5]], [0.4, 0.6])
     assert quadrature_kl(exact, model.posterior_log_pdf, ORACLE_GRID) < 1e-8
 
     thresholds = {
@@ -156,11 +152,11 @@ def test_criterion_4_curvature_limits():
     values = {}
     for s, q in gaussian_pair_grid():
         key = (float(s.loc[0]), float(s.scale[0]),
-               float(q.atoms[0].loc[0]), float(q.atoms[0].scale[0]))
+               float(q.locs[0, 0]), float(q.scales[0, 0]))
         probe = curvature_probe(s, q, [1e-4, 1e-3, 1e-2, 1.0], PROBE_GRID)
         values[key] = probe
         finite_ok = finite_ok and all(np.isfinite(v) for v in probe)
-        endpoint_err = max(endpoint_err, abs(probe[3] - 2 * kl_gaussian_closed(s, q.atoms[0])))
+        endpoint_err = max(endpoint_err, abs(probe[3] - 2 * kl_gaussian_closed(s, q.atom(0))))
         v4, v3, v2 = probe[:3]
         limit = gaussian_chi_square(*key)
         if limit == 0.0:

@@ -27,9 +27,10 @@ from boostvi import (
     synthetic_bimodal_target,
 )
 from boostvi.boosting import LINE_SEARCH_GRID, _crn_atom_index, mixture_from_dict
-from boostvi.densities import standard_noise
+from boostvi.densities import PARAM_BOX, standard_noise
 from boostvi.harness import make_lowrank_matrix, make_separable_classification
 from boostvi.models import (
+    DataError,
     TargetModel,
     log_joint_batch,
     logistic_regression_model,
@@ -40,6 +41,7 @@ from oracles import (
     CHI_SQUARE_LIMIT_01_11,
     bimodal_logpdf,
     einsum_factorization_log_joint_and_grad,
+    gaussian_logpdf,
     reference_certificate,
 )
 
@@ -48,6 +50,17 @@ GRID = QuadratureGrid(-12.0, 12.0, 4001)
 
 def gaussian(loc, scale):
     return BaseDensity(Family.GAUSSIAN, np.atleast_1d(loc), np.atleast_1d(scale))
+
+
+def mixture(atoms, weights):
+    """The atoms' stacked rows with ``weights``, through the array
+    constructor and its strict simplex check."""
+    return Mixture(atoms[0].family, np.stack([a.loc for a in atoms]),
+                   np.stack([a.scale for a in atoms]), weights)
+
+
+def uniform(atoms):
+    return Mixture.from_unnormalized(atoms, np.ones(len(atoms)))
 
 
 def density_model(q: Mixture) -> TargetModel:
@@ -82,7 +95,7 @@ class TestFixedStepGamma:
 
 class TestMixtureStep:
     def test_weight_blend(self):
-        q = Mixture((gaussian(-1, 0.5), gaussian(1, 0.5)), np.array([0.5, 0.5]))
+        q = mixture((gaussian(-1, 0.5), gaussian(1, 0.5)), np.array([0.5, 0.5]))
         out = mixture_step(q, gaussian(0, 1), 0.2)
         np.testing.assert_allclose(out.weights, [0.4, 0.4, 0.2])
 
@@ -90,8 +103,8 @@ class TestMixtureStep:
         q = Mixture.single(gaussian(-1, 0.5))
         s = gaussian(2, 0.7)
         out = mixture_step(q, s, 1.0)
-        assert len(out.atoms) == 1
-        np.testing.assert_array_equal(out.atoms[0].loc, s.loc)
+        assert len(out.weights) == 1
+        np.testing.assert_array_equal(out.locs[0], s.loc)
 
     def test_gamma_zero_identity(self):
         q = Mixture.single(gaussian(-1, 0.5))
@@ -101,7 +114,7 @@ class TestMixtureStep:
         a = gaussian(0.5, 0.8)
         q = Mixture.single(a)
         out = mixture_step(q, a, 0.3)
-        assert len(out.atoms) == 1
+        assert len(out.weights) == 1
         np.testing.assert_allclose(out.weights, [1.0])
 
     def test_invalid_gamma(self):
@@ -124,7 +137,7 @@ class TestMixtureStep:
         if gamma < 1.0:
             k = pick % len(atoms)
             out = mixture_step(q, atoms[k], gamma)
-            assert len(out.atoms) == len(atoms)
+            assert len(out.weights) == len(atoms)
             expected = (1.0 - gamma) * q.weights
             expected[k] += gamma
             np.testing.assert_allclose(out.weights, expected, rtol=1e-12, atol=1e-15)
@@ -175,7 +188,7 @@ def crn_mixture_sampler(family, dim, n, seed):
 def direct_line_search_gamma(q_t, s, model, n_samples, seed):
     """The line search with a mixture built, sampled and evaluated, and the
     model called, once per trial gamma."""
-    atoms = q_t.atoms + (s,)
+    atoms = [q_t.atom(k) for k in range(len(q_t.weights))] + [s]
     sampler = crn_mixture_sampler(s.family, s.dim, n_samples, seed)
 
     def objective(gamma):
@@ -252,7 +265,7 @@ class TestLineSearchMatchesReferenceLoop:
             gamma = line_search_gamma(q_t, s, replace(model, log_joint_batch=counted),
                                       n_samples=256, seed=0)
             # one call per atom of q_t + s, with or without the refinement
-            assert calls == [256] * (len(q_t.atoms) + 1)
+            assert calls == [256] * (len(q_t.weights) + 1)
             assert (gamma > 0.0) == refines  # gamma > 0 only after the refinement
 
 
@@ -342,28 +355,28 @@ class TestFullyCorrective:
         atoms = [gaussian(loc, 0.4 + 0.1 * i) for i, loc in enumerate(locs)]
         if locs[0] == locs[1]:
             atoms[1] = atoms[0]
-        w = fully_corrective_weights(atoms, model, n_samples=512, seed=5)
+        w = fully_corrective_weights(uniform(atoms), model, n_samples=512, seed=5)
         np.testing.assert_array_equal(w, direct_corrective_weights(atoms, model, 512, 5))
 
     def test_single_atom(self):
         model = synthetic_bimodal_target()
         np.testing.assert_array_equal(
-            fully_corrective_weights([gaussian(0, 1)], model), [1.0]
+            fully_corrective_weights(Mixture.single(gaussian(0, 1)), model), [1.0]
         )
 
     def test_recovers_target_weights(self):
         model = synthetic_bimodal_target()
         w = fully_corrective_weights(
-            [gaussian(-1.0, 0.5), gaussian(1.0, 0.5)], model, n_samples=4096, seed=0
+            uniform([gaussian(-1.0, 0.5), gaussian(1.0, 0.5)]), model, n_samples=4096, seed=0
         )
         np.testing.assert_allclose(w, [0.4, 0.6], atol=0.05)
 
     def test_duplicated_atom_density_invariance(self):
         model = synthetic_bimodal_target()
         a = gaussian(0.2, 0.9)
-        w = fully_corrective_weights([a, a], model, n_samples=512, seed=3)
+        w = fully_corrective_weights(uniform([a, a]), model, n_samples=512, seed=3)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
-        m = Mixture((a, a), w)
+        m = mixture((a, a), w)
         z = np.linspace(-3, 3, 50).reshape(-1, 1)
         np.testing.assert_allclose(m.log_prob(z), a.log_prob(z), rtol=1e-10)
 
@@ -375,9 +388,9 @@ def gap_estimate(q, s, model, n, seed):
 
 class TestDualityGap:
     def test_zero_when_target_equals_iterate(self):
-        q = Mixture((gaussian(-1, 0.5), gaussian(1, 0.5)), np.array([0.4, 0.6]))
+        q = mixture((gaussian(-1, 0.5), gaussian(1, 0.5)), np.array([0.4, 0.6]))
         model = density_model(q)
-        est = gap_estimate(q, q.atoms[0], model, 4096, seed=0)
+        est = gap_estimate(q, q.atom(0), model, 4096, seed=0)
         assert abs(est.value) < 4 * est.stderr + 1e-9
 
     def test_normalizer_invariance(self):
@@ -417,16 +430,30 @@ class TestDualityGap:
     def test_certificate_spike_probe_tightens(self):
         model = synthetic_bimodal_target()
         q = Mixture.single(gaussian(0.2, 1.0))
-        plain, _ = certificate_gap(q, [q.atoms[0]], model, 2048, seed=7, spike_probe=False)
-        probed, _ = certificate_gap(q, [q.atoms[0]], model, 2048, seed=7, spike_probe=True)
+        plain, _ = certificate_gap(q, [q.atom(0)], model, 2048, seed=7, spike_probe=False)
+        probed, _ = certificate_gap(q, [q.atom(0)], model, 2048, seed=7, spike_probe=True)
         assert probed.value >= plain.value
+
+    def test_spike_probe_outside_the_box_is_clipped(self):
+        # q_t = N(995, 3^2) covers worst the sample nearest the target at
+        # 1010, beyond PARAM_BOX: the probe sits at the box edge instead
+        q = Mixture.single(gaussian(995.0, 3.0))
+        model = TargetModel(dim=1, log_joint_batch=lambda Z: gaussian_logpdf(Z[:, 0], 1010.0, 0.5))
+        seeds = np.random.SeedSequence(entropy=(0, 1618)).spawn(3)
+        zq = q.sample(256, seeds[0])
+        assert zq[np.argmin(q.log_prob(zq) - model.log_joint_batch(zq)), 0] > PARAM_BOX
+        est, idx = certificate_gap(q, [q.atom(0)], model, 256, seed=0)
+        (value, stderr), ref_idx = reference_certificate(q, [q.atom(0)], model, 256, 0)
+        assert [est.value, est.stderr, idx] == [value, stderr, ref_idx]
+        plain, _ = certificate_gap(q, [q.atom(0)], model, 256, seed=0, spike_probe=False)
+        assert est.value > plain.value  # the clipped probe sets the certificate
 
     def test_candidates_share_family_and_dimension(self):
         model = synthetic_bimodal_target()
         q = Mixture.single(gaussian(0.2, 1.0))
         for s in (BaseDensity(Family.LAPLACE, [0.0], [1.0]), gaussian([0.0, 0.0], [1.0, 1.0])):
             with pytest.raises(ValueError, match="family and dimension"):
-                certificate_gap(q, [q.atoms[0], s], model, 64, seed=0)
+                certificate_gap(q, [q.atom(0), s], model, 64, seed=0)
 
 
 def certificate_case(family, dim, k, seed):
@@ -446,7 +473,7 @@ def certificate_case(family, dim, k, seed):
         target = Mixture.single(fresh)
     else:
         target = Mixture.from_unnormalized([atom(), atom()], rng.uniform(0.2, 1.0, 2))
-    return q_t, [fresh] + list(q_t.atoms), density_model(target)
+    return q_t, [fresh] + [q_t.atom(i) for i in range(k)], density_model(target)
 
 
 class TestCertificateMatchesReferenceLoop:
@@ -504,7 +531,7 @@ class TestCurvatureProbe:
         s = gaussian(0.0, 1.0)
         q = Mixture.single(gaussian(1.0, 1.0))
         (val,) = curvature_probe(s, q, [1.0], QuadratureGrid(-16, 16, 8001))
-        assert val == pytest.approx(2.0 * kl_gaussian_closed(s, q.atoms[0]), abs=1e-6)
+        assert val == pytest.approx(2.0 * kl_gaussian_closed(s, q.atom(0)), abs=1e-6)
 
     def test_identical_pair_is_zero(self):
         s = gaussian(0.3, 0.8)
@@ -542,7 +569,7 @@ class TestRunBoosting:
         cfg = FwConfig(max_iters=0, seed=0, lmo=LmoConfig(n_steps=400))
         q, trace = run_boosting(model, cfg)
         assert len(trace.records) == 1
-        assert len(q.atoms) == 1
+        assert len(q.weights) == 1
         assert trace.records[0].gamma == 1.0
 
     def test_model_without_gradient_runs(self):
@@ -619,8 +646,9 @@ class TestRunBoosting:
                        gap_samples=512)
         _, trace = run_boosting(synthetic_bimodal_target(), cfg)
         final = trace.mixtures[2]
-        assert len(final.atoms) == 2
-        assert final.atoms[0] is a
+        assert len(final.weights) == 2
+        np.testing.assert_array_equal(final.locs[0], a.loc)
+        np.testing.assert_array_equal(final.scales[0], a.scale)
         assert trace.records[2].gamma == final.weights[0]
         assert trace.records[2].gamma != final.weights[1]
 
@@ -632,26 +660,36 @@ class TestRunBoosting:
         assert set(d) == {"records", "mixtures", "eps0", "best_iteration", "stopped_early"}
         assert {"family", "loc", "scale"} <= set(d["mixtures"][0]["atoms"][0])
 
-    @pytest.mark.parametrize("field, value", [
-        ("loc", math.nan), ("scale", math.nan), ("scale", math.inf),
-    ])
-    def test_mixture_from_dict_rejects_non_finite_atom(self, field, value):
+    @pytest.mark.parametrize("atom, message", [
+        ({"loc": [math.nan]}, "loc entries must lie in the param_box"),
+        ({"scale": [math.nan]}, "scale entries must be finite"),
+        ({"scale": [math.inf]}, "scale entries must be finite"),
+        ({"loc": [1.0, 2.0], "scale": [0.5, 0.5]}, "all atoms must share one dimension"),
+        ({"family": "laplace"}, "all atoms must share one family"),
+    ], ids=["loc-nan", "scale-nan", "scale-inf", "two-dimensions", "two-families"])
+    def test_mixture_from_dict_rejects_non_finite_atom(self, atom, message):
         # a hand-edited trace.json entry: json reads NaN and Infinity as floats
         entry = {"weights": [0.5, 0.5], "atoms": [
             {"family": "gaussian", "loc": [0.0], "scale": [1.0]},
             {"family": "gaussian", "loc": [1.0], "scale": [0.5]},
         ]}
-        entry["atoms"][1][field] = [value]
-        with pytest.raises(ValueError, match=field):
+        entry["atoms"][1].update(atom)
+        with pytest.raises(DataError, match=f"^invalid mixture entry: {message}"):
             mixture_from_dict(entry)
 
-    @pytest.mark.parametrize("weights", [[math.nan, 1.0], [math.inf, 1.0], [0.0, 0.0]])
-    def test_mixture_from_dict_rejects_non_finite_weights(self, weights):
+    @pytest.mark.parametrize("weights, n_atoms, message", [
+        ([math.nan, 1.0], 2, "weights must be finite with a positive sum"),
+        ([math.inf, 1.0], 2, "weights must be finite with a positive sum"),
+        ([0.0, 0.0], 2, "weights must be finite with a positive sum"),
+        ([0.5, 0.3, 0.2], 2, "weights and atoms must have the same length"),
+        ([1.0], 0, "mixture needs at least one atom"),
+    ], ids=["weights0", "weights1", "weights2", "count-mismatch", "no-atoms"])
+    def test_mixture_from_dict_rejects_non_finite_weights(self, weights, n_atoms, message):
         entry = {"weights": weights, "atoms": [
             {"family": "gaussian", "loc": [0.0], "scale": [1.0]},
             {"family": "gaussian", "loc": [1.0], "scale": [0.5]},
-        ]}
-        with pytest.raises(ValueError, match="weights"):
+        ][:n_atoms]}
+        with pytest.raises(DataError, match=f"^invalid mixture entry: {message}"):
             mixture_from_dict(entry)
 
 
@@ -705,7 +743,7 @@ class TestFactorizationKernelRounding:
         _, old = run_boosting(einsum_factorization_model(data, 2), cfg)
         assert [r.gamma for r in new.records] == [r.gamma for r in old.records]
         assert new.best_iteration == old.best_iteration
-        assert [len(m.atoms) for m in new.mixtures] == [len(m.atoms) for m in old.mixtures]
+        assert [len(m.weights) for m in new.mixtures] == [len(m.weights) for m in old.mixtures]
         a, b = new.to_dict(), old.to_dict()
         for rec in a["records"] + b["records"]:
             rec.pop("wallclock")

@@ -246,6 +246,17 @@ class TestProbe:
         assert identical and float(identical[0].split("=")[-1]) == pytest.approx(0.0, abs=1e-9)
 
 
+def _last_mixture_dim(dim: int):
+    """A trace.json edit that gives every atom of the last mixture ``dim``
+    coordinates."""
+    def edit(text):
+        trace = json.loads(text)
+        for atom in trace["traces"][0]["mixtures"][-1]["atoms"]:
+            atom["loc"], atom["scale"] = [0.0] * dim, [1.0] * dim
+        return json.dumps(trace)
+    return edit
+
+
 class TestPlotData:
     @pytest.fixture(scope="class")
     def bimodal_run(self, tmp_path_factory):
@@ -274,8 +285,11 @@ class TestPlotData:
         ("summary.json", lambda text: text.replace('"model_params": {}',
                                                    '"model_params": {"sigma": [-1.0, 0.5]}', 1),
          "sigma entries must be finite"),
+        ("trace.json", _last_mixture_dim(2), "every mixture must have the target's dimension 1"),
+        ("trace.json", _last_mixture_dim(0),
+         "invalid mixture entry: an atom needs at least one dimension"),
     ], ids=["not-json", "empty-object", "record-without-gamma", "no-traces",
-            "summary-without-config", "summary-bad-model-params"])
+            "summary-without-config", "summary-bad-model-params", "mixture-2d", "mixture-0d"])
     def test_malformed_run_file_is_config_error(self, bimodal_run, tmp_path, capsys,
                                                 name, edit, message):
         run = tmp_path / "run"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -31,6 +32,13 @@ def gaussian(loc, scale):
 
 def laplace(loc, scale):
     return BaseDensity(Family.LAPLACE, np.atleast_1d(loc), np.atleast_1d(scale))
+
+
+def mixture(atoms, weights):
+    """The atoms' stacked rows with ``weights``, through the array
+    constructor and its strict simplex check."""
+    return Mixture(atoms[0].family, np.stack([a.loc for a in atoms]),
+                   np.stack([a.scale for a in atoms]), weights)
 
 
 scales = st.floats(min_value=0.05, max_value=5.0, allow_nan=False)
@@ -100,18 +108,18 @@ class TestMixtureLogProb:
 
     def test_duplicate_atoms_symmetry(self):
         a = gaussian(0.3, 0.8)
-        m = Mixture((a, a), np.array([0.5, 0.5]))
+        m = mixture((a, a), np.array([0.5, 0.5]))
         assert m.log_prob([[0.1]])[0] == pytest.approx(a.log_prob([[0.1]])[0], rel=1e-12)
 
     def test_bimodal_two_term_sum(self):
-        m = Mixture(
+        m = mixture(
             (gaussian(-1.0, 0.5), gaussian(1.0, 0.5)), np.array([0.4, 0.6])
         )
         assert m.log_prob([[0.0]])[0] == pytest.approx(BIMODAL_LOGPDF_AT_0, abs=1e-12)
 
     def test_weight_sum_validation(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            Mixture((gaussian(0, 1), gaussian(1, 1)), np.array([0.5, 0.6]))
+            mixture((gaussian(0, 1), gaussian(1, 1)), np.array([0.5, 0.6]))
 
     @pytest.mark.parametrize("weights", [
         [math.nan, math.nan], [math.nan, 1.0], [0.5, math.nan],
@@ -119,7 +127,7 @@ class TestMixtureLogProb:
     def test_non_finite_weights_rejected(self, weights):
         a = gaussian(0.0, 1.0)
         with pytest.raises(ValueError, match="weights"):
-            Mixture((a, a), np.array(weights))
+            mixture((a, a), np.array(weights))
 
     @pytest.mark.parametrize("weights", [[math.inf, 1.0], [math.nan, 1.0], [0.0, 0.0]])
     def test_from_unnormalized_rejects_unnormalizable(self, weights):
@@ -138,13 +146,13 @@ class TestMixtureLogProb:
         # a fine grid keeps the trapezoid error at the Laplace kinks below tol
         z = np.linspace(-20, 20, 32001)
         for atom in (gaussian, laplace):
-            m = Mixture((atom(-1, 0.5), atom(1, 0.7)), np.array([w, 1 - w]))
+            m = mixture((atom(-1, 0.5), atom(1, 0.7)), np.array([w, 1 - w]))
             mass = np.trapezoid(np.exp(m.log_prob(z.reshape(-1, 1))), z)
             assert mass == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_weight_component_ignored(self):
         a, b = gaussian(0, 1), gaussian(50, 1)
-        m = Mixture((a, b), np.array([1.0, 0.0]))
+        m = mixture((a, b), np.array([1.0, 0.0]))
         assert m.log_prob([[0.0]])[0] == pytest.approx(a.log_prob([[0.0]])[0], rel=1e-12)
 
 
@@ -156,11 +164,12 @@ class TestStackedMixtureEvaluation:
     def atom_by_atom(m, Z):
         from scipy.special import logsumexp as scipy_logsumexp
 
-        comp = np.stack([a.log_prob(Z) for a in m.atoms], axis=1)
+        atoms = [m.atom(k) for k in range(len(m.weights))]
+        comp = np.stack([a.log_prob(Z) for a in atoms], axis=1)
         with np.errstate(divide="ignore"):
             logits = comp + np.log(m.weights)
         lse = scipy_logsumexp(logits, axis=1, keepdims=True)
-        grads = np.stack([a.grad_log_prob(Z) for a in m.atoms], axis=1)
+        grads = np.stack([a.grad_log_prob(Z) for a in atoms], axis=1)
         grad = np.einsum("nk,nkd->nd", np.exp(logits - lse), grads)
         return lse[:, 0], grad
 
@@ -170,7 +179,7 @@ class TestStackedMixtureEvaluation:
         rng = np.random.default_rng(dim)
         atoms = [BaseDensity(family, rng.normal(size=dim), rng.uniform(0.1, 2.0, dim))
                  for _ in range(4)]
-        m = Mixture(tuple(atoms), np.array([0.1, 0.0, 0.6, 0.3]))
+        m = mixture(atoms, np.array([0.1, 0.0, 0.6, 0.3]))
         Z = rng.normal(scale=3.0, size=(50, dim))
         log_ref, grad_ref = self.atom_by_atom(m, Z)
         np.testing.assert_array_equal(m.log_prob(Z), log_ref)
@@ -181,20 +190,54 @@ class TestStackedMixtureEvaluation:
 
     def test_mixed_families(self):
         with pytest.raises(ValueError, match="one family"):
-            Mixture((gaussian(0.0, 1.0), laplace(1.0, 0.5)), np.array([0.3, 0.7]))
+            Mixture.from_unnormalized((gaussian(0.0, 1.0), laplace(1.0, 0.5)), [0.3, 0.7])
 
     def test_stacked_parameters(self):
         atoms = (laplace([0.0, 1.0], [1.0, 2.0]), laplace([-1.0, 0.5], [0.3, 0.4]))
-        m = Mixture(atoms, np.array([0.5, 0.5]))
+        m = mixture(atoms, np.array([0.5, 0.5]))
         assert m.family is Family.LAPLACE
         np.testing.assert_array_equal(m.locs, [[0.0, 1.0], [-1.0, 0.5]])
         np.testing.assert_array_equal(m.scales, [[1.0, 2.0], [0.3, 0.4]])
         with pytest.raises(ValueError):
             m.locs[0, 0] = 5.0
 
+    def test_state_is_the_stacked_arrays(self):
+        assert [f.name for f in dataclasses.fields(Mixture)] == [
+            "family", "locs", "scales", "weights"]
+        assert not hasattr(mixture((gaussian(0.0, 1.0),), [1.0]), "atoms")
+
+    @pytest.mark.parametrize("locs, scales, weights, match", [
+        ([[0.0], [2e3]], [[1.0], [1.0]], [0.5, 0.5], "loc entries must lie in the param_box"),
+        ([[0.0], [math.nan]], [[1.0], [1.0]], [0.5, 0.5], "loc entries must lie in the param_box"),
+        ([[0.0], [1.0]], [[1.0], [1e-6]], [0.5, 0.5], "scale entries must be finite"),
+        ([[0.0], [1.0]], [[1.0], [math.inf]], [0.5, 0.5], "scale entries must be finite"),
+        ([[0.0], [1.0]], [[1.0, 1.0], [1.0, 1.0]], [0.5, 0.5], "same length"),
+        ([0.0, 1.0], [1.0, 1.0], [0.5, 0.5], "loc must be a 2-D array"),
+        ([[0.0], [1.0]], [[1.0], [1.0]], [1.0], "weights and atoms must have the same length"),
+        ([[0.0], [1.0]], [[1.0], [1.0]], [1.5, -0.5], "weights must be nonnegative"),
+        ([[0.0], [1.0]], [[1.0], [1.0]], [0.5, math.nan], "weights must be nonnegative"),
+        ([[0.0], [1.0]], [[1.0], [1.0]], [0.5, 0.6], "weights must sum to 1"),
+        (np.zeros((2, 0)), np.zeros((2, 0)), [0.5, 0.5], "at least one dimension"),
+    ])
+    def test_array_constructor_checks(self, locs, scales, weights, match):
+        with pytest.raises(ValueError, match=match):
+            Mixture(Family.GAUSSIAN, locs, scales, weights)
+
+    def test_atom_needs_a_dimension(self):
+        with pytest.raises(ValueError, match="at least one dimension"):
+            BaseDensity(Family.GAUSSIAN, [], [])
+
+    def test_atom_is_a_row(self):
+        m = mixture((laplace([0.0, 1.0], [1.0, 2.0]), laplace([-1.0, 0.5], [0.3, 0.4])),
+                    [0.5, 0.5])
+        a = m.atom(1)
+        assert a.family is Family.LAPLACE
+        np.testing.assert_array_equal(a.loc, [-1.0, 0.5])
+        np.testing.assert_array_equal(a.scale, [0.3, 0.4])
+
     def test_index_of_first_match(self):
         a, b = gaussian(0.0, 1.0), gaussian(1.0, 0.5)
-        m = Mixture((a, b, a), np.array([0.2, 0.3, 0.5]))
+        m = mixture((a, b, a), np.array([0.2, 0.3, 0.5]))
         assert m.index_of(a) == 0
         assert m.index_of(gaussian(1.0 + 1e-10, 0.5 - 1e-10)) == 1
         assert m.index_of(gaussian(1.0 + 1e-8, 0.5)) is None
@@ -203,14 +246,14 @@ class TestStackedMixtureEvaluation:
         assert m.index_of(gaussian([0.0, 0.0], [1.0, 1.0])) is None
 
     def test_single_point_and_dimension_check(self):
-        m = Mixture((BaseDensity(Family.GAUSSIAN, [0.0, 1.0], [1.0, 2.0]),), np.array([1.0]))
+        m = mixture((BaseDensity(Family.GAUSSIAN, [0.0, 1.0], [1.0, 2.0]),), np.array([1.0]))
         with pytest.raises(ValueError):
             m.log_prob_and_grad(np.zeros((3, 1)))
         with pytest.raises(ValueError):
             m.grad_log_prob(np.zeros((3, 1)))
         # a single point (D,) is not a batch: every density call raises
         for call in (m.log_prob, m.grad_log_prob, m.log_prob_and_grad,
-                     m.atoms[0].log_prob, m.atoms[0].grad_log_prob):
+                     m.atom(0).log_prob, m.atom(0).grad_log_prob):
             with pytest.raises(ValueError, match="dimension"):
                 call(np.array([0.5, 0.5]))
 
@@ -255,9 +298,10 @@ class TestSampling:
     def atom_by_atom(m, n, seed):
         """Draws of a loop over the atoms, each drawing its own noise in turn."""
         rng = np.random.default_rng(seed)
-        idx = rng.choice(len(m.atoms), size=n, p=m.weights)
+        idx = rng.choice(len(m.weights), size=n, p=m.weights)
         out = np.empty((n, m.dim))
-        for k, atom in enumerate(m.atoms):
+        for k in range(len(m.weights)):
+            atom = m.atom(k)
             sel = idx == k
             if sel.any():
                 out[sel] = atom.transform(standard_noise(atom.family, int(sel.sum()), m.dim, rng))
@@ -269,16 +313,16 @@ class TestSampling:
         rng = np.random.default_rng(dim)
         atoms = [BaseDensity(family, rng.normal(size=dim), rng.uniform(0.1, 2.0, dim))
                  for _ in range(5)]
-        m = Mixture(tuple(atoms), np.array([0.1, 0.0, 0.4, 0.3, 0.2]))
+        m = mixture(atoms, np.array([0.1, 0.0, 0.4, 0.3, 0.2]))
         for n, seed in ((1, 0), (7, 3), (500, 11)):
             np.testing.assert_array_equal(m.sample(n, seed), self.atom_by_atom(m, n, seed))
 
     def test_same_seed_identical(self):
-        m = Mixture((gaussian(-1, 0.5), gaussian(1, 0.5)), np.array([0.4, 0.6]))
+        m = mixture((gaussian(-1, 0.5), gaussian(1, 0.5)), np.array([0.4, 0.6]))
         np.testing.assert_array_equal(m.sample(64, 7), m.sample(64, 7))
 
     def test_degenerate_weights(self):
-        m = Mixture((gaussian(0.0, 0.01), gaussian(100.0, 0.01)), np.array([1.0, 0.0]))
+        m = mixture((gaussian(0.0, 0.01), gaussian(100.0, 0.01)), np.array([1.0, 0.0]))
         z = m.sample(500, 3)
         assert np.all(np.abs(z) < 1.0)
 

@@ -1,4 +1,4 @@
-"""Golden outputs: a short fixed-flag ``boostvi run`` of each model must
+"""Golden outputs: a short fixed-flag ``boostvi run`` of each case must
 reproduce the ``trace.json`` and ``summary.json`` stored under ``tests/data``
 exactly, the per-iteration ``wallclock`` and ``config.out_dir`` aside.
 
@@ -17,17 +17,31 @@ import pytest
 from boostvi.cli import main
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
-MODELS = ("bimodal", "logistic", "matrix_factorization")
+# (model, variant): each model on its default fixed step, then the step
+# solves, the line search and the corrective weight solve with its merge step
+CASES = (
+    ("bimodal", None),
+    ("logistic", None),
+    ("matrix_factorization", None),
+    ("bimodal", "linesearch"),
+    ("bimodal", "fullycorrective"),
+    ("matrix_factorization", "fullycorrective"),
+)
 FLAGS = ("--iters", "2", "--lmo-steps", "100", "--mc-samples", "8", "--seed", "1")
 
 
-def _fixture_path(model: str) -> str:
-    return os.path.join(DATA, f"golden_{model}.json")
+def _name(model: str, variant) -> str:
+    return model if variant is None else f"{model}_{variant}"
 
 
-def _run(model: str, out_dir: str) -> dict:
+def _fixture_path(model: str, variant) -> str:
+    return os.path.join(DATA, f"golden_{_name(model, variant)}.json")
+
+
+def _run(model: str, variant, out_dir: str) -> dict:
     """The stripped trace.json and summary.json of the fixed-flag run."""
-    assert main(["run", "--model", model, *FLAGS, "--out", out_dir]) == 0
+    variant_flags = () if variant is None else ("--variant", variant)
+    assert main(["run", "--model", model, *variant_flags, *FLAGS, "--out", out_dir]) == 0
     with open(os.path.join(out_dir, "trace.json")) as fh:
         trace = json.load(fh)
     for run in trace["traces"]:
@@ -44,16 +58,16 @@ def _canonical(outputs: dict) -> str:
     return json.dumps(outputs, indent=1, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("model", MODELS)
-def test_outputs_match_golden(tmp_path, model):
-    with open(_fixture_path(model)) as fh:
+@pytest.mark.parametrize("model,variant", CASES, ids=[_name(*case) for case in CASES])
+def test_outputs_match_golden(tmp_path, model, variant):
+    with open(_fixture_path(model, variant)) as fh:
         expected = fh.read()
-    assert _canonical(_run(model, str(tmp_path / "run"))) == expected
+    assert _canonical(_run(model, variant, str(tmp_path / "run"))) == expected
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
-        for model in MODELS:
-            outputs = _canonical(_run(model, os.path.join(scratch, model)))
-            with open(_fixture_path(model), "w") as fh:
+        for model, variant in CASES:
+            outputs = _canonical(_run(model, variant, os.path.join(scratch, _name(model, variant))))
+            with open(_fixture_path(model, variant), "w") as fh:
                 fh.write(outputs)

@@ -47,7 +47,7 @@ class TestCurvatureSuite:
 
     def test_limits_match_closed_form_on_pair_grid(self):
         for s, q in gaussian_pair_grid():
-            ref = gaussian_chi_square(s.loc[0], s.scale[0], q.atoms[0].loc[0], q.atoms[0].scale[0])
+            ref = gaussian_chi_square(s.loc[0], s.scale[0], q.locs[0, 0], q.scales[0, 0])
             assert chi_square_limit(s, q) == pytest.approx(ref, rel=1e-4, abs=1e-12)
 
     def test_suite_passes(self):
