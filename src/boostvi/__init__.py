@@ -30,7 +30,6 @@ from .lmo import (
 from .boosting import (
     BoostTrace,
     FwConfig,
-    GapEstimate,
     IterationRecord,
     Variant,
     certificate_gap,

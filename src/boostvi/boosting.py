@@ -2,8 +2,10 @@
 
 Variant 0 uses the fixed schedule gamma = 2 / (delta * t + 2), variant 1 a
 Monte-Carlo line search over the blend weight, and variant 2 a fully
-corrective simplex Frank-Wolfe solve over all atom weights.  A Monte-Carlo
-duality-gap estimate per iteration doubles as stopping certificate, and
+corrective simplex Frank-Wolfe solve over all atom weights.  Each iteration
+estimates the duality gap of every row of a candidate pool: the fresh atom,
+the rows of q_t and a spike probe.  The best row is the stopping certificate,
+and the best row other than the probe is the step direction.
 ``curvature_probe`` exposes the smoothness surrogate used in the theory
 checks.  The certificate and both step solves estimate E_s[log q - log p] on
 one table of each atom's fixed samples (``_atom_sample_table``).
@@ -15,7 +17,7 @@ import enum
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .densities import (
     logsumexp,
     quadrature_kl,
     standard_noise,
+    _as_params,
     _trapezoid,
 )
 from .lmo import LmoConfig, LmoResult, _to_box, lmo_solve
@@ -66,6 +69,8 @@ class FwConfig:
         # written to be False for NaN, so NaN is rejected
         if not 0 <= self.gap_tolerance < math.inf:
             raise ValueError("gap_tolerance must be finite and nonnegative")
+        if not (isinstance(self.gap_samples, (int, np.integer)) and self.gap_samples >= 1):
+            raise ValueError(f"gap_samples must be an integer >= 1, got {self.gap_samples!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "variant", Variant(self.variant))
@@ -327,63 +332,47 @@ def fully_corrective_weights(
     return w / w.sum()
 
 
-class GapEstimate(NamedTuple):
-    value: float
-    stderr: float
-
-
 def certificate_gap(
     q_t: Mixture,
-    candidates: list[BaseDensity],
+    locs,
+    scales,
     model: TargetModel,
     n: int,
     seed,
-    spike_probe: bool = True,
-) -> tuple[GapEstimate, int]:
-    """Best Monte-Carlo gap over a candidate atom pool.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Monte-Carlo gaps of candidate atoms and of a spike probe, row by row.
 
-    Each candidate s gets an estimate of <q_t - s, log(q_t / p)> with its
-    standard error.  ``p`` enters only through the unnormalized log-joint;
-    the normalizer cancels between the two expectations.
+    Each row s of the (P, D) ``locs`` and ``scales`` is a candidate atom of
+    ``q_t``'s family and gets an estimate of <q_t - s, log(q_t / p)> with its
+    standard error; the normalizer of ``p`` cancels between the two
+    expectations.  The true duality gap is a supremum over all atoms, so the
+    pool max is a lower estimate of it, nonnegative in expectation when the
+    pool holds q_t's own atoms, whose weighted gaps sum to zero.  The last
+    row is always a spike probe: a narrow atom at the sample q_t covers
+    worst, clipped to the location box, where shrinking atoms approach the
+    supremum.  Row i draws from stream i + 1 of ``seed``, the probe from the
+    last, and all rows are rows of one :func:`_atom_sample_table`.
 
-    The true duality gap is a supremum over all atoms; any finite pool gives a
-    lower estimate, so the pool max is the tightest certificate available.
-    Pools that include the current mixture's own atoms keep the estimate
-    nonnegative in expectation, since the weighted atom gaps sum to zero.
-    With ``spike_probe`` the pool also gets a narrow atom at the sampled point
-    the mixture under-covers the most, clipped to the location box — the
-    supremum is approached by shrinking atoms at the residual minimizer, so
-    this candidate tightens the certificate further (it never influences the
-    returned index).  The candidates, then the probe, are rows of one
-    :func:`_atom_sample_table`.
-
-    Returns the best estimate and the index of the provided atom attaining the
-    best gap among ``candidates``.
+    Returns ``(values, stderrs)``, each of shape (P + 1,), the probe last.
     """
-    if not candidates:
-        raise ValueError("need at least one candidate atom")
-    if any(s.family is not q_t.family or s.dim != q_t.dim for s in candidates):
-        raise ValueError("candidates must share the mixture's family and dimension")
-    k = len(candidates)
-    seeds = np.random.SeedSequence(entropy=(_entropy_int(seed), 1618)).spawn(k + 2)
+    locs, scales = _as_params(locs, scales, ndim=2)
+    if len(locs) == 0 or locs.shape[1] != q_t.dim:
+        raise ValueError(f"candidates must be (P, D) rows with P >= 1 and D = {q_t.dim}, "
+                         f"got shape {locs.shape}")
+    seeds = np.random.SeedSequence(entropy=(_entropy_int(seed), 1618)).spawn(len(locs) + 2)
     zq = q_t.sample(n, seeds[0])
     aq = q_t.log_prob(zq) - log_joint_batch(model, zq)
-    locs, scales = [s.loc for s in candidates], [s.scale for s in candidates]
-    streams = seeds[1:k + 1]
-    if spike_probe:  # one more row, at the sample q_t covers worst, on the last stream
-        locs.append(_to_box(zq[int(np.argmin(aq))]))
-        scales.append(np.maximum(0.1 * q_t.scales.mean(axis=0), SCALE_FLOOR))
-        streams.append(seeds[-1])
-    comp_logs, logp = _atom_sample_table(q_t, np.stack(locs), np.stack(scales), model, (
-        standard_noise(q_t.family, n, q_t.dim, np.random.default_rng(s)) for s in streams
+    # the probe: one more row, at the sample q_t covers worst
+    locs = np.vstack([locs, _to_box(zq[int(np.argmin(aq))])])
+    scales = np.vstack([scales, np.maximum(0.1 * q_t.scales.mean(axis=0), SCALE_FLOOR)])
+    comp_logs, logp = _atom_sample_table(q_t, locs, scales, model, (
+        standard_noise(q_t.family, n, q_t.dim, np.random.default_rng(s)) for s in seeds[1:]
     ))
     comp_logs += log_weights(q_t.weights)  # in place: the table is (pool, n, K)
     as_ = logsumexp(comp_logs, axis=2) - logp  # (pool, n)
     values = np.mean(aq) - np.mean(as_, axis=1)
     stderrs = np.sqrt(np.var(aq) / n + np.var(as_, axis=1) / n)
-    # argmax takes the first maximum: the probe, last, wins only when strictly greater
-    best = int(np.argmax(values))
-    return GapEstimate(float(values[best]), float(stderrs[best])), int(np.argmax(values[:k]))
+    return values, stderrs
 
 
 def curvature_probe(
@@ -483,16 +472,18 @@ def run_boosting(
         if progress:
             progress(records[-1])
 
-    def certify(q: Mixture, atom: BaseDensity, t: int) -> tuple[GapEstimate, BaseDensity]:
-        """Gap of q over {atom} + its support, stored on the last record; also
-        returns the pool's best-gap atom."""
-        candidates = [atom] + [q.atom(k) for k in range(len(q.weights))]
-        gap, best_cand = certificate_gap(
-            q, candidates, model, cfg.gap_samples, _entropy_int(gap_seeds[t])
-        )
-        records[-1].gap_estimate = gap.value
-        records[-1].gap_stderr = gap.stderr
-        return gap, candidates[best_cand]
+    def certify(q: Mixture, atom: BaseDensity, t: int) -> tuple[float, BaseDensity]:
+        """Gap of q over {atom} + its support + the spike probe, stored on the
+        last record; also returns the best-gap atom of {atom} + its support."""
+        values, stderrs = certificate_gap(q, np.vstack([atom.loc, q.locs]),
+                                          np.vstack([atom.scale, q.scales]), model,
+                                          cfg.gap_samples, _entropy_int(gap_seeds[t]))
+        # argmax takes the first maximum: the probe, last, wins only when strictly greater
+        best = int(np.argmax(values))
+        records[-1].gap_estimate = float(values[best])
+        records[-1].gap_stderr = float(stderrs[best])
+        j = int(np.argmax(values[:-1]))
+        return float(values[best]), atom if j == 0 else q.atom(j - 1)
 
     t_start = time.perf_counter()
     res = solve(None, 0)
@@ -508,7 +499,7 @@ def run_boosting(
         gap, direction = certify(q, res.atom, t)
         # gap_tolerance = 0 disables stopping: the MC gap estimate of an
         # approximate LMO can dip below zero even when the primal error is not
-        if cfg.gap_tolerance > 0.0 and gap.value / cfg.delta <= cfg.gap_tolerance:
+        if cfg.gap_tolerance > 0.0 and gap / cfg.delta <= cfg.gap_tolerance:
             stopped = True
             break
         step_seed = _entropy_int(step_seeds[t - 1])

@@ -210,7 +210,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    if args.probe == "curvature" and args.gamma is not None:
+    if args.gamma is not None:
+        if args.probe != "curvature":
+            raise CliError(f"--gamma applies to --probe curvature only, not --probe {args.probe}")
+        # written to be False for NaN, so NaN is rejected
+        if not 0.0 < args.gamma <= 1.0:
+            raise CliError(f"--gamma must lie in (0, 1], got {args.gamma}")
         # endpoint inspection: print the probe values for one gamma
         for s, q in gaussian_pair_grid():
             (value,) = curvature_probe(s, q, [args.gamma], PROBE_GRID)

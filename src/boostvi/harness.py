@@ -342,12 +342,10 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> RunSummary:
     seeds = [cfg.fw.seed + k for k in range(cfg.n_seeds)]
     per_seed = []
     traces = []
-    posteriors = []
     for s in seeds:
-        metrics, trace, posterior = run_single_seed(cfg, s, progress=progress)
+        metrics, trace, _ = run_single_seed(cfg, s, progress=progress)
         per_seed.append(metrics)
         traces.append(trace)
-        posteriors.append(posterior)
     mean, std = _aggregate(per_seed)
     summary = RunSummary(
         per_seed=per_seed,

@@ -97,39 +97,29 @@ def einsum_factorization_log_joint_and_grad(Z, R, mask, latent_dim):
     return prior + ll, grad
 
 
-def reference_certificate(q_t, candidates, model, n, seed, spike_probe=True):
-    """The Monte-Carlo gap certificate as a loop over the candidates, each
-    estimated on its own: the candidates' samples, then the spike probe's,
-    each meet the mixture ``q_t`` and the model in a call of their own.
-    It takes the package's ``Mixture`` and atoms, and draws the streams of
-    ``boostvi.certificate_gap``, so that the two agree bit for bit."""
-    from boostvi.densities import PARAM_BOX, SCALE_FLOOR, BaseDensity, standard_noise
+def reference_certificate(q_t, locs, scales, model, n, seed):
+    """The Monte-Carlo gap certificate as a loop over the candidate rows of
+    (P, D) ``locs`` and ``scales``, each estimated on its own: each row's
+    samples, then the spike probe's, meet the mixture ``q_t`` and the model in
+    a call of their own.  It takes the package's ``Mixture`` and draws the
+    streams of ``boostvi.certificate_gap``, so that the two agree bit for bit.
+    Returns each row's ``(values, stderrs)``, the probe last."""
+    from boostvi.densities import PARAM_BOX, SCALE_FLOOR, standard_noise
 
     ss = np.random.SeedSequence(entropy=(int(seed), 1618))
-    seeds = ss.spawn(len(candidates) + 2)
+    seeds = ss.spawn(len(locs) + 2)
     zq = q_t.sample(n, seeds[0])
     aq = q_t.log_prob(zq) - model.log_joint_batch(zq)
-
-    def atom_estimate(s, s_seed):
+    probe = (np.clip(zq[int(np.argmin(aq))], -PARAM_BOX, PARAM_BOX),
+             np.maximum(0.1 * q_t.scales.mean(axis=0), SCALE_FLOOR))
+    values, stderrs = [], []
+    for (loc, scale), s_seed in zip([*zip(locs, scales), probe], seeds[1:]):
         noise = standard_noise(q_t.family, n, q_t.dim, np.random.default_rng(s_seed))
-        zs = s.loc + s.scale * noise
+        zs = loc + scale * noise
         as_ = q_t.log_prob(zs) - model.log_joint_batch(zs)
-        return (float(np.mean(aq) - np.mean(as_)),
-                float(math.sqrt(np.var(aq) / n + np.var(as_) / n)))
-
-    best, best_idx = None, 0
-    for i, s in enumerate(candidates):
-        est = atom_estimate(s, seeds[i + 1])
-        if best is None or est[0] > best[0]:
-            best, best_idx = est, i
-    if spike_probe:
-        z_star = np.clip(zq[int(np.argmin(aq))], -PARAM_BOX, PARAM_BOX)
-        probe = BaseDensity(q_t.family, z_star,
-                            np.maximum(0.1 * q_t.scales.mean(axis=0), SCALE_FLOOR))
-        est = atom_estimate(probe, seeds[-1])
-        if est[0] > best[0]:
-            best = est
-    return best, best_idx
+        values.append(float(np.mean(aq) - np.mean(as_)))
+        stderrs.append(float(math.sqrt(np.var(aq) / n + np.var(as_) / n)))
+    return np.array(values), np.array(stderrs)
 
 
 def relative_error(a, b):

@@ -382,16 +382,18 @@ class TestFullyCorrective:
 
 
 def gap_estimate(q, s, model, n, seed):
-    """Monte-Carlo gap of one candidate atom, without the spike probe."""
-    return certificate_gap(q, [s], model, n, seed, spike_probe=False)[0]
+    """Monte-Carlo gap of one candidate atom and its standard error: row 0
+    of a one-row pool."""
+    values, stderrs = certificate_gap(q, s.loc[None], s.scale[None], model, n, seed)
+    return values[0], stderrs[0]
 
 
 class TestDualityGap:
     def test_zero_when_target_equals_iterate(self):
         q = mixture((gaussian(-1, 0.5), gaussian(1, 0.5)), np.array([0.4, 0.6]))
         model = density_model(q)
-        est = gap_estimate(q, q.atom(0), model, 4096, seed=0)
-        assert abs(est.value) < 4 * est.stderr + 1e-9
+        value, stderr = gap_estimate(q, q.atom(0), model, 4096, seed=0)
+        assert abs(value) < 4 * stderr + 1e-9
 
     def test_normalizer_invariance(self):
         model = synthetic_bimodal_target()
@@ -401,9 +403,9 @@ class TestDualityGap:
         )
         q = Mixture.single(gaussian(0.2, 1.0))
         s = gaussian(-1.0, 0.5)
-        a = gap_estimate(q, s, model, 1024, seed=4)
-        b = gap_estimate(q, s, shifted, 1024, seed=4)
-        assert a.value == pytest.approx(b.value, abs=1e-8)
+        a, _ = gap_estimate(q, s, model, 1024, seed=4)
+        b, _ = gap_estimate(q, s, shifted, 1024, seed=4)
+        assert a == pytest.approx(b, abs=1e-8)
 
     def test_matches_quadrature_oracle(self):
         model = synthetic_bimodal_target()
@@ -414,25 +416,26 @@ class TestDualityGap:
         ls = s.log_prob(z.reshape(-1, 1))
         r = lq - bimodal_logpdf(z)
         oracle = np.trapezoid(np.exp(lq) * r, z) - np.trapezoid(np.exp(ls) * r, z)
-        est = gap_estimate(q, s, model, 8192, seed=5)
-        assert est.value == pytest.approx(oracle, abs=4 * est.stderr)
+        value, stderr = gap_estimate(q, s, model, 8192, seed=5)
+        assert value == pytest.approx(oracle, abs=4 * stderr)
 
     def test_certificate_pool_max(self):
         model = synthetic_bimodal_target()
         q = Mixture.single(gaussian(0.2, 1.0))
         cands = [gaussian(-1.0, 0.5), gaussian(0.2, 1.0), gaussian(1.0, 0.5)]
-        best, idx = certificate_gap(q, cands, model, 2048, seed=6, spike_probe=False)
-        singles = [gap_estimate(q, s, model, 2048, seed=6) for s in cands]
-        assert 0 <= idx < len(cands)
+        locs, scales = np.stack([s.loc for s in cands]), np.stack([s.scale for s in cands])
+        values, stderrs = certificate_gap(q, locs, scales, model, 2048, seed=6)
+        singles = [gap_estimate(q, s, model, 2048, seed=6)[0] for s in cands]
+        assert values.shape == stderrs.shape == (len(cands) + 1,)
         # the pool max dominates the same-seed atom estimate of the winner
-        assert best.value >= max(s.value for s in singles) - 4 * best.stderr
+        idx = int(np.argmax(values[:-1]))
+        assert values[idx] >= max(singles) - 4 * stderrs[idx]
 
     def test_certificate_spike_probe_tightens(self):
         model = synthetic_bimodal_target()
         q = Mixture.single(gaussian(0.2, 1.0))
-        plain, _ = certificate_gap(q, [q.atom(0)], model, 2048, seed=7, spike_probe=False)
-        probed, _ = certificate_gap(q, [q.atom(0)], model, 2048, seed=7, spike_probe=True)
-        assert probed.value >= plain.value
+        values, _ = certificate_gap(q, q.locs, q.scales, model, 2048, seed=7)
+        assert values[-1] >= values[:-1].max()
 
     def test_spike_probe_outside_the_box_is_clipped(self):
         # q_t = N(995, 3^2) covers worst the sample nearest the target at
@@ -442,25 +445,32 @@ class TestDualityGap:
         seeds = np.random.SeedSequence(entropy=(0, 1618)).spawn(3)
         zq = q.sample(256, seeds[0])
         assert zq[np.argmin(q.log_prob(zq) - model.log_joint_batch(zq)), 0] > PARAM_BOX
-        est, idx = certificate_gap(q, [q.atom(0)], model, 256, seed=0)
-        (value, stderr), ref_idx = reference_certificate(q, [q.atom(0)], model, 256, 0)
-        assert [est.value, est.stderr, idx] == [value, stderr, ref_idx]
-        plain, _ = certificate_gap(q, [q.atom(0)], model, 256, seed=0, spike_probe=False)
-        assert est.value > plain.value  # the clipped probe sets the certificate
+        values, stderrs = certificate_gap(q, q.locs, q.scales, model, 256, seed=0)
+        ref_values, ref_stderrs = reference_certificate(q, q.locs, q.scales, model, 256, 0)
+        np.testing.assert_array_equal(values, ref_values)
+        np.testing.assert_array_equal(stderrs, ref_stderrs)
+        assert values[-1] > values[:-1].max()  # the clipped probe sets the certificate
 
     def test_candidates_share_family_and_dimension(self):
         model = synthetic_bimodal_target()
         q = Mixture.single(gaussian(0.2, 1.0))
-        for s in (BaseDensity(Family.LAPLACE, [0.0], [1.0]), gaussian([0.0, 0.0], [1.0, 1.0])):
-            with pytest.raises(ValueError, match="family and dimension"):
-                certificate_gap(q, [q.atom(0), s], model, 64, seed=0)
+        for locs, scales, message in (
+            ([[0.0, 0.0]], [[1.0, 1.0]], r"D = 1, got shape \(1, 2\)"),
+            (np.empty((0, 1)), np.empty((0, 1)), r"P >= 1 and D = 1, got shape \(0, 1\)"),
+            ([[0.0], [math.nan]], [[1.0], [1.0]], "param_box"),
+            ([[0.0], [2 * PARAM_BOX]], [[1.0], [1.0]], "param_box"),
+            ([[0.0]], [[1e-4]], "scale_floor"),
+            ([[0.0], [1.0]], [[1.0]], "same length"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                certificate_gap(q, locs, scales, model, 64, seed=0)
 
 
 def certificate_case(family, dim, k, seed):
-    """A K-atom iterate q_t and a fresh atom; the candidate pool is the fresh
-    atom, then q_t's atoms, as in the loop.  An even seed's target is two
-    atoms wide, so the spike probe tends to win; an odd seed's is the fresh
-    atom moved away from q_t, so the fresh atom tends to."""
+    """A K-atom iterate q_t and the candidate pool of the loop: a fresh atom
+    as row 0, then q_t's rows.  An even seed's target is two atoms wide, so
+    the spike probe tends to win; an odd seed's is the fresh atom moved away
+    from q_t, so the fresh atom tends to."""
     rng = np.random.default_rng((seed, dim, k, 1618))
 
     def atom():
@@ -473,26 +483,31 @@ def certificate_case(family, dim, k, seed):
         target = Mixture.single(fresh)
     else:
         target = Mixture.from_unnormalized([atom(), atom()], rng.uniform(0.2, 1.0, 2))
-    return q_t, [fresh] + [q_t.atom(i) for i in range(k)], density_model(target)
+    locs, scales = np.vstack([fresh.loc, q_t.locs]), np.vstack([fresh.scale, q_t.scales])
+    return q_t, locs, scales, density_model(target)
 
 
 class TestCertificateMatchesReferenceLoop:
-    @pytest.mark.parametrize("spike_probe", [True, False])
+    # with_support: the pool is the fresh atom and q_t's rows, as in the
+    # loop, or the fresh atom alone
+    @pytest.mark.parametrize("with_support", [True, False])
     @pytest.mark.parametrize("k", [1, 4])
     @pytest.mark.parametrize("dim", [1, 3])
     @pytest.mark.parametrize("family", list(Family))
-    def test_bit_identical(self, family, dim, k, spike_probe):
+    def test_bit_identical(self, family, dim, k, with_support):
         winners = set()
         for seed in range(6):
-            q_t, cands, model = certificate_case(family, dim, k, seed)
-            est, idx = certificate_gap(q_t, cands, model, 256, seed, spike_probe=spike_probe)
-            (value, stderr), ref_idx = reference_certificate(q_t, cands, model, 256, seed,
-                                                             spike_probe=spike_probe)
-            np.testing.assert_array_equal([est.value, est.stderr, idx], [value, stderr, ref_idx])
-            plain, _ = certificate_gap(q_t, cands, model, 256, seed, spike_probe=False)
-            winners.add("probe" if est.value > plain.value else "fresh" if idx == 0 else "atom")
-        # with the probe on, both a candidate's and the probe's estimate are returned
-        assert ("probe" in winners) == spike_probe
+            q_t, locs, scales, model = certificate_case(family, dim, k, seed)
+            if not with_support:
+                locs, scales = locs[:1], scales[:1]
+            values, stderrs = certificate_gap(q_t, locs, scales, model, 256, seed)
+            ref_values, ref_stderrs = reference_certificate(q_t, locs, scales, model, 256, seed)
+            np.testing.assert_array_equal(values, ref_values)
+            np.testing.assert_array_equal(stderrs, ref_stderrs)
+            best = int(np.argmax(values))
+            winners.add("probe" if best == len(locs) else "fresh" if best == 0 else "atom")
+        # both a candidate's and the probe's row set the certificate
+        assert "probe" in winners
         assert winners - {"probe"}
 
 
@@ -500,30 +515,36 @@ class TestCertificateMatchesReferenceLoop:
 def certificate_pools(draw):
     family = draw(st.sampled_from(list(Family)))
     dim, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
-    q_t, cands, model = certificate_case(family, dim, k, draw(st.integers(0, 2**16)))
-    return q_t, cands, model, draw(st.integers(1, len(cands))), draw(st.integers(0, 2**16))
+    q_t, locs, scales, model = certificate_case(family, dim, k, draw(st.integers(0, 2**16)))
+    return q_t, locs, scales, model, draw(st.integers(1, len(locs))), draw(st.integers(0, 2**16))
 
 
 class TestCertificatePoolProperties:
-    """Candidate i's samples come from stream i + 1 of the certificate's seed
+    """Row i's samples come from stream i + 1 of the certificate's seed
     whatever the pool around it, so these hold exactly."""
 
     @settings(max_examples=30, deadline=None)
     @given(certificate_pools())
     def test_prefix_never_certifies_more(self, case):
-        q_t, cands, model, m, seed = case
-        whole, _ = certificate_gap(q_t, cands, model, 128, seed, spike_probe=False)
-        prefix, _ = certificate_gap(q_t, cands[:m], model, 128, seed, spike_probe=False)
-        assert prefix.value <= whole.value
+        q_t, locs, scales, model, m, seed = case
+        whole = certificate_gap(q_t, locs, scales, model, 128, seed)
+        prefix = certificate_gap(q_t, locs[:m], scales[:m], model, 128, seed)
+        # only the probe row, on the last stream, depends on the pool's size
+        for rows_whole, rows_prefix in zip(whole, prefix):
+            np.testing.assert_array_equal(rows_prefix[:m], rows_whole[:m])
+        assert prefix[0][:-1].max() <= whole[0][:-1].max()
 
     @settings(max_examples=30, deadline=None)
     @given(certificate_pools())
     def test_spike_probe_never_lowers_or_moves_the_index(self, case):
-        q_t, cands, model, _, seed = case
-        plain, plain_idx = certificate_gap(q_t, cands, model, 128, seed, spike_probe=False)
-        probed, probed_idx = certificate_gap(q_t, cands, model, 128, seed, spike_probe=True)
-        assert probed.value >= plain.value
-        assert probed_idx == plain_idx
+        # the probe row depends on the candidate rows only through their
+        # number: it cannot move them, nor the step direction that the
+        # loop takes as the argmax of values[:-1]
+        q_t, locs, scales, model, _, seed = case
+        values, stderrs = certificate_gap(q_t, locs, scales, model, 128, seed)
+        rev_values, rev_stderrs = certificate_gap(q_t, locs[::-1], scales[::-1], model, 128, seed)
+        assert [values[-1], stderrs[-1]] == [rev_values[-1], rev_stderrs[-1]]
+        assert values.max() >= values[:-1].max()
 
 
 class TestCurvatureProbe:
@@ -557,6 +578,7 @@ class TestFwConfig:
     @pytest.mark.parametrize("field, value", [
         ("gap_tolerance", -1.0), ("gap_tolerance", math.nan), ("gap_tolerance", math.inf),
         ("seed", -1), ("max_iters", -1), ("delta", 0.0), ("delta", math.nan),
+        ("gap_samples", 0), ("gap_samples", -5), ("gap_samples", 2.5),
     ])
     def test_out_of_range_value_names_its_field(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -245,6 +245,22 @@ class TestProbe:
         identical = [l for l in out if "s=N(+1.0,1.0) q=N(+1.0,1.0)" in l]
         assert identical and float(identical[0].split("=")[-1]) == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("gamma", ["0", "-1", "nan", "2"])
+    def test_gamma_outside_unit_interval_rejected(self, capsys, gamma):
+        assert run_cli("probe", "--probe", "curvature", "--gamma", gamma) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--gamma must lie in (0, 1]" in err and "runtime error" not in err
+
+    @pytest.mark.parametrize("probe", [(), ("--probe", "all"), ("--probe", "entropy"),
+                                       ("--probe", "gap")],
+                             ids=["default", "all", "entropy", "gap"])
+    def test_gamma_without_curvature_probe_rejected(self, capsys, probe):
+        # the flag would be ignored: the probe suite runs without it
+        assert run_cli("probe", *probe, "--gamma", "0.5") == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "--gamma applies to --probe curvature only" in captured.err
+        assert "PASS" not in captured.out
+
 
 def _last_mixture_dim(dim: int):
     """A trace.json edit that gives every atom of the last mixture ``dim``

@@ -17,31 +17,37 @@ import pytest
 from boostvi.cli import main
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
-# (model, variant): each model on its default fixed step, then the step
-# solves, the line search and the corrective weight solve with its merge step
+# (model, variant, family): each model on its default fixed step and
+# Gaussian atoms, then the step solves, the line search and the corrective
+# weight solve with its merge step, then the fixed step with Laplace atoms
 CASES = (
-    ("bimodal", None),
-    ("logistic", None),
-    ("matrix_factorization", None),
-    ("bimodal", "linesearch"),
-    ("bimodal", "fullycorrective"),
-    ("matrix_factorization", "fullycorrective"),
+    ("bimodal", None, None),
+    ("logistic", None, None),
+    ("matrix_factorization", None, None),
+    ("bimodal", "linesearch", None),
+    ("bimodal", "fullycorrective", None),
+    ("matrix_factorization", "fullycorrective", None),
+    ("bimodal", None, "laplace"),
 )
 FLAGS = ("--iters", "2", "--lmo-steps", "100", "--mc-samples", "8", "--seed", "1")
 
 
-def _name(model: str, variant) -> str:
-    return model if variant is None else f"{model}_{variant}"
+def _name(model: str, variant, family) -> str:
+    return "_".join(part for part in (model, variant, family) if part is not None)
 
 
-def _fixture_path(model: str, variant) -> str:
-    return os.path.join(DATA, f"golden_{_name(model, variant)}.json")
+def _fixture_path(model: str, variant, family) -> str:
+    return os.path.join(DATA, f"golden_{_name(model, variant, family)}.json")
 
 
-def _run(model: str, variant, out_dir: str) -> dict:
+def _run(model: str, variant, family, out_dir: str) -> dict:
     """The stripped trace.json and summary.json of the fixed-flag run."""
-    variant_flags = () if variant is None else ("--variant", variant)
-    assert main(["run", "--model", model, *variant_flags, *FLAGS, "--out", out_dir]) == 0
+    flags = [*FLAGS]
+    if variant is not None:
+        flags += ["--variant", variant]
+    if family is not None:
+        flags += ["--family", family]
+    assert main(["run", "--model", model, *flags, "--out", out_dir]) == 0
     with open(os.path.join(out_dir, "trace.json")) as fh:
         trace = json.load(fh)
     for run in trace["traces"]:
@@ -58,16 +64,16 @@ def _canonical(outputs: dict) -> str:
     return json.dumps(outputs, indent=1, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("model,variant", CASES, ids=[_name(*case) for case in CASES])
-def test_outputs_match_golden(tmp_path, model, variant):
-    with open(_fixture_path(model, variant)) as fh:
+@pytest.mark.parametrize("model,variant,family", CASES, ids=[_name(*case) for case in CASES])
+def test_outputs_match_golden(tmp_path, model, variant, family):
+    with open(_fixture_path(model, variant, family)) as fh:
         expected = fh.read()
-    assert _canonical(_run(model, variant, str(tmp_path / "run"))) == expected
+    assert _canonical(_run(model, variant, family, str(tmp_path / "run"))) == expected
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
-        for model, variant in CASES:
-            outputs = _canonical(_run(model, variant, os.path.join(scratch, _name(model, variant))))
-            with open(_fixture_path(model, variant), "w") as fh:
+        for case in CASES:
+            outputs = _canonical(_run(*case, os.path.join(scratch, _name(*case))))
+            with open(_fixture_path(*case), "w") as fh:
                 fh.write(outputs)
