@@ -2,10 +2,13 @@
 
 Variant 0 uses the fixed schedule gamma = 2 / (delta * t + 2), variant 1 a
 Monte-Carlo line search over the blend weight, and variant 2 a fully
-corrective simplex Frank-Wolfe solve over all atom weights.  Each iteration
-estimates the duality gap of every row of a candidate pool: the fresh atom,
-the rows of q_t and a spike probe.  The best row is the stopping certificate,
-and the best row other than the probe is the step direction.
+corrective simplex Frank-Wolfe solve over all atom weights.  The loop makes
+one pass per LMO solve: pass t fits a fresh atom against q_{t-1}, certifies
+q_{t-1}, then steps to q_t, and one extra pass certifies the last iterate.
+The certificate estimates the duality gap of every row of a candidate pool:
+the fresh atom, the rows of q_{t-1} and a spike probe.  The best row is the
+stopping certificate, and the best row other than the probe is the fixed and
+line-search step direction.
 ``curvature_probe`` exposes the smoothness surrogate used in the theory
 checks.  The certificate and both step solves estimate E_s[log q - log p] on
 one table of each atom's fixed samples (``_atom_sample_table``).
@@ -34,8 +37,8 @@ from .densities import (
     _as_params,
     _trapezoid,
 )
-from .lmo import LmoConfig, LmoResult, _to_box, lmo_solve
-from .models import DataError, TargetModel, log_joint_batch
+from .lmo import LmoConfig, _to_box, lmo_solve
+from .models import DataError, TargetModel, log_joint_batch, whole_number
 
 
 def _entropy_int(seed) -> int:
@@ -62,6 +65,8 @@ class FwConfig:
     lmo: LmoConfig = field(default_factory=LmoConfig)
 
     def __post_init__(self):
+        for name in ("max_iters", "gap_samples", "seed"):
+            object.__setattr__(self, name, whole_number(getattr(self, name), name))
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
         if not 0.0 < self.delta <= 1.0:
@@ -69,8 +74,8 @@ class FwConfig:
         # written to be False for NaN, so NaN is rejected
         if not 0 <= self.gap_tolerance < math.inf:
             raise ValueError("gap_tolerance must be finite and nonnegative")
-        if not (isinstance(self.gap_samples, (int, np.integer)) and self.gap_samples >= 1):
-            raise ValueError(f"gap_samples must be an integer >= 1, got {self.gap_samples!r}")
+        if self.gap_samples < 1:
+            raise ValueError(f"gap_samples must be >= 1, got {self.gap_samples}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "variant", Variant(self.variant))
@@ -430,100 +435,78 @@ def run_boosting(
     cfg: FwConfig,
     progress: Optional[Callable[[IterationRecord], None]] = None,
 ) -> tuple[Mixture, BoostTrace]:
-    """Algorithm: plain BBVI for the initial iterate, then greedy residual
-    atoms combined per the configured variant, with a duality-gap certificate
-    each iteration.  Returns the iterate with the best training log-likelihood
-    (the MC ELBO stands in when the model carries no training data)."""
+    """One pass per LMO solve: pass t fits a fresh atom against q_{t-1} (pass
+    0, with no q, is plain BBVI), certifies q_{t-1} on the pool [fresh atom;
+    q_{t-1}'s rows; spike probe] into q_{t-1}'s record, steps to q_t and
+    records it.  A gap under ``gap_tolerance`` stops before the step; when
+    ``max_iters`` > 0, one extra pass certifies the last iterate.  Returns the
+    iterate with the best training log-likelihood (the MC ELBO stands in when
+    the model carries no training data)."""
     ss = np.random.SeedSequence(entropy=(cfg.seed, 2718))
     lmo_seeds = ss.spawn(cfg.max_iters + 2)
     gap_seeds = ss.spawn(cfg.max_iters + 2)
     step_seeds = ss.spawn(cfg.max_iters + 1)
     metric_seed = ss.spawn(1)[0]
 
-    def solve(q: Optional[Mixture], t: int) -> LmoResult:
-        lmo_cfg = cfg.lmo
+    records: list[IterationRecord] = []
+    mixtures: list[Mixture] = []
+    q: Optional[Mixture] = None
+    stopped = False
+    for t in range(cfg.max_iters + 1 + (cfg.max_iters > 0)):
+        t_iter = time.perf_counter()
+        # the initial iterate is a plain black-box VI fit: full entropy weight
+        lmo_cfg = replace(cfg.lmo, entropy_weight=1.0) if q is None else cfg.lmo
+        res = lmo_solve(model, q, t, lmo_cfg, _entropy_int(lmo_seeds[t]))
         if q is None:
-            # initial iterate is a plain black-box VI fit: full entropy weight
-            lmo_cfg = replace(lmo_cfg, entropy_weight=1.0)
-        return lmo_solve(model, q, t, lmo_cfg, _entropy_int(lmo_seeds[t]))
-
-    def train_ll(q: Mixture) -> float:
+            gamma, q = 1.0, Mixture.single(res.atom)
+        else:
+            values, stderrs = certificate_gap(q, np.vstack([res.atom.loc, q.locs]),
+                                              np.vstack([res.atom.scale, q.scales]), model,
+                                              cfg.gap_samples, _entropy_int(gap_seeds[t]))
+            # argmax takes the first maximum: the probe, last, wins only when strictly greater
+            best = int(np.argmax(values))
+            gap = records[-1].gap_estimate = float(values[best])
+            records[-1].gap_stderr = float(stderrs[best])
+            if t > cfg.max_iters:  # the extra pass: q_M is certified and nothing steps
+                break
+            # gap_tolerance = 0 disables stopping: the MC gap estimate of an
+            # approximate LMO can dip below zero even when the primal error is not
+            if cfg.gap_tolerance > 0.0 and gap / cfg.delta <= cfg.gap_tolerance:
+                stopped = True
+                break
+            step_seed = _entropy_int(step_seeds[t - 1])
+            if cfg.variant is Variant.FULLY_CORRECTIVE:
+                trial = mixture_step(q, res.atom, 0.5)  # appends/merges the atom
+                weights = fully_corrective_weights(trial, model, n_samples=cfg.gap_samples,
+                                                   seed=step_seed)
+                q = replace(trial, weights=weights)
+                # the fresh atom's weight, at the index it merged into or was appended at
+                gamma = float(weights[trial.index_of(res.atom)])
+            else:
+                # the step direction is the pool's best-gap atom other than the
+                # probe: exact Frank-Wolfe restricted to {fresh atom} + current support
+                j = int(np.argmax(values[:-1]))
+                direction = res.atom if j == 0 else q.atom(j - 1)
+                if cfg.variant is Variant.FIXED_STEP:
+                    gamma = fixed_step_gamma(t, cfg.delta)
+                else:
+                    gamma = line_search_gamma(q, direction, model, n_samples=cfg.gap_samples,
+                                              seed=step_seed)
+                q = mixture_step(q, direction, gamma)
         # common seed across iterates: paired comparisons for selection
         z = q.sample(cfg.gap_samples, metric_seed)
         if model.train_log_likelihood is not None:
-            return float(model.train_log_likelihood(z))
-        return float(np.mean(log_joint_batch(model, z) - q.log_prob(z)))
-
-    records: list[IterationRecord] = []
-    mixtures: list[Mixture] = []
-
-    def record(t: int, gamma: float, q: Mixture, res: LmoResult, t_iter: float) -> None:
-        records.append(
-            IterationRecord(
-                t=t,
-                gamma=gamma,
-                train_ll=train_ll(q),
-                relbo_estimate=res.relbo_estimate,
-                kl_oracle=_kl_oracle(model, q),
-                wallclock=time.perf_counter() - t_iter,
-            )
-        )
+            train_ll = float(model.train_log_likelihood(z))
+        else:
+            train_ll = float(np.mean(log_joint_batch(model, z) - q.log_prob(z)))
+        del z  # freed before the next pass's certificate draws its samples
+        records.append(IterationRecord(t=t, gamma=gamma, train_ll=train_ll,
+                                       relbo_estimate=res.relbo_estimate,
+                                       kl_oracle=_kl_oracle(model, q),
+                                       wallclock=time.perf_counter() - t_iter))
         mixtures.append(q)
         if progress:
             progress(records[-1])
-
-    def certify(q: Mixture, atom: BaseDensity, t: int) -> tuple[float, BaseDensity]:
-        """Gap of q over {atom} + its support + the spike probe, stored on the
-        last record; also returns the best-gap atom of {atom} + its support."""
-        values, stderrs = certificate_gap(q, np.vstack([atom.loc, q.locs]),
-                                          np.vstack([atom.scale, q.scales]), model,
-                                          cfg.gap_samples, _entropy_int(gap_seeds[t]))
-        # argmax takes the first maximum: the probe, last, wins only when strictly greater
-        best = int(np.argmax(values))
-        records[-1].gap_estimate = float(values[best])
-        records[-1].gap_stderr = float(stderrs[best])
-        j = int(np.argmax(values[:-1]))
-        return float(values[best]), atom if j == 0 else q.atom(j - 1)
-
-    t_start = time.perf_counter()
-    res = solve(None, 0)
-    q = Mixture.single(res.atom)
-    record(0, 1.0, q, res, t_start)
-    stopped = False
-
-    for t in range(1, cfg.max_iters + 1):
-        t_iter = time.perf_counter()
-        res = solve(q, t)
-        # the step direction is the pool's best-gap atom: exact Frank-Wolfe
-        # restricted to {fresh atom} + current support
-        gap, direction = certify(q, res.atom, t)
-        # gap_tolerance = 0 disables stopping: the MC gap estimate of an
-        # approximate LMO can dip below zero even when the primal error is not
-        if cfg.gap_tolerance > 0.0 and gap / cfg.delta <= cfg.gap_tolerance:
-            stopped = True
-            break
-        step_seed = _entropy_int(step_seeds[t - 1])
-        if cfg.variant is Variant.FIXED_STEP:
-            gamma = fixed_step_gamma(t, cfg.delta)
-            q = mixture_step(q, direction, gamma)
-        elif cfg.variant is Variant.LINE_SEARCH:
-            gamma = line_search_gamma(
-                q, direction, model, n_samples=cfg.gap_samples, seed=step_seed
-            )
-            q = mixture_step(q, direction, gamma)
-        else:
-            trial = mixture_step(q, res.atom, 0.5)  # appends/merges the atom
-            weights = fully_corrective_weights(trial, model, n_samples=cfg.gap_samples,
-                                               seed=step_seed)
-            q = replace(trial, weights=weights)
-            # the fresh atom's weight, at the index it merged into or was appended at
-            gamma = float(weights[trial.index_of(res.atom)])
-        record(t, gamma, q, res, t_iter)
-
-    if not stopped and cfg.max_iters > 0:
-        # certificate for the final iterate needs one extra LMO solve
-        final_t = len(records)
-        certify(q, solve(q, final_t).atom, final_t)
 
     best = int(np.argmax([r.train_ll for r in records]))
     trace = BoostTrace(

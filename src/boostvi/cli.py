@@ -15,9 +15,10 @@ import sys
 from typing import Optional
 
 from .boosting import FwConfig, Variant, curvature_probe, mixture_from_dict
+from .densities import Family
 from .harness import ExperimentConfig, bimodal_target, real_number, run_experiment
-from .harness import whole_number, write_density_csv
-from .models import DataError
+from .harness import write_density_csv
+from .models import DataError, whole_number
 from .lmo import LmoConfig
 from .probes import (
     PROBE_GRID,
@@ -79,6 +80,20 @@ def number(text: str):
         return float(text)
 
 
+def _string(value) -> str:
+    """A value given as a string; anything else raises a ValueError."""
+    if not isinstance(value, str):
+        raise ValueError(f"value must be a string, got {value!r}")
+    return value
+
+
+def _json_object(value) -> dict:
+    """A value given as a JSON object; anything else raises a ValueError."""
+    if not isinstance(value, dict):
+        raise ValueError(f"value must be a JSON object, got {value!r}")
+    return value
+
+
 def _path(value) -> str:
     """A path given as a non-empty string; anything else, such as a number
     that ``open`` would read as a file descriptor, raises a ValueError."""
@@ -100,11 +115,11 @@ def _out_dir(value) -> str:
     return path
 
 
-# config key -> (config it sets, field, conversion of the given value, None to
-# pass it as is); a key the user does not give keeps its dataclass default
+# config key -> (config it sets, field, conversion of the given value); a key
+# the user does not give keeps its dataclass default
 _SETTINGS = {
-    "model": ("experiment", "model", None),
-    "model_params": ("experiment", "model_params", None),
+    "model": ("experiment", "model", _string),
+    "model_params": ("experiment", "model_params", _json_object),
     "data_path": ("experiment", "data_path", _path),
     "split_fraction": ("experiment", "split_fraction", real_number),
     "n_seeds": ("experiment", "n_seeds", whole_number),
@@ -114,7 +129,7 @@ _SETTINGS = {
     "delta": ("fw", "delta", real_number),
     "gap_tol": ("fw", "gap_tolerance", real_number),
     "seed": ("fw", "seed", whole_number),
-    "family": ("lmo", "family", None),
+    "family": ("lmo", "family", Family),
     "mc_samples": ("lmo", "n_mc_samples", whole_number),
     "lmo_steps": ("lmo", "n_steps", whole_number),
     "lambda": ("lmo", "entropy_weight", _parse_lambda),
@@ -185,7 +200,7 @@ def _experiment_config(args) -> ExperimentConfig:
         for key, val in settings.items():
             config, name, convert = _SETTINGS[key]
             try:
-                kwargs[config][name] = val if convert is None else convert(val)
+                kwargs[config][name] = convert(val)
             except (TypeError, ValueError) as e:
                 raise CliError(f"config key {key!r}: {e}")
         fw = FwConfig(lmo=LmoConfig(**kwargs["lmo"]), **kwargs["fw"])

@@ -28,20 +28,8 @@ from .models import (
     matrix_factorization_model,
     predictive_metrics,
     synthetic_bimodal_target,
+    whole_number,
 )
-
-
-def whole_number(value, name: str = "value") -> int:
-    """A count given as an int or a whole float, as an int.  Any other value
-    raises a :class:`DataError` naming ``name``: a fraction, which ``int``
-    would truncate, a bool, which it would read as 0 or 1, or a string."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        whole = False
-    else:
-        whole = isinstance(value, numbers.Integral) or float(value).is_integer()
-    if not whole:
-        raise DataError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
 
 
 def real_number(value, name: str = "value") -> float:
@@ -245,6 +233,7 @@ class ExperimentConfig:
                                  f"that data_path (--data) replaces")
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError("split fraction must lie in (0, 1)")
+        object.__setattr__(self, "n_seeds", whole_number(self.n_seeds, "n_seeds"))
         if self.n_seeds < 1:
             raise ValueError("n_seeds must be >= 1")
 

@@ -32,7 +32,7 @@ from .densities import (
     standard_noise,
     standard_score,
 )
-from .models import TargetModel
+from .models import TargetModel, whole_number
 
 
 # Adam squares the log-scale gradient, which carries lambda, so a larger
@@ -59,6 +59,8 @@ class LmoConfig:
     entropy_weight: Optional[float] = None  # constant lambda; None gives 1/sqrt(t+1)
 
     def __post_init__(self):
+        for name in ("n_mc_samples", "n_steps"):
+            object.__setattr__(self, name, whole_number(getattr(self, name), name))
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if self.n_mc_samples < 1:

@@ -14,6 +14,7 @@ is one module-level helper, shared by its training log-likelihood and
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -53,6 +54,19 @@ def log_joint_batch(model: TargetModel, Z: np.ndarray) -> np.ndarray:
 class DataError(ValueError):
     """Input data that cannot be used: an unreadable or malformed file or
     trace entry, an invalid value, or a split that leaves a side empty."""
+
+
+def whole_number(value, name: str = "value") -> int:
+    """A count given as an int or a whole float, as an int.  Any other value
+    raises a :class:`DataError` naming ``name``: a fraction, which ``int``
+    would truncate, a bool, which it would read as 0 or 1, or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        whole = False
+    else:
+        whole = isinstance(value, numbers.Integral) or float(value).is_integer()
+    if not whole:
+        raise DataError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from boostvi import (
     run_boosting,
     synthetic_bimodal_target,
 )
+from boostvi import boosting
 from boostvi.boosting import LINE_SEARCH_GRID, _crn_atom_index, mixture_from_dict
 from boostvi.densities import PARAM_BOX, standard_noise
 from boostvi.harness import make_lowrank_matrix, make_separable_classification
@@ -579,13 +580,44 @@ class TestFwConfig:
         ("gap_tolerance", -1.0), ("gap_tolerance", math.nan), ("gap_tolerance", math.inf),
         ("seed", -1), ("max_iters", -1), ("delta", 0.0), ("delta", math.nan),
         ("gap_samples", 0), ("gap_samples", -5), ("gap_samples", 2.5),
+        ("max_iters", 1.5), ("seed", 2.5), ("gap_samples", True),
     ])
     def test_out_of_range_value_names_its_field(self, field, value):
         with pytest.raises(ValueError, match=field):
             FwConfig(**{field: value})
 
+    def test_whole_float_counts_are_stored_as_ints(self):
+        cfg = FwConfig(max_iters=2.0, gap_samples=64.0, seed=3.0)
+        assert [type(v) for v in (cfg.max_iters, cfg.gap_samples, cfg.seed)] == [int] * 3
+
 
 class TestRunBoosting:
+    @pytest.mark.parametrize("max_iters, gap_tolerance, solves, records, stopped", [
+        (3, 0.0, 5, 4, False),  # passes 0-3 step, pass 4 only certifies q_3
+        (0, 0.0, 1, 1, False),  # the initial fit alone: nothing to certify
+        (3, 1e6, 2, 1, True),  # pass 1 certifies q_0 under the tolerance and stops
+        # the gaps of q_0..q_3 are 5.99, 1.30, 0.94 and 1.31: pass 3 stops
+        (3, 1.1, 4, 3, True),
+    ])
+    def test_one_lmo_solve_per_pass(self, monkeypatch, max_iters, gap_tolerance, solves,
+                                    records, stopped):
+        calls = []
+        solve = boosting.lmo_solve
+
+        def counting(model, q_t, t, *args):
+            calls.append(t)
+            return solve(model, q_t, t, *args)
+
+        monkeypatch.setattr(boosting, "lmo_solve", counting)
+        cfg = FwConfig(max_iters=max_iters, gap_tolerance=gap_tolerance, gap_samples=128,
+                       seed=1, lmo=LmoConfig(n_steps=30, n_mc_samples=8))
+        _, trace = run_boosting(synthetic_bimodal_target(), cfg)
+        assert calls == list(range(solves))
+        assert [r.t for r in trace.records] == list(range(records))
+        assert trace.stopped_early is stopped
+        # every recorded iterate is certified, except the one a zero-iteration run returns
+        assert all(r.gap_estimate is not None for r in trace.records) is (max_iters > 0)
+
     def test_zero_iterations_returns_plain_fit(self):
         model = synthetic_bimodal_target()
         cfg = FwConfig(max_iters=0, seed=0, lmo=LmoConfig(n_steps=400))

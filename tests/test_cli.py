@@ -171,6 +171,26 @@ class TestRun:
         assert "t=0" not in out
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("config, key, message", [
+        ({"model": ["bimodal"]}, "model", "value must be a string, got ['bimodal']"),
+        ({"model_params": 5}, "model_params", "value must be a JSON object, got 5"),
+        ({"model_params": "ab"}, "model_params", "value must be a JSON object, got 'ab'"),
+        ({"model_params": [["mu", [0, 1]]]}, "model_params",
+         "value must be a JSON object, got [['mu', [0, 1]]]"),
+        ({"family": 3}, "family", "3 is not a valid Family"),
+    ], ids=["model-list", "model_params-number", "model_params-string", "model_params-pairs",
+            "family-number"])
+    def test_value_of_the_wrong_json_type_names_its_key(self, tmp_path, capsys, config, key,
+                                                        message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o"), *FAST)
+        assert code == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert f"error: config key {key!r}: {message}" in err
+        assert "t=0" not in out
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("config, key", [
         ({"delta": True}, "delta"),
         ({"gap_tol": False}, "gap_tol"),

@@ -17,36 +17,46 @@ import pytest
 from boostvi.cli import main
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
-# (model, variant, family): each model on its default fixed step and
-# Gaussian atoms, then the step solves, the line search and the corrective
-# weight solve with its merge step, then the fixed step with Laplace atoms
+# (model, variant, family, extra flags): each model on its default fixed step
+# and Gaussian atoms, then the step solves, the line search and the corrective
+# weight solve with its merge step, then the fixed step with Laplace atoms.
+# The last three pin the loop's two ends: the initial fit alone, a gap stop
+# after two iterates, and a tolerance that only the final certificate meets,
+# which certifies without stopping.
 CASES = (
-    ("bimodal", None, None),
-    ("logistic", None, None),
-    ("matrix_factorization", None, None),
-    ("bimodal", "linesearch", None),
-    ("bimodal", "fullycorrective", None),
-    ("matrix_factorization", "fullycorrective", None),
-    ("bimodal", None, "laplace"),
+    ("bimodal", None, None, ()),
+    ("logistic", None, None, ()),
+    ("matrix_factorization", None, None, ()),
+    ("bimodal", "linesearch", None, ()),
+    ("bimodal", "fullycorrective", None, ()),
+    ("matrix_factorization", "fullycorrective", None, ()),
+    ("bimodal", None, "laplace", ()),
+    ("bimodal", None, None, ("--iters", "0")),
+    ("bimodal", None, None, ("--gap-tol", "3")),
+    ("bimodal", "fullycorrective", None, ("--gap-tol", "1")),
 )
 FLAGS = ("--iters", "2", "--lmo-steps", "100", "--mc-samples", "8", "--seed", "1")
 
 
-def _name(model: str, variant, family) -> str:
-    return "_".join(part for part in (model, variant, family) if part is not None)
+def _name(model: str, variant, family, extra) -> str:
+    # extra flags name themselves without dashes: ("--gap-tol", "3") is gaptol3
+    flags = "".join(extra).replace("-", "") or None
+    return "_".join(part for part in (model, variant, family, flags) if part is not None)
 
 
-def _fixture_path(model: str, variant, family) -> str:
-    return os.path.join(DATA, f"golden_{_name(model, variant, family)}.json")
+def _fixture_path(model: str, variant, family, extra) -> str:
+    return os.path.join(DATA, f"golden_{_name(model, variant, family, extra)}.json")
 
 
-def _run(model: str, variant, family, out_dir: str) -> dict:
-    """The stripped trace.json and summary.json of the fixed-flag run."""
+def _run(model: str, variant, family, extra, out_dir: str) -> dict:
+    """The stripped trace.json and summary.json of the fixed-flag run; the
+    extra flags come last, so they override ``FLAGS``."""
     flags = [*FLAGS]
     if variant is not None:
         flags += ["--variant", variant]
     if family is not None:
         flags += ["--family", family]
+    flags += extra
     assert main(["run", "--model", model, *flags, "--out", out_dir]) == 0
     with open(os.path.join(out_dir, "trace.json")) as fh:
         trace = json.load(fh)
@@ -64,11 +74,12 @@ def _canonical(outputs: dict) -> str:
     return json.dumps(outputs, indent=1, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("model,variant,family", CASES, ids=[_name(*case) for case in CASES])
-def test_outputs_match_golden(tmp_path, model, variant, family):
-    with open(_fixture_path(model, variant, family)) as fh:
+@pytest.mark.parametrize("model,variant,family,extra", CASES,
+                         ids=[_name(*case) for case in CASES])
+def test_outputs_match_golden(tmp_path, model, variant, family, extra):
+    with open(_fixture_path(model, variant, family, extra)) as fh:
         expected = fh.read()
-    assert _canonical(_run(model, variant, family, str(tmp_path / "run"))) == expected
+    assert _canonical(_run(model, variant, family, extra, str(tmp_path / "run"))) == expected
 
 
 if __name__ == "__main__":

@@ -273,6 +273,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="unknown model"):
             ExperimentConfig(model="mystery")
 
+    @pytest.mark.parametrize("n_seeds", [0, 1.5, True])
+    def test_bad_n_seeds_names_its_field(self, n_seeds):
+        with pytest.raises(ValueError, match="n_seeds"):
+            ExperimentConfig(n_seeds=n_seeds)
+
     @pytest.mark.parametrize("model, params, unknown", [
         ("logistic", {"n_feature": 3}, "['n_feature']"),
         ("bimodal", {"mu": (-2.0, 2.0), "n": 10, "latent_dim": 2}, "['latent_dim', 'n']"),

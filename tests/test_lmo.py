@@ -271,9 +271,11 @@ class TestLmoSolve:
         for weight in (-0.1, 0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="lambda"):
                 LmoConfig(entropy_weight=weight)
-        for steps in (0, -3):
+        for steps in (0, -3, 20.5):
             with pytest.raises(ValueError, match="n_steps"):
                 LmoConfig(n_steps=steps)
+        with pytest.raises(ValueError, match="n_mc_samples"):
+            LmoConfig(n_mc_samples=2.5)
 
     def test_one_atom_built_per_solve(self, monkeypatch):
         # the step loop works on raw arrays: the returned atom is the only

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from boostvi import harness
+from boostvi import boosting, harness
 from boostvi.densities import BaseDensity, Mixture
 from boostvi.models import TargetModel
 
@@ -121,4 +121,36 @@ def test_harness_calls_patched_names(monkeypatch, model, expected):
     for name in HARNESS_LOOKUPS:
         monkeypatch.setattr(harness, name, recorder(name, stubs.get(name, getattr(harness, name))))
     harness.run_single_seed(harness.ExperimentConfig(model=model), seed=1)
+    assert called == expected
+
+
+# the boosting names the tracer patches; run_boosting must look each up in
+# its module globals at call time, or the tracer's span for it reads zero
+BOOSTING_LOOKUPS = (
+    "lmo_solve", "certificate_gap", "fully_corrective_weights", "line_search_gamma",
+    "_kl_oracle",
+)
+
+
+@pytest.mark.parametrize("variant, expected", [
+    (boosting.Variant.FIXED_STEP, {"lmo_solve", "certificate_gap", "_kl_oracle"}),
+    (boosting.Variant.LINE_SEARCH, {"lmo_solve", "certificate_gap", "line_search_gamma",
+                                    "_kl_oracle"}),
+    (boosting.Variant.FULLY_CORRECTIVE, {"lmo_solve", "certificate_gap",
+                                         "fully_corrective_weights", "_kl_oracle"}),
+])
+def test_run_boosting_calls_patched_names(monkeypatch, variant, expected):
+    called = set()
+
+    def recorder(name, fn):
+        def record(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return record
+
+    for name in BOOSTING_LOOKUPS:
+        monkeypatch.setattr(boosting, name, recorder(name, getattr(boosting, name)))
+    cfg = boosting.FwConfig(variant=variant, max_iters=1, gap_samples=64, seed=1,
+                            lmo=boosting.LmoConfig(n_steps=20, n_mc_samples=8))
+    boosting.run_boosting(harness.synthetic_bimodal_target(), cfg)
     assert called == expected
