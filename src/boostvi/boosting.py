@@ -27,7 +27,6 @@ import numpy as np
 from .densities import (
     SCALE_FLOOR,
     BaseDensity,
-    Family,
     Mixture,
     QuadratureGrid,
     log_weights,
@@ -38,7 +37,7 @@ from .densities import (
     _trapezoid,
 )
 from .lmo import LmoConfig, _to_box, lmo_solve
-from .models import DataError, TargetModel, log_joint_batch, whole_number
+from .models import DataError, TargetModel, log_joint_batch, real_number, whole_number
 
 
 def _entropy_int(seed) -> int:
@@ -67,6 +66,10 @@ class FwConfig:
     def __post_init__(self):
         for name in ("max_iters", "gap_samples", "seed"):
             object.__setattr__(self, name, whole_number(getattr(self, name), name))
+        for name in ("delta", "gap_tolerance"):
+            object.__setattr__(self, name, real_number(getattr(self, name), name))
+        if not isinstance(self.lmo, LmoConfig):
+            raise TypeError(f"lmo must be an LmoConfig, got {self.lmo!r}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
         if not 0.0 < self.delta <= 1.0:
@@ -127,17 +130,6 @@ class BoostTrace:
         }
 
 
-def mixture_from_dict(d: dict) -> Mixture:
-    """Inverse of one ``mixtures`` entry of :meth:`BoostTrace.to_dict`; the
-    weights are renormalized.  An entry no mixture can hold, such as a NaN
-    parameter, raises a :class:`DataError`."""
-    try:
-        atoms = [BaseDensity(Family(a["family"]), a["loc"], a["scale"]) for a in d["atoms"]]
-        return Mixture.from_unnormalized(atoms, d["weights"])
-    except ValueError as e:
-        raise DataError(f"invalid mixture entry: {e}")
-
-
 def variant_config(variant: Variant, seed: int, max_iters: int = 10) -> FwConfig:
     """Per-variant settings of the bimodal benchmark runs: the fixed step
     with the 1/sqrt(t+1) entropy schedule, the line-search and corrective
@@ -187,6 +179,14 @@ LINE_SEARCH_GRID = 21  # gammas 0, 0.05, ..., 1 tried before the refinement
 CORRECTIVE_ITERS = 200  # simplex Frank-Wolfe steps of the corrective weight solve
 
 
+def _sample_count(n_samples) -> int:
+    """A step solve's ``n_samples``, a whole number >= 1, as an int."""
+    n = whole_number(n_samples, "n_samples")
+    if n < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n}")
+    return n
+
+
 def _atom_sample_table(q: Mixture, locs, scales, model: TargetModel, noises):
     """Each sampled atom's fixed samples evaluated once: for the i-th (n, D)
     array of ``noises``, the samples ``locs[i] + scales[i] * noise`` (rows of
@@ -227,6 +227,7 @@ def line_search_gamma(
     ever draws one of the K + 1 atoms' transforms of the noise, so each atom's
     transform meets the model once, and each gamma is a selection from that
     table."""
+    n_samples = _sample_count(n_samples)
     k = len(q_t.weights) + 1
     q = _append(q_t, s, np.ones(k))  # q_t's atoms and s as one mixture
     rng = np.random.default_rng(seed)
@@ -290,6 +291,7 @@ def fully_corrective_weights(
     stopping test within its rounding error; the returned weights are those
     of the direct solve.
     """
+    n_samples = _sample_count(n_samples)
     k = len(q.weights)
     if k == 1:
         return np.array([1.0])

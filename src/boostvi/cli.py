@@ -11,14 +11,14 @@ import contextlib
 import csv
 import json
 import os
+import shutil
 import sys
 from typing import Optional
 
-from .boosting import FwConfig, Variant, curvature_probe, mixture_from_dict
+from .boosting import FwConfig, Variant, curvature_probe
 from .densities import Family
-from .harness import ExperimentConfig, bimodal_target, real_number, run_experiment
-from .harness import write_density_csv
-from .models import DataError, whole_number
+from .harness import ExperimentConfig, run_experiment
+from .models import DataError, real_number, whole_number
 from .lmo import LmoConfig
 from .probes import (
     PROBE_GRID,
@@ -261,36 +261,30 @@ def cmd_probe(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
+    """``plot_series.csv`` from the first seed's trace.json records, and the
+    run's own density.csv as ``plot_density.csv`` when the run wrote one."""
     run_dir = args.run
     trace_path = os.path.join(run_dir, "trace.json")
-    summary_path = os.path.join(run_dir, "summary.json")
-    if not (os.path.isdir(run_dir) and os.path.exists(trace_path) and os.path.exists(summary_path)):
-        raise CliError(f"not a run directory (missing trace.json/summary.json): {run_dir}")
+    if not os.path.exists(trace_path):
+        raise CliError(f"not a run directory (missing trace.json): {run_dir}")
     try:
         out_dir = run_dir if args.out is None else _out_dir(args.out)
     except ValueError as e:
         raise CliError(f"--out: {e}")
-    # both files are read and checked before the first output is written
-    with _json_file(summary_path) as summary:
-        bimodal = summary["config"]["model"] == "bimodal"
-        target = bimodal_target(summary["config"].get("model_params", {})) if bimodal else None
+    # trace.json is read and checked before the first output is written
     with _json_file(trace_path) as payload:
-        trace = payload["traces"][0]
         # csv writes None (a missing oracle or gap) as an empty cell
         rows = [[rec[k] for k in ("t", "gamma", "kl_oracle", "gap_estimate", "gap_stderr",
-                                  "train_ll")] for rec in trace["records"]]
-        mixtures = [mixture_from_dict(m) for m in trace["mixtures"]] if bimodal else []
-        if any(m.dim != target.dim for m in mixtures):
-            raise ValueError(f"every mixture must have the target's dimension {target.dim}, "
-                             f"got {sorted({m.dim for m in mixtures})}")
+                                  "train_ll")] for rec in payload["traces"][0]["records"]]
 
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "plot_series.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "gamma", "kl", "gap", "gap_stderr", "train_ll"])
         writer.writerows(rows)
-    if bimodal:
-        write_density_csv(target, mixtures, os.path.join(out_dir, "plot_density.csv"))
+    density_path = os.path.join(run_dir, "density.csv")
+    if os.path.exists(density_path):
+        shutil.copyfile(density_path, os.path.join(out_dir, "plot_density.csv"))
     return EXIT_OK
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import os
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
@@ -19,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .boosting import BoostTrace, FwConfig, check_kl_oracle_grid, run_boosting
-from .densities import Mixture, QuadratureGrid
+from .densities import QuadratureGrid
 from .models import (
     DataError,
     Dataset,
@@ -27,18 +26,10 @@ from .models import (
     logistic_regression_model,
     matrix_factorization_model,
     predictive_metrics,
+    real_number,
     synthetic_bimodal_target,
     whole_number,
 )
-
-
-def real_number(value, name: str = "value") -> float:
-    """A real number given as an int or a float, as a float.  Any other value
-    raises a :class:`DataError` naming ``name``: a bool, which ``float``
-    would read as 0 or 1, or a string, which it would parse."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise DataError(f"{name} must be a real number, got {value!r}")
-    return float(value)
 
 
 # each model's model_params keys and how a given value is read (None: as
@@ -215,6 +206,12 @@ class ExperimentConfig:
     out_dir: Optional[str] = None
 
     def __post_init__(self):
+        if not isinstance(self.model, str):
+            raise TypeError(f"model must be a string, got {self.model!r}")
+        if not isinstance(self.model_params, dict):
+            raise TypeError(f"model_params must be a dict, got {self.model_params!r}")
+        if not isinstance(self.fw, FwConfig):
+            raise TypeError(f"fw must be an FwConfig, got {self.fw!r}")
         if self.model not in MODEL_PARAMS:
             raise ValueError(f"unknown model {self.model!r}, expected one of {tuple(MODEL_PARAMS)}")
         data_keys, model_keys = MODEL_PARAMS[self.model]
@@ -231,6 +228,8 @@ class ExperimentConfig:
             if replaced:
                 raise ValueError(f"model_params keys {replaced} shape the synthetic data "
                                  f"that data_path (--data) replaces")
+        object.__setattr__(self, "split_fraction",
+                           real_number(self.split_fraction, "split_fraction"))
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError("split fraction must lie in (0, 1)")
         object.__setattr__(self, "n_seeds", whole_number(self.n_seeds, "n_seeds"))
@@ -353,7 +352,9 @@ DENSITY_GRID = QuadratureGrid(-6.0, 6.0, 601)
 
 
 def write_artifacts(cfg: ExperimentConfig, summary: RunSummary) -> None:
-    """Write trace.json, summary.json and, for 1-D models, density.csv."""
+    """Write trace.json, summary.json and, for the bimodal target,
+    density.csv: the target's and each iterate q_0 .. q_T's density of the
+    first seed on ``DENSITY_GRID``."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     trace_payload = {
         "seeds": summary.seeds,
@@ -370,18 +371,13 @@ def write_artifacts(cfg: ExperimentConfig, summary: RunSummary) -> None:
     with open(os.path.join(cfg.out_dir, "summary.json"), "w") as fh:
         json.dump(summary_payload, fh, indent=2, sort_keys=True)
     if cfg.model == "bimodal":
-        write_density_csv(bimodal_target(cfg.model_params), summary.traces[0].mixtures,
-                          os.path.join(cfg.out_dir, "density.csv"))
-
-
-def write_density_csv(target: TargetModel, mixtures: list[Mixture], path: str) -> None:
-    """The bimodal ``target``'s and each mixture's density on ``DENSITY_GRID``."""
-    z = DENSITY_GRID.points()
-    columns = [("z", z), ("target", np.exp(target.posterior_log_pdf(z)))]
-    for i, m in enumerate(mixtures):
-        columns.append((f"q_{i}", np.exp(m.log_prob(z.reshape(-1, 1)))))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([name for name, _ in columns])
-        for row in zip(*(vals for _, vals in columns)):
-            writer.writerow([repr(float(v)) for v in row])
+        z = DENSITY_GRID.points()
+        target = bimodal_target(cfg.model_params)
+        columns = [("z", z), ("target", np.exp(target.posterior_log_pdf(z)))]
+        for i, m in enumerate(summary.traces[0].mixtures):
+            columns.append((f"q_{i}", np.exp(m.log_prob(z.reshape(-1, 1)))))
+        with open(os.path.join(cfg.out_dir, "density.csv"), "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([name for name, _ in columns])
+            for row in zip(*(vals for _, vals in columns)):
+                writer.writerow([repr(float(v)) for v in row])

@@ -32,7 +32,7 @@ from .densities import (
     standard_noise,
     standard_score,
 )
-from .models import TargetModel, whole_number
+from .models import TargetModel, real_number, whole_number
 
 
 # Adam squares the log-scale gradient, which carries lambda, so a larger
@@ -61,6 +61,10 @@ class LmoConfig:
     def __post_init__(self):
         for name in ("n_mc_samples", "n_steps"):
             object.__setattr__(self, name, whole_number(getattr(self, name), name))
+        object.__setattr__(self, "step_size", real_number(self.step_size, "step_size"))
+        if self.entropy_weight is not None:
+            object.__setattr__(self, "entropy_weight",
+                               real_number(self.entropy_weight, "entropy_weight"))
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if self.n_mc_samples < 1:

@@ -69,6 +69,15 @@ def whole_number(value, name: str = "value") -> int:
     return int(value)
 
 
+def real_number(value, name: str = "value") -> float:
+    """A real number given as an int or a float, as a float.  Any other value
+    raises a :class:`DataError` naming ``name``: a bool, which ``float``
+    would read as 0 or 1, or a string, which it would parse."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DataError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Feature/label data for classification, or a masked matrix for factorization.

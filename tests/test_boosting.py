@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -27,11 +28,10 @@ from boostvi import (
     synthetic_bimodal_target,
 )
 from boostvi import boosting
-from boostvi.boosting import LINE_SEARCH_GRID, _crn_atom_index, mixture_from_dict
+from boostvi.boosting import LINE_SEARCH_GRID, _crn_atom_index
 from boostvi.densities import PARAM_BOX, standard_noise
 from boostvi.harness import make_lowrank_matrix, make_separable_classification
 from boostvi.models import (
-    DataError,
     TargetModel,
     log_joint_batch,
     logistic_regression_model,
@@ -166,6 +166,26 @@ class TestLineSearch:
         s = gaussian(-1.0, 0.5)
         gamma = line_search_gamma(q_t, s, model, n_samples=8192, seed=2)
         assert gamma == pytest.approx(0.4, abs=0.1)
+
+
+class TestStepSolveSampleCount:
+    q = Mixture.from_unnormalized([gaussian(-1.0, 0.5), gaussian(1.0, 0.5)], [0.4, 0.6])
+
+    def _solve(self, solve, n_samples):
+        model = synthetic_bimodal_target()
+        if solve == "line_search":
+            return line_search_gamma(self.q, gaussian(0.0, 1.0), model, n_samples=n_samples)
+        return fully_corrective_weights(self.q, model, n_samples=n_samples)
+
+    @pytest.mark.parametrize("solve", ["line_search", "corrective"])
+    @pytest.mark.parametrize("n_samples", [0, -3, 2.5, True, "64"])
+    def test_bad_count_names_n_samples(self, solve, n_samples):
+        with pytest.raises(ValueError, match="^n_samples must be"):
+            self._solve(solve, n_samples)
+
+    @pytest.mark.parametrize("solve", ["line_search", "corrective"])
+    def test_whole_float_count_solves_as_its_int(self, solve):
+        np.testing.assert_array_equal(self._solve(solve, 64.0), self._solve(solve, 64))
 
 
 def crn_mixture_sampler(family, dim, n, seed):
@@ -590,6 +610,22 @@ class TestFwConfig:
         cfg = FwConfig(max_iters=2.0, gap_samples=64.0, seed=3.0)
         assert [type(v) for v in (cfg.max_iters, cfg.gap_samples, cfg.seed)] == [int] * 3
 
+    @pytest.mark.parametrize("field, value", [
+        ("delta", "0.5"), ("gap_tolerance", "1"), ("delta", True), ("gap_tolerance", None),
+    ])
+    def test_non_real_value_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got "
+                                             + re.escape(repr(value))):
+            FwConfig(**{field: value})
+
+    def test_int_reals_are_stored_as_floats(self):
+        cfg = FwConfig(delta=1, gap_tolerance=2)
+        assert [type(v) for v in (cfg.delta, cfg.gap_tolerance)] == [float] * 2
+
+    def test_lmo_of_another_type_names_its_field(self):
+        with pytest.raises(TypeError, match="^lmo must be an LmoConfig, got {}"):
+            FwConfig(lmo={})
+
 
 class TestRunBoosting:
     @pytest.mark.parametrize("max_iters, gap_tolerance, solves, records, stopped", [
@@ -713,38 +749,6 @@ class TestRunBoosting:
         d = trace.to_dict()
         assert set(d) == {"records", "mixtures", "eps0", "best_iteration", "stopped_early"}
         assert {"family", "loc", "scale"} <= set(d["mixtures"][0]["atoms"][0])
-
-    @pytest.mark.parametrize("atom, message", [
-        ({"loc": [math.nan]}, "loc entries must lie in the param_box"),
-        ({"scale": [math.nan]}, "scale entries must be finite"),
-        ({"scale": [math.inf]}, "scale entries must be finite"),
-        ({"loc": [1.0, 2.0], "scale": [0.5, 0.5]}, "all atoms must share one dimension"),
-        ({"family": "laplace"}, "all atoms must share one family"),
-    ], ids=["loc-nan", "scale-nan", "scale-inf", "two-dimensions", "two-families"])
-    def test_mixture_from_dict_rejects_non_finite_atom(self, atom, message):
-        # a hand-edited trace.json entry: json reads NaN and Infinity as floats
-        entry = {"weights": [0.5, 0.5], "atoms": [
-            {"family": "gaussian", "loc": [0.0], "scale": [1.0]},
-            {"family": "gaussian", "loc": [1.0], "scale": [0.5]},
-        ]}
-        entry["atoms"][1].update(atom)
-        with pytest.raises(DataError, match=f"^invalid mixture entry: {message}"):
-            mixture_from_dict(entry)
-
-    @pytest.mark.parametrize("weights, n_atoms, message", [
-        ([math.nan, 1.0], 2, "weights must be finite with a positive sum"),
-        ([math.inf, 1.0], 2, "weights must be finite with a positive sum"),
-        ([0.0, 0.0], 2, "weights must be finite with a positive sum"),
-        ([0.5, 0.3, 0.2], 2, "weights and atoms must have the same length"),
-        ([1.0], 0, "mixture needs at least one atom"),
-    ], ids=["weights0", "weights1", "weights2", "count-mismatch", "no-atoms"])
-    def test_mixture_from_dict_rejects_non_finite_weights(self, weights, n_atoms, message):
-        entry = {"weights": weights, "atoms": [
-            {"family": "gaussian", "loc": [0.0], "scale": [1.0]},
-            {"family": "gaussian", "loc": [1.0], "scale": [0.5]},
-        ][:n_atoms]}
-        with pytest.raises(DataError, match=f"^invalid mixture entry: {message}"):
-            mixture_from_dict(entry)
 
 
 def einsum_factorization_model(data, latent_dim: int) -> TargetModel:

@@ -192,6 +192,17 @@ class TestStackedMixtureEvaluation:
         with pytest.raises(ValueError, match="one family"):
             Mixture.from_unnormalized((gaussian(0.0, 1.0), laplace(1.0, 0.5)), [0.3, 0.7])
 
+    @pytest.mark.parametrize("atoms, weights, match", [
+        ((gaussian(0.0, 1.0), gaussian(1.0, 0.5)), [math.nan, 1.0], "finite with a positive sum"),
+        ((gaussian(0.0, 1.0), gaussian(1.0, 0.5)), [math.inf, 1.0], "finite with a positive sum"),
+        ((gaussian(0.0, 1.0), gaussian(1.0, 0.5)), [0.0, 0.0], "finite with a positive sum"),
+        ((), [1.0], "needs at least one atom"),
+        ((gaussian(0.0, 1.0), gaussian([1.0, 2.0], [0.5, 0.5])), [0.5, 0.5], "one dimension"),
+    ], ids=["nan-weight", "inf-weight", "zero-sum", "no-atoms", "two-dimensions"])
+    def test_from_unnormalized_checks(self, atoms, weights, match):
+        with pytest.raises(ValueError, match=match):
+            Mixture.from_unnormalized(atoms, weights)
+
     def test_stacked_parameters(self):
         atoms = (laplace([0.0, 1.0], [1.0, 2.0]), laplace([-1.0, 0.5], [0.3, 0.4]))
         m = mixture(atoms, np.array([0.5, 0.5]))

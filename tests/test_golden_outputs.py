@@ -1,6 +1,8 @@
 """Golden outputs: a short fixed-flag ``boostvi run`` of each case must
 reproduce the ``trace.json`` and ``summary.json`` stored under ``tests/data``
-exactly, the per-iteration ``wallclock`` and ``config.out_dir`` aside.
+exactly, the per-iteration ``wallclock`` and ``config.out_dir`` aside, and
+``boostvi plotdata`` on the bimodal fixed-step run must reproduce the stored
+``plot_series.csv`` and ``plot_density.csv`` byte for byte.
 
 A refactor keeps these files as they are.  A change that means to alter the
 outputs regenerates them with
@@ -20,6 +22,7 @@ DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 # (model, variant, family, extra flags): each model on its default fixed step
 # and Gaussian atoms, then the step solves, the line search and the corrective
 # weight solve with its merge step, then the fixed step with Laplace atoms.
+# The wide line search rejects every atom, so its mixture keeps one atom.
 # The last three pin the loop's two ends: the initial fit alone, a gap stop
 # after two iterates, and a tolerance that only the final certificate meets,
 # which certifies without stopping.
@@ -30,12 +33,14 @@ CASES = (
     ("bimodal", "linesearch", None, ()),
     ("bimodal", "fullycorrective", None, ()),
     ("matrix_factorization", "fullycorrective", None, ()),
+    ("matrix_factorization", "linesearch", None, ()),
     ("bimodal", None, "laplace", ()),
     ("bimodal", None, None, ("--iters", "0")),
     ("bimodal", None, None, ("--gap-tol", "3")),
     ("bimodal", "fullycorrective", None, ("--gap-tol", "1")),
 )
 FLAGS = ("--iters", "2", "--lmo-steps", "100", "--mc-samples", "8", "--seed", "1")
+PLOT_FILES = ("plot_series.csv", "plot_density.csv")
 
 
 def _name(model: str, variant, family, extra) -> str:
@@ -69,6 +74,22 @@ def _run(model: str, variant, family, extra, out_dir: str) -> dict:
     return {"trace": trace, "summary": summary}
 
 
+def _plotdata(out_dir: str) -> dict:
+    """The bytes of each of ``PLOT_FILES`` that plotdata writes for the
+    bimodal fixed-step fixed-flag run."""
+    _run("bimodal", None, None, (), out_dir)
+    assert main(["plotdata", "--run", out_dir]) == 0
+    outputs = {}
+    for name in PLOT_FILES:
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            outputs[name] = fh.read()
+    return outputs
+
+
+def _plot_fixture_path(name: str) -> str:
+    return os.path.join(DATA, f"golden_bimodal_{name}")
+
+
 def _canonical(outputs: dict) -> str:
     # text, not objects: a NaN entry compares equal to itself only as text
     return json.dumps(outputs, indent=1, sort_keys=True) + "\n"
@@ -82,9 +103,18 @@ def test_outputs_match_golden(tmp_path, model, variant, family, extra):
     assert _canonical(_run(model, variant, family, extra, str(tmp_path / "run"))) == expected
 
 
+def test_plotdata_matches_golden(tmp_path):
+    for name, output in _plotdata(str(tmp_path / "run")).items():
+        with open(_plot_fixture_path(name), "rb") as fh:
+            assert output == fh.read(), name
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         for case in CASES:
             outputs = _canonical(_run(*case, os.path.join(scratch, _name(*case))))
             with open(_fixture_path(*case), "w") as fh:
                 fh.write(outputs)
+        for name, output in _plotdata(os.path.join(scratch, "plotdata")).items():
+            with open(_plot_fixture_path(name), "wb") as fh:
+                fh.write(output)

@@ -273,6 +273,18 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="unknown model"):
             ExperimentConfig(model="mystery")
 
+    @pytest.mark.parametrize("field, value, error, message", [
+        ("split_fraction", "0.5", ValueError, "split_fraction must be a real number, got '0.5'"),
+        ("split_fraction", True, ValueError, "split_fraction must be a real number, got True"),
+        ("model", ["bimodal"], TypeError, "model must be a string, got ['bimodal']"),
+        ("model_params", 5, TypeError, "model_params must be a dict, got 5"),
+        ("fw", {}, TypeError, "fw must be an FwConfig, got {}"),
+    ], ids=["split_fraction-str", "split_fraction-bool", "model-list", "model_params-int",
+            "fw-dict"])
+    def test_value_of_the_wrong_type_names_its_field(self, field, value, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(**{field: value})
+
     @pytest.mark.parametrize("n_seeds", [0, 1.5, True])
     def test_bad_n_seeds_names_its_field(self, n_seeds):
         with pytest.raises(ValueError, match="n_seeds"):

@@ -277,6 +277,14 @@ class TestLmoSolve:
         with pytest.raises(ValueError, match="n_mc_samples"):
             LmoConfig(n_mc_samples=2.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("step_size", "0.1"), ("step_size", True), ("entropy_weight", "0.1"),
+        ("entropy_weight", True),
+    ])
+    def test_non_real_value_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got {value!r}"):
+            LmoConfig(**{field: value})
+
     def test_one_atom_built_per_solve(self, monkeypatch):
         # the step loop works on raw arrays: the returned atom is the only
         # validated BaseDensity, also when the non-finite retry ran
