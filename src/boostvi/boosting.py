@@ -37,7 +37,8 @@ from .densities import (
     _trapezoid,
 )
 from .lmo import LmoConfig, _to_box, lmo_solve
-from .models import DataError, TargetModel, log_joint_batch, real_number, whole_number
+from .models import (DataError, TargetModel, log_joint_batch, real_number, sample_blocks,
+                     whole_number)
 
 
 def _entropy_int(seed) -> int:
@@ -191,12 +192,16 @@ def _atom_sample_table(q: Mixture, locs, scales, model: TargetModel, noises):
     """Each sampled atom's fixed samples evaluated once: for the i-th (n, D)
     array of ``noises``, the samples ``locs[i] + scales[i] * noise`` (rows of
     (P, D) arrays) give ``comp_logs[i]`` (n, K), the log density of every atom
-    of ``q`` there, and ``logp[i]`` (n,), the model's log-joint.  One sampled
-    atom is standardized at a time, so at most one (n, K, D) array is held."""
+    of ``q`` there, and ``logp[i]`` (n,), the model's log-joint.  One block of
+    at most ``SAMPLE_BLOCK`` samples of one sampled atom is standardized at a
+    time, so at most one (SAMPLE_BLOCK, K, D) array is held."""
     comp_logs, logp = [], []
     for loc, scale, noise in zip(locs, scales, noises):
         z = loc + scale * noise
-        comp_logs.append(q.components(z)[0])
+        comp = np.empty((len(z), len(q.weights)))
+        for b in sample_blocks(len(z)):
+            comp[b] = q.components(z[b])[0]
+        comp_logs.append(comp)
         logp.append(log_joint_batch(model, z))
         del z, noise  # dropped before the next row's noise is drawn
     return np.stack(comp_logs), np.stack(logp)
@@ -358,7 +363,9 @@ def certificate_gap(
     row is always a spike probe: a narrow atom at the sample q_t covers
     worst, clipped to the location box, where shrinking atoms approach the
     supremum.  Row i draws from stream i + 1 of ``seed``, the probe from the
-    last, and all rows are rows of one :func:`_atom_sample_table`.
+    last, and all rows are rows of one :func:`_atom_sample_table`.  Each
+    row's log-sum-exp over ``q_t``'s atoms is taken on its own (n, K) slice
+    of that table, so no (P + 1, n, K) temporary is formed.
 
     Returns ``(values, stderrs)``, each of shape (P + 1,), the probe last.
     """
@@ -375,8 +382,11 @@ def certificate_gap(
     comp_logs, logp = _atom_sample_table(q_t, locs, scales, model, (
         standard_noise(q_t.family, n, q_t.dim, np.random.default_rng(s)) for s in seeds[1:]
     ))
-    comp_logs += log_weights(q_t.weights)  # in place: the table is (pool, n, K)
-    as_ = logsumexp(comp_logs, axis=2) - logp  # (pool, n)
+    log_w = log_weights(q_t.weights)
+    as_ = np.empty_like(logp)  # (pool, n)
+    for i, (comp, lp) in enumerate(zip(comp_logs, logp)):
+        # one row's (n, K) log-sum-exp at a time: its temporaries stay (n, K)
+        as_[i] = logsumexp(comp + log_w, axis=1) - lp
     values = np.mean(aq) - np.mean(as_, axis=1)
     stderrs = np.sqrt(np.var(aq) / n + np.var(as_, axis=1) / n)
     return values, stderrs

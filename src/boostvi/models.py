@@ -5,7 +5,10 @@ callable over a batch of points (n, D), optionally a value-and-gradient
 callable that returns the log-joint and its gradient from one evaluation, and
 optional extras (a normalized 1-D posterior density for quadrature oracles, a
 training log-likelihood for iterate selection).  Every call takes a batch; a single
-point z is the batch ``z[None]``.  The bimodal target is a
+point z is the batch ``z[None]``.  A large Monte-Carlo batch is evaluated
+``SAMPLE_BLOCK`` rows at a time and reassembled before any reduction across
+its samples, so its peak memory does not grow with n times the model's
+width.  The bimodal target is a
 :class:`~boostvi.densities.Mixture` of Gaussian atoms, and its callables are
 that mixture's own methods.  Each model's posterior-predictive quantity
 is one module-level helper, shared by its training log-likelihood and
@@ -22,12 +25,22 @@ import numpy as np
 
 from .densities import LOG_2PI, Family, Mixture, _as_loc, _as_scale, _check_points
 
+SAMPLE_BLOCK = 256  # most rows of a Monte-Carlo batch evaluated in one call
+
+
+def sample_blocks(n: int):
+    """Consecutive slices of at most ``SAMPLE_BLOCK`` rows that cover range(n)."""
+    return (slice(i, i + SAMPLE_BLOCK) for i in range(0, n, SAMPLE_BLOCK))
+
 
 @dataclass(frozen=True)
 class TargetModel:
     """A target density over R^dim, known up to its normalizer.
 
-    ``log_joint_batch(Z)`` maps points (n, D) to the log-joint (n,).
+    ``log_joint_batch(Z)`` maps points (n, D) to the log-joint (n,).  It
+    must be row-wise: a row's value may not depend on the other rows of the
+    batch, since :func:`log_joint_batch` splits a batch into blocks of at
+    most ``SAMPLE_BLOCK`` rows.
     ``grad_log_joint_batch(Z)``, when set, is the value-and-gradient callable:
     it returns ``(log_joint (n,), gradient (n, D))`` from one evaluation, its
     value equal to ``log_joint_batch(Z)``.  The atom solver's
@@ -47,8 +60,14 @@ class TargetModel:
 
 def log_joint_batch(model: TargetModel, Z: np.ndarray) -> np.ndarray:
     """The model's log-joint at points ``Z`` of shape (n, D); any other shape
-    raises a ValueError."""
-    return np.asarray(model.log_joint_batch(_check_points(Z, model.dim)))
+    raises a ValueError.  ``model.log_joint_batch`` is called once per block
+    of at most ``SAMPLE_BLOCK`` rows (once at n = 0) and the blocks are
+    concatenated, so a row-wise model gives the values of one whole call."""
+    Z = _check_points(Z, model.dim)
+    if len(Z) <= SAMPLE_BLOCK:
+        return np.asarray(model.log_joint_batch(Z))
+    return np.concatenate([np.asarray(model.log_joint_batch(Z[b]))
+                           for b in sample_blocks(len(Z))])
 
 
 class DataError(ValueError):
@@ -171,8 +190,13 @@ def _log_sigmoid(x: np.ndarray, e: Optional[np.ndarray] = None,
 
 def class_probabilities(samples: np.ndarray, features: np.ndarray) -> np.ndarray:
     """Posterior-predictive P(y = 1) of each row of ``features`` (m, F): the
-    sigmoid of its logit under each weight sample (n, F), averaged over samples."""
-    return _sigmoid(samples @ features.T).mean(axis=0)
+    sigmoid of its logit under each weight sample (n, F), averaged over
+    samples.  The (n, m) probabilities are filled a block of samples at a time,
+    then averaged whole."""
+    probs = np.empty((len(samples), len(features)))
+    for b in sample_blocks(len(samples)):
+        probs[b] = _sigmoid(samples[b] @ features.T)
+    return probs.mean(axis=0)
 
 
 def _mean_bernoulli_ll(probs: np.ndarray, y: np.ndarray) -> float:
@@ -238,8 +262,12 @@ def _reconstruct(U: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 def mean_reconstruction(samples: np.ndarray, latent_dim: int, rows: int, cols: int) -> np.ndarray:
     """Posterior-predictive mean matrix (rows, cols): U^T V averaged over the
-    latent samples (n, D)."""
-    return _reconstruct(*_unpack_uv(samples, latent_dim, rows, cols)).mean(axis=0)
+    latent samples (n, D).  The (n, rows, cols) products are filled a block of
+    samples at a time, then averaged whole."""
+    recon = np.empty((len(samples), rows, cols))
+    for b in sample_blocks(len(samples)):
+        recon[b] = _reconstruct(*_unpack_uv(samples[b], latent_dim, rows, cols))
+    return recon.mean(axis=0)
 
 
 def gaussian_log_likelihood(resid: np.ndarray) -> float:

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -30,8 +31,9 @@ from boostvi import (
 from boostvi import boosting
 from boostvi.boosting import LINE_SEARCH_GRID, _crn_atom_index
 from boostvi.densities import PARAM_BOX, standard_noise
-from boostvi.harness import make_lowrank_matrix, make_separable_classification
+from boostvi.harness import make_lowrank_matrix, make_separable_classification, split
 from boostvi.models import (
+    SAMPLE_BLOCK,
     TargetModel,
     log_joint_batch,
     logistic_regression_model,
@@ -317,15 +319,16 @@ class TestCrnMixtureSampler:
         atoms = tuple(BaseDensity(family, rng.normal(size=dim), rng.uniform(0.1, 2.0, dim))
                       for _ in range(4))
         q_t = Mixture.from_unnormalized(atoms[:3], [0.5, 0.0, 0.3])
-        table = []  # the points each atom's row of the table holds
+        calls = []  # the points of each log-joint call, a block of one row at most
 
         def recording(Z):
-            table.append(Z.copy())
+            calls.append(Z.copy())
             return np.zeros(len(Z))
 
         line_search_gamma(q_t, atoms[3], TargetModel(dim=dim, log_joint_batch=recording),
                           n_samples=300, seed=8)
-        table = np.stack(table)
+        # the points each atom's row of the table holds, (k, n, D)
+        table = np.concatenate(calls).reshape(-1, 300, dim)
         u = np.random.default_rng(8).uniform(size=300)  # the search's first draw
         # the line search's blends (1 - gamma) * q_t + gamma * s, unnormalized
         for gamma in (0.0, 0.37, 1.0):
@@ -812,3 +815,103 @@ class TestFactorizationKernelRounding:
                 assert x == pytest.approx(y, rel=1e-9, abs=0.0)
             else:
                 assert x == y
+
+
+def recording_model(model: TargetModel, sizes: list) -> TargetModel:
+    """``model`` with a log-joint that appends each call's row count to ``sizes``."""
+
+    def recording(Z):
+        sizes.append(len(Z))
+        return model.log_joint_batch(Z)
+
+    return replace(model, log_joint_batch=recording)
+
+
+class TestSampleBlockBound:
+    """Every log-joint call of the certificate, the step solves and the
+    bimodal training log-likelihood sees at most ``SAMPLE_BLOCK`` rows, and
+    every sample row is evaluated once."""
+
+    NS = [1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 2048]
+
+    @staticmethod
+    def case(sizes):
+        q = mixture((BaseDensity(Family.GAUSSIAN, [-0.5, 0.2], [0.6, 0.8]),
+                     BaseDensity(Family.GAUSSIAN, [0.7, -0.1], [0.5, 0.4])), [0.3, 0.7])
+        target = mixture((gaussian([0.0, 0.5], [1.0, 0.7]),), [1.0])
+        return q, recording_model(density_model(target), sizes)
+
+    @pytest.mark.parametrize("n", NS)
+    def test_certificate_gap(self, n):
+        sizes = []
+        q, model = self.case(sizes)
+        certificate_gap(q, q.locs, q.scales, model, n, seed=3)
+        assert max(sizes) <= SAMPLE_BLOCK
+        assert sum(sizes) == (1 + len(q.weights) + 1) * n  # q_t's samples, the rows, the probe
+
+    @pytest.mark.parametrize("n", NS)
+    def test_line_search_gamma(self, n):
+        sizes = []
+        q, model = self.case(sizes)
+        line_search_gamma(Mixture.single(q.atom(0)), q.atom(1), model, n_samples=n, seed=4)
+        assert max(sizes) <= SAMPLE_BLOCK
+        assert sum(sizes) == 2 * n
+
+    @pytest.mark.parametrize("n", NS)
+    def test_fully_corrective_weights(self, n):
+        sizes = []
+        q, model = self.case(sizes)
+        fully_corrective_weights(q, model, n_samples=n, seed=5)
+        assert max(sizes) <= SAMPLE_BLOCK
+        assert sum(sizes) == len(q.weights) * n
+
+    @pytest.mark.parametrize("n", NS)
+    def test_run_boosting_bimodal_train_ll(self, n):
+        # the atom solver calls only the gradient callable, and zero
+        # iterations certify nothing: every recorded call is the training
+        # log-likelihood's
+        sizes = []
+        model = recording_model(synthetic_bimodal_target(), sizes)
+        run_boosting(model, FwConfig(max_iters=0, gap_samples=n, seed=2,
+                                     lmo=LmoConfig(n_steps=20, n_mc_samples=8)))
+        assert max(sizes) <= SAMPLE_BLOCK
+        assert sum(sizes) == n
+
+
+class TestBlockedMemory:
+    """On the logistic model of 280 training rows at n = 16384 samples, the
+    certificate and the corrective solve hold less than one (n, N) float
+    array at once: their memory does not grow with the width times n."""
+
+    N_SAMPLES = 16384
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        data = make_separable_classification(400, 5, margin=0.2, flip_fraction=0.1,
+                                             seed=(1, 9001))
+        train, _ = split(data, 0.7, seed=(1, 777))
+        q = mixture((BaseDensity(Family.GAUSSIAN, np.full(5, -0.2), np.full(5, 0.3)),
+                     BaseDensity(Family.GAUSSIAN, np.full(5, 0.4), np.full(5, 0.2))), [0.5, 0.5])
+        return logistic_regression_model(train), q, self.N_SAMPLES * train.n * 8
+
+    @staticmethod
+    def traced_peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_certificate_gap(self, case):
+        model, q, wide = case
+        assert wide == self.N_SAMPLES * 280 * 8
+        peak = self.traced_peak(
+            lambda: certificate_gap(q, q.locs, q.scales, model, self.N_SAMPLES, seed=0))
+        assert peak < wide
+
+    def test_fully_corrective_weights(self, case):
+        model, q, wide = case
+        peak = self.traced_peak(
+            lambda: fully_corrective_weights(q, model, n_samples=self.N_SAMPLES, seed=0))
+        assert peak < wide

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,16 @@ from boostvi import (
     synthetic_bimodal_target,
 )
 from boostvi.densities import LOG_2PI, BaseDensity, Family, QuadratureGrid
-from boostvi.models import _log_sigmoid, _reconstruct, _sigmoid, _unpack_uv, log_joint_batch
+from boostvi.models import (
+    SAMPLE_BLOCK,
+    _log_sigmoid,
+    _reconstruct,
+    _sigmoid,
+    _unpack_uv,
+    class_probabilities,
+    log_joint_batch,
+    mean_reconstruction,
+)
 
 from oracles import (
     BIMODAL_LOGPDF_AT_0,
@@ -286,6 +296,49 @@ class TestValueAndGradient:
         for z, g in zip(Z, grad):
             fd = finite_difference(lambda x: model.log_joint_batch(x[None])[0], z)
             assert relative_error(g, fd) < 1e-4
+
+
+def assert_same_bits(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+class TestSampleBlocks:
+    """A batch evaluated in blocks of at most ``SAMPLE_BLOCK`` rows gives the
+    bits of one whole evaluation; an empty batch gives what one call gives."""
+
+    @pytest.mark.parametrize("name", ["bimodal", "logistic", "factorization"])
+    @pytest.mark.parametrize("n", [0, SAMPLE_BLOCK + 1])
+    def test_log_joint_batch(self, name, n):
+        model = _small_models()[name]
+        sizes = []
+
+        def recording(Z):
+            sizes.append(len(Z))
+            return model.log_joint_batch(Z)
+
+        Z = 0.5 * np.random.default_rng(n).standard_normal((n, model.dim))
+        got = log_joint_batch(replace(model, log_joint_batch=recording), Z)
+        assert_same_bits(got, model.log_joint_batch(Z))
+        assert sizes == ([0] if n == 0 else [SAMPLE_BLOCK, 1])
+
+    @pytest.mark.parametrize("n", [0, SAMPLE_BLOCK + 1])
+    def test_class_probabilities(self, n):
+        rng = np.random.default_rng(16)
+        samples, features = rng.standard_normal((n, 3)), rng.standard_normal((25, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the mean of no samples
+            assert_same_bits(class_probabilities(samples, features),
+                             _sigmoid(samples @ features.T).mean(axis=0))
+
+    @pytest.mark.parametrize("n", [0, SAMPLE_BLOCK + 1])
+    def test_mean_reconstruction(self, n):
+        samples = np.random.default_rng(17).standard_normal((n, 3 * (20 + 15)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the mean of no samples
+            assert_same_bits(mean_reconstruction(samples, 3, 20, 15),
+                             _reconstruct(*_unpack_uv(samples, 3, 20, 15)).mean(axis=0))
 
 
 class TestFactorizationKernels:
