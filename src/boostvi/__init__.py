@@ -4,7 +4,6 @@ from .densities import (
     BaseDensity,
     Family,
     Mixture,
-    QuadratureGrid,
     kl_gaussian_closed,
     quadrature_kl,
 )
@@ -33,7 +32,6 @@ from .boosting import (
     IterationRecord,
     Variant,
     certificate_gap,
-    curvature_probe,
     fixed_step_gamma,
     fully_corrective_weights,
     line_search_gamma,
@@ -41,6 +39,7 @@ from .boosting import (
     run_boosting,
     variant_config,
 )
+from .probes import curvature_probe
 from .harness import (
     ExperimentConfig,
     RunSummary,

@@ -8,10 +8,9 @@ q_{t-1}, then steps to q_t, and one extra pass certifies the last iterate.
 The certificate estimates the duality gap of every row of a candidate pool:
 the fresh atom, the rows of q_{t-1} and a spike probe.  The best row is the
 stopping certificate, and the best row other than the probe is the fixed and
-line-search step direction.
-``curvature_probe`` exposes the smoothness surrogate used in the theory
-checks.  The certificate and both step solves estimate E_s[log q - log p] on
-one table of each atom's fixed samples (``_atom_sample_table``).
+line-search step direction.  The certificate and both step solves estimate
+E_s[log q - log p] on one table of each atom's fixed samples
+(``_atom_sample_table``).
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .densities import (
     SCALE_FLOOR,
     BaseDensity,
     Mixture,
-    QuadratureGrid,
     log_weights,
     logsumexp,
     quadrature_kl,
@@ -38,7 +36,7 @@ from .densities import (
 )
 from .lmo import LmoConfig, _to_box, lmo_solve
 from .models import (DataError, TargetModel, log_joint_batch, real_number, sample_blocks,
-                     whole_number)
+                     sample_count, whole_number)
 
 
 def _entropy_int(seed) -> int:
@@ -180,14 +178,6 @@ LINE_SEARCH_GRID = 21  # gammas 0, 0.05, ..., 1 tried before the refinement
 CORRECTIVE_ITERS = 200  # simplex Frank-Wolfe steps of the corrective weight solve
 
 
-def _sample_count(n_samples) -> int:
-    """A step solve's ``n_samples``, a whole number >= 1, as an int."""
-    n = whole_number(n_samples, "n_samples")
-    if n < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n}")
-    return n
-
-
 def _atom_sample_table(q: Mixture, locs, scales, model: TargetModel, noises):
     """Each sampled atom's fixed samples evaluated once: for the i-th (n, D)
     array of ``noises``, the samples ``locs[i] + scales[i] * noise`` (rows of
@@ -232,7 +222,7 @@ def line_search_gamma(
     ever draws one of the K + 1 atoms' transforms of the noise, so each atom's
     transform meets the model once, and each gamma is a selection from that
     table."""
-    n_samples = _sample_count(n_samples)
+    n_samples = sample_count(n_samples, "n_samples")
     k = len(q_t.weights) + 1
     q = _append(q_t, s, np.ones(k))  # q_t's atoms and s as one mixture
     rng = np.random.default_rng(seed)
@@ -296,7 +286,7 @@ def fully_corrective_weights(
     stopping test within its rounding error; the returned weights are those
     of the direct solve.
     """
-    n_samples = _sample_count(n_samples)
+    n_samples = sample_count(n_samples, "n_samples")
     k = len(q.weights)
     if k == 1:
         return np.array([1.0])
@@ -369,6 +359,7 @@ def certificate_gap(
 
     Returns ``(values, stderrs)``, each of shape (P + 1,), the probe last.
     """
+    n = sample_count(n, "n")
     locs, scales = _as_params(locs, scales, ndim=2)
     if len(locs) == 0 or locs.shape[1] != q_t.dim:
         raise ValueError(f"candidates must be (P, D) rows with P >= 1 and D = {q_t.dim}, "
@@ -392,29 +383,8 @@ def certificate_gap(
     return values, stderrs
 
 
-def curvature_probe(
-    s: BaseDensity, q: Mixture, gammas, grid: QuadratureGrid
-) -> list[float]:
-    """(2 / gamma^2) * KL(q + gamma (s - q) || q) by 1-D quadrature, per gamma."""
-    if s.dim != 1 or q.dim != 1:
-        raise ValueError("curvature probe is 1-D only")
-    z = grid.points()
-    dens_s = np.exp(s.log_prob(z.reshape(-1, 1)))
-    dens_q = np.exp(q.log_prob(z.reshape(-1, 1)))
-    out = []
-    for gamma in gammas:
-        if not 0.0 < gamma <= 1.0:
-            raise ValueError("gamma must lie in (0, 1]")
-        y = dens_q + gamma * (dens_s - dens_q)
-        assert np.all(y >= 0.0), "blended density went negative"
-        with np.errstate(divide="ignore", invalid="ignore"):
-            integrand = np.where(y > 0, y * (np.log(y) - np.log(dens_q)), 0.0)
-        kl = float(_trapezoid(integrand, z))
-        out.append(2.0 / gamma**2 * kl)
-    return out
-
-
-_ORACLE_GRID = QuadratureGrid(-12.0, 12.0, 4001)
+_ORACLE_GRID = np.linspace(-12.0, 12.0, 4001)
+_ORACLE_GRID.setflags(write=False)
 
 
 def _kl_oracle(model: TargetModel, q: Mixture) -> Optional[float]:
@@ -432,14 +402,12 @@ def check_kl_oracle_grid(model: TargetModel, source: str) -> None:
     without an oracle passes."""
     if model.posterior_log_pdf is None or model.dim != 1:
         return
-    grid = _ORACLE_GRID
-    z = grid.points()
+    z = _ORACLE_GRID
     mass = float(_trapezoid(np.exp(model.posterior_log_pdf(z)), z))
     if not abs(mass - 1.0) <= 1e-6:
-        spacing = (grid.hi - grid.lo) / (grid.n_points - 1)
         raise DataError(f"{source} give the target mass {mass:.6g} on the KL oracle's grid, "
-                        f"not 1: every component must lie inside [{grid.lo:g}, {grid.hi:g}] "
-                        f"and span several of its {spacing:g} steps")
+                        f"not 1: every component must lie inside [{z[0]:g}, {z[-1]:g}] "
+                        f"and span several of its {z[1] - z[0]:g} steps")
 
 
 def run_boosting(

@@ -15,13 +15,14 @@ import shutil
 import sys
 from typing import Optional
 
-from .boosting import FwConfig, Variant, curvature_probe
+from .boosting import FwConfig, Variant
 from .densities import Family
 from .harness import ExperimentConfig, run_experiment
 from .models import DataError, real_number, whole_number
 from .lmo import LmoConfig
 from .probes import (
     PROBE_GRID,
+    curvature_probe,
     curvature_probe_suite,
     default_probe_suite,
     entropy_bound_probe,

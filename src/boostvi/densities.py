@@ -311,29 +311,10 @@ class Mixture:
         return self.locs[idx] + self.scales[idx] * noise
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Uniform 1-D grid for trapezoid-rule oracles."""
-
-    lo: float
-    hi: float
-    n_points: int
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("grid requires lo < hi")
-        if self.n_points < 3:
-            raise ValueError("grid requires n_points >= 3")
-
-    def points(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.n_points)
-
-
-def quadrature_kl(q: Mixture, log_p, grid: QuadratureGrid) -> float:
-    """Trapezoid estimate of KL(q || p) on a 1-D grid, for a 1-D mixture ``q``
-    and a callable ``log_p`` of an unnormalized log density over 1-D points,
-    which is renormalized on the grid."""
-    z = grid.points()
+def quadrature_kl(q: Mixture, log_p, z: np.ndarray) -> float:
+    """Trapezoid estimate of KL(q || p) on the 1-D grid ``z``, for a 1-D
+    mixture ``q`` and a callable ``log_p`` of an unnormalized log density over
+    1-D points, which is renormalized on the grid."""
     lq = q.log_prob(z.reshape(-1, 1))
     lp = np.asarray(log_p(z))
     # q is a proper density; p is normalized on the grid
@@ -343,4 +324,3 @@ def quadrature_kl(q: Mixture, log_p, grid: QuadratureGrid) -> float:
     dens_q = np.exp(lq)
     integrand = np.where(dens_q > 0, dens_q * (lq - lp), 0.0)
     return float(_trapezoid(integrand, z))
-

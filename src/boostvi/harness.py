@@ -18,7 +18,6 @@ from typing import Optional
 import numpy as np
 
 from .boosting import BoostTrace, FwConfig, check_kl_oracle_grid, run_boosting
-from .densities import QuadratureGrid
 from .models import (
     DataError,
     Dataset,
@@ -348,7 +347,8 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> RunSummary:
     return summary
 
 
-DENSITY_GRID = QuadratureGrid(-6.0, 6.0, 601)
+DENSITY_GRID = np.linspace(-6.0, 6.0, 601)
+DENSITY_GRID.setflags(write=False)
 
 
 def write_artifacts(cfg: ExperimentConfig, summary: RunSummary) -> None:
@@ -371,7 +371,7 @@ def write_artifacts(cfg: ExperimentConfig, summary: RunSummary) -> None:
     with open(os.path.join(cfg.out_dir, "summary.json"), "w") as fh:
         json.dump(summary_payload, fh, indent=2, sort_keys=True)
     if cfg.model == "bimodal":
-        z = DENSITY_GRID.points()
+        z = DENSITY_GRID
         target = bimodal_target(cfg.model_params)
         columns = [("z", z), ("target", np.exp(target.posterior_log_pdf(z)))]
         for i, m in enumerate(summary.traces[0].mixtures):

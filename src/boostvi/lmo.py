@@ -32,7 +32,7 @@ from .densities import (
     standard_noise,
     standard_score,
 )
-from .models import TargetModel, real_number, whole_number
+from .models import TargetModel, real_number, sample_count, whole_number
 
 
 # Adam squares the log-scale gradient, which carries lambda, so a larger
@@ -116,7 +116,7 @@ def relbo_estimate(
     lam = 1 this is the plain ELBO estimate on the same samples.
     """
     _check_inputs(s.dim, model, q_t)
-    eps = _noise(s.family, n, s.dim, seed)
+    eps = _noise(s.family, sample_count(n, "n"), s.dim, seed)
     return _relbo_grad_parts(s.family, s.loc, s.scale, eps, model, q_t, lam, None)[2]
 
 
@@ -191,7 +191,7 @@ def relbo_grad(
     """Stochastic gradient of the RELBO w.r.t. (loc, log-scale), by the
     estimator the model picks, as in :func:`lmo_solve`."""
     _check_inputs(s.dim, model, q_t)
-    eps = _noise(s.family, n, s.dim, seed)
+    eps = _noise(s.family, sample_count(n, "n"), s.dim, seed)
     g_loc, g_log_scale, _, _ = _relbo_grad_parts(
         s.family, s.loc, s.scale, eps, model, q_t, lam, baseline
     )

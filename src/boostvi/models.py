@@ -88,6 +88,15 @@ def whole_number(value, name: str = "value") -> int:
     return int(value)
 
 
+def sample_count(value, name: str) -> int:
+    """A Monte-Carlo sample count, a whole number >= 1, as an int; any other
+    value raises a :class:`DataError` naming ``name``."""
+    n = whole_number(value, name)
+    if n < 1:
+        raise DataError(f"{name} must be >= 1, got {n}")
+    return n
+
+
 def real_number(value, name: str = "value") -> float:
     """A real number given as an int or a float, as a float.  Any other value
     raises a :class:`DataError` naming ``name``: a bool, which ``float``

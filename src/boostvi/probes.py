@@ -8,19 +8,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boosting import FwConfig, Variant, curvature_probe, run_boosting
-from .densities import (
-    BaseDensity,
-    Family,
-    Mixture,
-    QuadratureGrid,
-    kl_gaussian_closed,
-    _trapezoid,
-)
+from .boosting import FwConfig, Variant, mixture_step, run_boosting
+from .densities import BaseDensity, Family, Mixture, kl_gaussian_closed, _trapezoid
 from .lmo import LmoConfig
 from .models import synthetic_bimodal_target
 
-PROBE_GRID = QuadratureGrid(-16.0, 16.0, 8001)
+PROBE_GRID = np.linspace(-16.0, 16.0, 8001)
+PROBE_GRID.setflags(write=False)
 SCALE_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
 CURVATURE_GAMMAS = (1e-3, 1e-2, 0.1, 0.5, 1.0)
 # integrand at a grid end, relative to its peak, above which the chi-square
@@ -56,7 +50,26 @@ def entropy_bound_probe() -> list[ProbeResult]:
     return results
 
 
-def chi_square_limit(s: BaseDensity, q, grid: QuadratureGrid = PROBE_GRID) -> float:
+def curvature_probe(s: BaseDensity, q: Mixture, gammas, z: np.ndarray) -> list[float]:
+    """(2 / gamma^2) * KL(q + gamma (s - q) || q) by 1-D quadrature on the
+    grid ``z``, per gamma.  The blend is the engine's step
+    :func:`~boostvi.boosting.mixture_step`, so an ``s`` among ``q``'s atoms
+    merges into it, and KL is integrated in log space without renormalizing,
+    since both densities are proper."""
+    if s.dim != 1 or q.dim != 1:
+        raise ValueError("curvature probe is 1-D only")
+    log_q = q.log_prob(z.reshape(-1, 1))
+    out = []
+    for gamma in gammas:
+        if not 0.0 < gamma <= 1.0:
+            raise ValueError("gamma must lie in (0, 1]")
+        log_b = mixture_step(q, s, gamma).log_prob(z.reshape(-1, 1))
+        kl = float(_trapezoid(np.exp(log_b) * (log_b - log_q), z))
+        out.append(2.0 / gamma**2 * kl)
+    return out
+
+
+def chi_square_limit(s: BaseDensity, q, z: np.ndarray = PROBE_GRID) -> float:
     """Quadrature value of the true gamma -> 0 curvature limit, int (s-q)^2 / q.
 
     Returns ``math.inf`` when the integrand has not decayed at the grid ends,
@@ -66,7 +79,6 @@ def chi_square_limit(s: BaseDensity, q, grid: QuadratureGrid = PROBE_GRID) -> fl
     grid too narrow to hold a finite integrand's mass also reads as ``inf``,
     since the quadrature cannot tell the two apart.
     """
-    z = grid.points()
     log_s = s.log_prob(z.reshape(-1, 1))
     log_q = q.log_prob(z.reshape(-1, 1))
     # (s - q)^2 / q in log space: in the tails s^2 / q overflows and q

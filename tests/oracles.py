@@ -122,6 +122,23 @@ def reference_certificate(q_t, locs, scales, model, n, seed):
     return np.array(values), np.array(stderrs)
 
 
+def reference_curvature_probe(s, q, gammas, z):
+    """The curvature probe (2 / gamma^2) KL(q + gamma (s - q) || q) with the
+    blend formed as a linear combination of the two densities on the grid
+    ``z`` and KL taken as the trapezoid of y (log y - log q) there.  It takes
+    the package's ``BaseDensity`` and ``Mixture``; ``boostvi.curvature_probe``
+    blends by the engine's step and integrates in log space instead."""
+    dens_s = np.exp(s.log_prob(z.reshape(-1, 1)))
+    dens_q = np.exp(q.log_prob(z.reshape(-1, 1)))
+    out = []
+    for gamma in gammas:
+        y = dens_q + gamma * (dens_s - dens_q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            integrand = np.where(y > 0, y * (np.log(y) - np.log(dens_q)), 0.0)
+        out.append(2.0 / gamma**2 * float(np.trapezoid(integrand, z)))
+    return out
+
+
 def relative_error(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

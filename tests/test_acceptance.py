@@ -21,7 +21,6 @@ from boostvi import (
     FwConfig,
     LmoConfig,
     Mixture,
-    QuadratureGrid,
     Variant,
     curvature_probe,
     elbo_estimate,
@@ -46,8 +45,8 @@ from oracles import (
 )
 
 SEEDS = (1, 2, 3)
-ORACLE_GRID = QuadratureGrid(-12.0, 12.0, 4001)
-PROBE_GRID = QuadratureGrid(-16.0, 16.0, 8001)
+ORACLE_GRID = np.linspace(-12.0, 12.0, 4001)
+PROBE_GRID = np.linspace(-16.0, 16.0, 8001)
 
 def report(criterion: int, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"

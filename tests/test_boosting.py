@@ -15,7 +15,6 @@ from boostvi import (
     LmoConfig,
     LmoResult,
     Mixture,
-    QuadratureGrid,
     Variant,
     certificate_gap,
     curvature_probe,
@@ -48,7 +47,7 @@ from oracles import (
     reference_certificate,
 )
 
-GRID = QuadratureGrid(-12.0, 12.0, 4001)
+GRID = np.linspace(-12.0, 12.0, 4001)
 
 
 def gaussian(loc, scale):
@@ -489,6 +488,13 @@ class TestDualityGap:
             with pytest.raises(ValueError, match=message):
                 certificate_gap(q, locs, scales, model, 64, seed=0)
 
+    @pytest.mark.parametrize("n", [0, -3, 2.5, True, "8"])
+    def test_bad_count_names_n(self, n):
+        # checked as the step solves check n_samples, before any draw
+        q = Mixture.single(gaussian(0.2, 1.0))
+        with pytest.raises(ValueError, match="^n must be"):
+            certificate_gap(q, q.locs, q.scales, synthetic_bimodal_target(), n, seed=0)
+
 
 def certificate_case(family, dim, k, seed):
     """A K-atom iterate q_t and the candidate pool of the loop: a fresh atom
@@ -575,27 +581,27 @@ class TestCurvatureProbe:
     def test_gamma_one_is_twice_kl(self):
         s = gaussian(0.0, 1.0)
         q = Mixture.single(gaussian(1.0, 1.0))
-        (val,) = curvature_probe(s, q, [1.0], QuadratureGrid(-16, 16, 8001))
+        (val,) = curvature_probe(s, q, [1.0], np.linspace(-16, 16, 8001))
         assert val == pytest.approx(2.0 * kl_gaussian_closed(s, q.atom(0)), abs=1e-6)
 
     def test_identical_pair_is_zero(self):
         s = gaussian(0.3, 0.8)
         q = Mixture.single(s)
-        vals = curvature_probe(s, q, [1e-3, 0.5, 1.0], QuadratureGrid(-16, 16, 8001))
+        vals = curvature_probe(s, q, [1e-3, 0.5, 1.0], np.linspace(-16, 16, 8001))
         assert np.allclose(vals, 0.0, atol=1e-10)
 
     def test_small_gamma_limit_is_chi_square_integral(self):
         # (2 / g^2) KL(q + g (s - q) || q) -> int (s - q)^2 / q as g -> 0
         s = gaussian(0.0, 1.0)
         q = Mixture.single(gaussian(1.0, 1.0))
-        (val,) = curvature_probe(s, q, [1e-3], QuadratureGrid(-16, 16, 8001))
+        (val,) = curvature_probe(s, q, [1e-3], np.linspace(-16, 16, 8001))
         assert val == pytest.approx(CHI_SQUARE_LIMIT_01_11, rel=0.05)
 
     def test_invalid_gamma(self):
         s = gaussian(0, 1)
         q = Mixture.single(gaussian(1, 1))
         with pytest.raises(ValueError):
-            curvature_probe(s, q, [0.0], QuadratureGrid(-16, 16, 801))
+            curvature_probe(s, q, [0.0], np.linspace(-16, 16, 801))
 
 
 class TestFwConfig:

@@ -483,6 +483,9 @@ class TestBadInputData:
         assert code == EXIT_CONFIG
         out, err = capsys.readouterr()
         assert message in err and "runtime error" not in err
+        if model == "bimodal":
+            assert ("every component must lie inside [-12, 12] and span several of its "
+                    "0.006 steps") in err
         assert "t=0" not in out
         assert not (tmp_path / "o").exists()
 

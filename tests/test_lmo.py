@@ -144,6 +144,20 @@ class TestRelboEstimate:
             )
 
 
+@pytest.mark.parametrize("n", [0, -3, 2.5, True, "8"])
+@pytest.mark.parametrize("estimator", ["relbo_estimate", "elbo_estimate", "relbo_grad"])
+def test_estimator_bad_count_names_n(estimator, n):
+    # n = 0 would give a NaN mean with only a RuntimeWarning
+    s, model = gaussian(0.0, 1.0), synthetic_bimodal_target()
+    calls = {
+        "relbo_estimate": lambda: relbo_estimate(s, model, None, 1.0, n, seed=0),
+        "elbo_estimate": lambda: elbo_estimate(s, model, n, seed=0),
+        "relbo_grad": lambda: relbo_grad(s, model, None, 1.0, n, seed=0),
+    }
+    with pytest.raises(ValueError, match="^n must be"):
+        calls[estimator]()
+
+
 def _random_logistic_model(seed=0, n=30, n_feat=2):
     rng = np.random.default_rng(seed)
     data = Dataset(

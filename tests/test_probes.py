@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from boostvi.probes import (
+    CURVATURE_GAMMAS,
     PROBE_GRID,
     chi_square_limit,
+    curvature_probe,
     curvature_probe_suite,
     entropy_bound_probe,
     gap_bound_probe,
     gaussian_pair_grid,
 )
-from boostvi import BaseDensity, Family, Mixture, QuadratureGrid
+from boostvi import BaseDensity, Family, Mixture
 
-from oracles import CHI_SQUARE_LIMIT_01_11, gaussian_chi_square
+from oracles import CHI_SQUARE_LIMIT_01_11, gaussian_chi_square, reference_curvature_probe
 
 
 class TestEntropyBoundProbe:
@@ -34,7 +36,7 @@ class TestCurvatureSuite:
         q = Mixture.single(BaseDensity(Family.GAUSSIAN, [1.0], [1.0]))
         assert chi_square_limit(s, q) == pytest.approx(CHI_SQUARE_LIMIT_01_11, rel=1e-4)
 
-    @pytest.mark.parametrize("grid", [PROBE_GRID, QuadratureGrid(-40.0, 40.0, 20001)])
+    @pytest.mark.parametrize("grid", [PROBE_GRID, np.linspace(-40.0, 40.0, 20001)])
     @pytest.mark.parametrize("s_params, q_params", [
         ((0.0, 2.0), (1.0, 0.5)),
         ((-0.5, 1.5), (0.5, 1.0)),
@@ -49,6 +51,19 @@ class TestCurvatureSuite:
         for s, q in gaussian_pair_grid():
             ref = gaussian_chi_square(s.loc[0], s.scale[0], q.locs[0, 0], q.scales[0, 0])
             assert chi_square_limit(s, q) == pytest.approx(ref, rel=1e-4, abs=1e-12)
+
+    @pytest.mark.parametrize("pair", range(9))
+    def test_probe_matches_linear_space_reference(self, pair):
+        # the engine's step, integrated in log space, against the blend of
+        # the two densities on the grid; an identical pair merges to q itself
+        s, q = gaussian_pair_grid()[pair]
+        gammas = (1e-4, *CURVATURE_GAMMAS)
+        values = curvature_probe(s, q, gammas, PROBE_GRID)
+        if q.index_of(s) is not None:
+            assert values == [0.0] * len(gammas)
+        else:
+            np.testing.assert_allclose(
+                values, reference_curvature_probe(s, q, gammas, PROBE_GRID), rtol=1e-6)
 
     def test_suite_passes(self):
         results = curvature_probe_suite()
