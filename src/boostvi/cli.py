@@ -162,7 +162,8 @@ def build_parser() -> _Parser:
                        choices=["all", "entropy", "curvature", "gap"])
     probe.add_argument("--gamma", type=float, default=None,
                        help="single blend weight for the curvature probe")
-    probe.add_argument("--seed", type=int, default=0)
+    probe.add_argument("--seed", type=number,
+                       help="seed of the gap probe's fit (default 0)")
 
     plot = sub.add_parser("plotdata", help="emit plottable CSVs from a run directory")
     plot.add_argument("--run", required=True, help="existing run directory")
@@ -226,6 +227,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    if args.seed is not None and args.probe in ("entropy", "curvature"):
+        raise CliError(f"--seed applies to --probe gap or all only, not --probe {args.probe}")
+    seed = 0 if args.seed is None else whole_number(args.seed, "--seed")
     if args.gamma is not None:
         if args.probe != "curvature":
             raise CliError(f"--gamma applies to --probe curvature only, not --probe {args.probe}")
@@ -247,9 +251,9 @@ def cmd_probe(args) -> int:
         elif args.probe == "curvature":
             results = curvature_probe_suite()
         elif args.probe == "gap":
-            results = gap_bound_probe(seed=args.seed)
+            results = gap_bound_probe(seed=seed)
         else:
-            results = default_probe_suite(seed=args.seed)
+            results = default_probe_suite(seed=seed)
     except ValueError as e:
         raise CliError(str(e))
     width = max(len(r.name) for r in results)

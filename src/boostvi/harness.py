@@ -241,20 +241,16 @@ class RunSummary:
     per_seed: list[dict]
     mean: dict
     std: dict
-    best_iterations: list[int]
     traces: list[BoostTrace]
     seeds: list[int]
 
 
 def _aggregate(per_seed: list[dict]) -> tuple[dict, dict]:
-    keys = sorted({k for m in per_seed for k in m if m[k] is not None})
-    mean = {}
-    std = {}
-    for k in keys:
-        vals = np.array([m[k] for m in per_seed if m.get(k) is not None], dtype=float)
-        mean[k] = float(vals.mean())
-        std[k] = float(vals.std())
-    return mean, std
+    """Mean and standard deviation over seeds of each metric; every seed
+    reports the same keys."""
+    vals = {k: np.array([m[k] for m in per_seed], dtype=float) for k in sorted(per_seed[0])}
+    return ({k: float(v.mean()) for k, v in vals.items()},
+            {k: float(v.std()) for k, v in vals.items()})
 
 
 def _given(model_params: dict, keys: dict) -> dict:
@@ -262,12 +258,6 @@ def _given(model_params: dict, keys: dict) -> dict:
     :data:`MODEL_PARAMS` entry, each read by its entry there."""
     return {k: model_params[k] if read is None else read(model_params[k], f"model_params {k!r}")
             for k, read in keys.items() if k in model_params}
-
-
-def bimodal_target(model_params: dict) -> TargetModel:
-    """The bimodal target of a config's ``model_params``; absent keys take
-    the defaults of :func:`synthetic_bimodal_target`."""
-    return synthetic_bimodal_target(**_given(model_params, MODEL_PARAMS["bimodal"][1]))
 
 
 def _build_dataset(cfg: ExperimentConfig, seed: int) -> Optional[Dataset]:
@@ -291,7 +281,7 @@ def _build_model(cfg: ExperimentConfig, seed: int) -> tuple[TargetModel, Optiona
     try:
         data = _build_dataset(cfg, seed)
         if data is None:
-            model = bimodal_target(p)
+            model = synthetic_bimodal_target(**_given(p, MODEL_PARAMS["bimodal"][1]))
             check_kl_oracle_grid(model, "model_params 'mu' and 'sigma'")
             return model, None
         train, test = split(data, cfg.split_fraction, seed=(seed, 777))
@@ -309,7 +299,8 @@ def _build_model(cfg: ExperimentConfig, seed: int) -> tuple[TargetModel, Optiona
 
 
 def run_single_seed(cfg: ExperimentConfig, seed: int, progress=None):
-    """One boosting run: returns (metrics dict, trace, posterior mixture)."""
+    """One boosting run: returns (metrics dict, trace, the target model it
+    built)."""
     fw = replace(cfg.fw, seed=seed)
     model, test = _build_model(cfg, seed)
     posterior, trace = run_boosting(model, fw, progress=progress)
@@ -321,29 +312,19 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, progress=None):
             cfg.model, posterior, test, n_samples=METRIC_SAMPLES, seed=(seed, 555)
         )
     metrics["train_ll"] = best.train_ll
-    return metrics, trace, posterior
+    return metrics, trace, model
 
 
 def run_experiment(cfg: ExperimentConfig, progress=None) -> RunSummary:
     """Run boosting for each seed, aggregate metrics, optionally write artifacts."""
     seeds = [cfg.fw.seed + k for k in range(cfg.n_seeds)]
-    per_seed = []
-    traces = []
-    for s in seeds:
-        metrics, trace, _ = run_single_seed(cfg, s, progress=progress)
-        per_seed.append(metrics)
-        traces.append(trace)
+    runs = [run_single_seed(cfg, s, progress=progress) for s in seeds]
+    per_seed = [metrics for metrics, _, _ in runs]
     mean, std = _aggregate(per_seed)
-    summary = RunSummary(
-        per_seed=per_seed,
-        mean=mean,
-        std=std,
-        best_iterations=[t.best_iteration for t in traces],
-        traces=traces,
-        seeds=seeds,
-    )
+    summary = RunSummary(per_seed=per_seed, mean=mean, std=std,
+                         traces=[trace for _, trace, _ in runs], seeds=seeds)
     if cfg.out_dir is not None:
-        write_artifacts(cfg, summary)
+        write_artifacts(cfg, summary, runs[0][2])
     return summary
 
 
@@ -351,10 +332,10 @@ DENSITY_GRID = np.linspace(-6.0, 6.0, 601)
 DENSITY_GRID.setflags(write=False)
 
 
-def write_artifacts(cfg: ExperimentConfig, summary: RunSummary) -> None:
-    """Write trace.json, summary.json and, for the bimodal target,
-    density.csv: the target's and each iterate q_0 .. q_T's density of the
-    first seed on ``DENSITY_GRID``."""
+def write_artifacts(cfg: ExperimentConfig, summary: RunSummary, target: TargetModel) -> None:
+    """Write trace.json, summary.json and, when ``target``, the first seed's
+    model, has a normalized 1-D posterior, density.csv: the target's and each
+    iterate q_0 .. q_T's density of the first seed on ``DENSITY_GRID``."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     trace_payload = {
         "seeds": summary.seeds,
@@ -366,13 +347,12 @@ def write_artifacts(cfg: ExperimentConfig, summary: RunSummary) -> None:
         "config": asdict(cfg),
         "per_seed": summary.per_seed,
         "aggregate": {"mean": summary.mean, "std": summary.std},
-        "best_iterations": summary.best_iterations,
+        "best_iterations": [t.best_iteration for t in summary.traces],
     }
     with open(os.path.join(cfg.out_dir, "summary.json"), "w") as fh:
         json.dump(summary_payload, fh, indent=2, sort_keys=True)
-    if cfg.model == "bimodal":
+    if target.posterior_log_pdf is not None and target.dim == 1:
         z = DENSITY_GRID
-        target = bimodal_target(cfg.model_params)
         columns = [("z", z), ("target", np.exp(target.posterior_log_pdf(z)))]
         for i, m in enumerate(summary.traces[0].mixtures):
             columns.append((f"q_{i}", np.exp(m.log_prob(z.reshape(-1, 1)))))

@@ -280,6 +280,27 @@ class TestProbe:
         assert "--gamma applies to --probe curvature only" in captured.err
         assert "PASS" not in captured.out
 
+    def test_seed_read_as_a_number(self, capsys):
+        # as `run --seed 2.0` does, a whole float reads as its int
+        assert run_cli("probe", "--probe", "gap", "--seed", "2") == EXIT_OK
+        as_int = capsys.readouterr().out
+        assert run_cli("probe", "--probe", "gap", "--seed", "2.0") == EXIT_OK
+        assert capsys.readouterr().out == as_int and "PASS" in as_int
+
+    @pytest.mark.parametrize("seed", ["2.5", "-1", "nan"])
+    def test_bad_seed_rejected(self, capsys, seed):
+        assert run_cli("probe", "--probe", "gap", "--seed", seed) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "seed" in err and "runtime error" not in err
+
+    @pytest.mark.parametrize("probe", ["entropy", "curvature"])
+    def test_seed_without_gap_probe_rejected(self, capsys, probe):
+        # the flag would be ignored: these probes draw no random numbers
+        assert run_cli("probe", "--probe", probe, "--seed", "5") == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"--seed applies to --probe gap or all only, not --probe {probe}" in captured.err
+        assert "PASS" not in captured.out
+
 
 class TestPlotData:
     @pytest.fixture(scope="class")

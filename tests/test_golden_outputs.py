@@ -6,10 +6,13 @@ exactly, the per-iteration ``wallclock`` and ``config.out_dir`` aside, and
 
 A refactor keeps these files as they are.  A change that means to alter the
 outputs regenerates them with
-``PYTHONPATH=src python tests/test_golden_outputs.py`` and says in its change
-log why they changed.
+``PYTHONPATH=src python tests/test_golden_outputs.py``, which prints the path
+of each fixture whose bytes changed, and says in its change log why they
+changed.
 """
 
+import contextlib
+import io
 import json
 import os
 import tempfile
@@ -109,12 +112,24 @@ def test_plotdata_matches_golden(tmp_path):
             assert output == fh.read(), name
 
 
+def _rewrite(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` and print the path, unless the file
+    already holds exactly these bytes."""
+    if os.path.exists(path):
+        with open(path, "rb") as fh:
+            if fh.read() == data:
+                return
+    with open(path, "wb") as fh:
+        fh.write(data)
+    print(os.path.relpath(path))
+
+
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as scratch:
-        for case in CASES:
-            outputs = _canonical(_run(*case, os.path.join(scratch, _name(*case))))
-            with open(_fixture_path(*case), "w") as fh:
-                fh.write(outputs)
-        for name, output in _plotdata(os.path.join(scratch, "plotdata")).items():
-            with open(_plot_fixture_path(name), "wb") as fh:
-                fh.write(output)
+    # the runs' own progress lines would bury the list of changed fixtures
+    with tempfile.TemporaryDirectory() as scratch, contextlib.redirect_stdout(io.StringIO()):
+        fixtures = {_fixture_path(*case): _canonical(
+            _run(*case, os.path.join(scratch, _name(*case)))).encode() for case in CASES}
+        fixtures.update((_plot_fixture_path(name), output) for name, output
+                        in _plotdata(os.path.join(scratch, "plotdata")).items())
+    for path, data in fixtures.items():
+        _rewrite(path, data)

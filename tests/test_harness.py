@@ -1,4 +1,7 @@
+import csv
+import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -259,6 +262,56 @@ class TestRunExperiment:
         run_experiment(cfg)
         for name in ("trace.json", "summary.json", "density.csv"):
             assert (tmp_path / "run" / name).exists()
+
+    def test_bimodal_target_built_once_per_seed(self, tmp_path, monkeypatch):
+        # write_artifacts reads the first seed's fitted model, not a rebuilt one
+        calls = []
+        build = harness.synthetic_bimodal_target
+
+        def counting(**params):
+            calls.append(params)
+            return build(**params)
+
+        monkeypatch.setattr(harness, "synthetic_bimodal_target", counting)
+        cfg = ExperimentConfig(model="bimodal", n_seeds=2, fw=self._fast_fw(),
+                               out_dir=str(tmp_path / "run"))
+        run_experiment(cfg)
+        assert len(calls) == 2
+
+    def test_density_target_column_is_the_run_model(self, tmp_path, monkeypatch):
+        returned = []
+        run_single_seed = harness.run_single_seed
+
+        def recording(*args, **kwargs):
+            result = run_single_seed(*args, **kwargs)
+            returned.append(result[2])
+            return result
+
+        monkeypatch.setattr(harness, "run_single_seed", recording)
+        params = {"mu": (-2.0, 1.5), "sigma": (0.4, 0.7), "pi": (0.3, 0.7)}
+        cfg = ExperimentConfig(model="bimodal", model_params=params, fw=self._fast_fw(),
+                               out_dir=str(tmp_path / "run"))
+        run_experiment(cfg)
+        with open(tmp_path / "run" / "density.csv", newline="") as fh:
+            column = [row["target"] for row in csv.DictReader(fh)]
+        expected = np.exp(returned[0].posterior_log_pdf(harness.DENSITY_GRID))
+        assert column == [repr(float(v)) for v in expected]
+
+    def test_logistic_run_writes_no_density(self, tmp_path):
+        cfg = ExperimentConfig(model="logistic", fw=self._fast_fw(),
+                               out_dir=str(tmp_path / "run"))
+        run_experiment(cfg)
+        assert (tmp_path / "run" / "summary.json").exists()
+        assert not (tmp_path / "run" / "density.csv").exists()
+
+    def test_summary_best_iterations_are_the_traces(self, tmp_path):
+        cfg = ExperimentConfig(model="bimodal", n_seeds=3,
+                               fw=replace(self._fast_fw(), max_iters=3),
+                               out_dir=str(tmp_path / "run"))
+        summary = run_experiment(cfg)
+        with open(tmp_path / "run" / "summary.json") as fh:
+            written = json.load(fh)["best_iterations"]
+        assert written == [t.best_iteration for t in summary.traces]
 
     def test_empty_split_rejected_before_fit(self, monkeypatch):
         def no_fit(*args, **kwargs):

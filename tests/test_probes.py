@@ -74,3 +74,10 @@ class TestGapBoundProbe:
     def test_certificate_covers_primal_error(self):
         (result,) = gap_bound_probe(seed=0)
         assert result.passed, result.detail
+        assert result.detail.startswith("0 violations over 5 certificates"), result.detail
+
+    def test_no_certificate_is_no_pass(self):
+        # the single fit of a run without iterations is not certified
+        (result,) = gap_bound_probe(seed=0, max_iters=0)
+        assert not result.passed
+        assert result.detail.startswith("0 violations over 0 certificates"), result.detail
