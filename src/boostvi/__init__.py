@@ -2,13 +2,13 @@
 
 from .densities import (
     BaseDensity,
+    DataError,
     Family,
     Mixture,
     kl_gaussian_closed,
     quadrature_kl,
 )
 from .models import (
-    DataError,
     Dataset,
     TargetModel,
     auroc,

@@ -10,11 +10,15 @@ the fresh atom, the rows of q_{t-1} and a spike probe.  The best row is the
 stopping certificate, and the best row other than the probe is the fixed and
 line-search step direction.  The certificate and both step solves estimate
 E_s[log q - log p] on one table of each atom's fixed samples
-(``_atom_sample_table``).
+(``_atom_sample_table``), built row by row and block by block from the
+samples' noise streams, so none holds an (n, D) array of a sampled atom's
+samples: the step solves stack the rows, and the certificate reduces each
+row as it is produced.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 import time
@@ -26,17 +30,21 @@ import numpy as np
 from .densities import (
     SCALE_FLOOR,
     BaseDensity,
+    DataError,
     Mixture,
     log_weights,
     logsumexp,
     quadrature_kl,
+    real_number,
+    sample_blocks,
+    sample_count,
     standard_noise,
+    whole_number,
     _as_params,
     _trapezoid,
 )
 from .lmo import LmoConfig, _to_box, lmo_solve
-from .models import (DataError, TargetModel, log_joint_batch, real_number, sample_blocks,
-                     sample_count, whole_number)
+from .models import TargetModel, log_joint_batch
 
 
 def _entropy_int(seed) -> int:
@@ -178,22 +186,27 @@ LINE_SEARCH_GRID = 21  # gammas 0, 0.05, ..., 1 tried before the refinement
 CORRECTIVE_ITERS = 200  # simplex Frank-Wolfe steps of the corrective weight solve
 
 
-def _atom_sample_table(q: Mixture, locs, scales, model: TargetModel, noises):
-    """Each sampled atom's fixed samples evaluated once: for the i-th (n, D)
-    array of ``noises``, the samples ``locs[i] + scales[i] * noise`` (rows of
-    (P, D) arrays) give ``comp_logs[i]`` (n, K), the log density of every atom
-    of ``q`` there, and ``logp[i]`` (n,), the model's log-joint.  One block of
-    at most ``SAMPLE_BLOCK`` samples of one sampled atom is standardized at a
-    time, so at most one (SAMPLE_BLOCK, K, D) array is held."""
-    comp_logs, logp = [], []
-    for loc, scale, noise in zip(locs, scales, noises):
-        z = loc + scale * noise
-        comp = np.empty((len(z), len(q.weights)))
-        for b in sample_blocks(len(z)):
-            comp[b] = q.components(z[b])[0]
-        comp_logs.append(comp)
-        logp.append(log_joint_batch(model, z))
-        del z, noise  # dropped before the next row's noise is drawn
+def _atom_sample_table(q: Mixture, locs, scales, model: TargetModel, n: int, rngs):
+    """Each sampled atom's n fixed samples evaluated once, one row of the
+    (P, D) ``locs`` and ``scales`` at a time.  Row i's samples are ``locs[i]
+    + scales[i] * noise``, with the noise drawn from the Generator
+    ``rngs[i]`` one block of ``sample_blocks(n)`` at a time: the rows of one
+    (n, D) draw.  Each row yields ``(comp, logp)``: comp (n, K) the log
+    density of every atom of ``q`` there, logp (n,) the model's log-joint.
+    Only one block of samples is held at a time, so no (n, D) array and at
+    most one (SAMPLE_BLOCK, K, D) standardization."""
+    for loc, scale, rng in zip(locs, scales, rngs):
+        comp, logp = np.empty((n, len(q.weights))), np.empty(n)
+        for b in sample_blocks(n):
+            z = loc + scale * standard_noise(q.family, b.stop - b.start, q.dim, rng)
+            comp[b] = q.components(z)[0]
+            logp[b] = log_joint_batch(model, z)
+        yield comp, logp
+
+
+def _stacked_table(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of :func:`_atom_sample_table` as (P, n, K) and (P, n) arrays."""
+    comp_logs, logp = zip(*rows)
     return np.stack(comp_logs), np.stack(logp)
 
 
@@ -227,8 +240,10 @@ def line_search_gamma(
     q = _append(q_t, s, np.ones(k))  # q_t's atoms and s as one mixture
     rng = np.random.default_rng(seed)
     u = rng.uniform(size=n_samples)
-    noise = standard_noise(s.family, n_samples, s.dim, rng)
-    comp_logs, logp = _atom_sample_table(q, q.locs, q.scales, model, [noise] * k)
+    # every atom transforms the same noise, the stream after u: each row
+    # draws it anew from its own copy of the generator there
+    comp_logs, logp = _stacked_table(_atom_sample_table(
+        q, q.locs, q.scales, model, n_samples, (copy.deepcopy(rng) for _ in range(k))))
     rows = np.arange(n_samples)
 
     def objective(gamma: float) -> float:
@@ -292,13 +307,14 @@ def fully_corrective_weights(
         return np.array([1.0])
     ss = np.random.SeedSequence(entropy=(_entropy_int(seed), 1414))
     # fixed samples of each atom, from its own stream, and cached log densities
-    comp_logs, logp = _atom_sample_table(q, q.locs, q.scales, model, (
-        standard_noise(q.family, n_samples, q.dim, np.random.default_rng(s))
-        for s in ss.spawn(k)
-    ))
+    comp_logs, logp = _stacked_table(_atom_sample_table(
+        q, q.locs, q.scales, model, n_samples, map(np.random.default_rng, ss.spawn(k))))
 
     def direct_grad(w: np.ndarray) -> np.ndarray:
-        return np.mean(logsumexp(comp_logs + log_weights(w), axis=2) - logp, axis=1)
+        # row by row: no (k, n, k) temporaries
+        log_w = log_weights(w)
+        return np.array([np.mean(logsumexp(comp + log_w, axis=1) - lp)
+                         for comp, lp in zip(comp_logs, logp)])
 
     row_max = comp_logs.max(axis=2)  # (k, n)
     scaled = comp_logs - row_max[:, :, None]
@@ -353,9 +369,9 @@ def certificate_gap(
     row is always a spike probe: a narrow atom at the sample q_t covers
     worst, clipped to the location box, where shrinking atoms approach the
     supremum.  Row i draws from stream i + 1 of ``seed``, the probe from the
-    last, and all rows are rows of one :func:`_atom_sample_table`.  Each
-    row's log-sum-exp over ``q_t``'s atoms is taken on its own (n, K) slice
-    of that table, so no (P + 1, n, K) temporary is formed.
+    last, and all rows are rows of one :func:`_atom_sample_table`, each
+    reduced to its n log-ratios as it is produced, so no (P + 1, n, K) table
+    is formed.
 
     Returns ``(values, stderrs)``, each of shape (P + 1,), the probe last.
     """
@@ -366,18 +382,20 @@ def certificate_gap(
                          f"got shape {locs.shape}")
     seeds = np.random.SeedSequence(entropy=(_entropy_int(seed), 1618)).spawn(len(locs) + 2)
     zq = q_t.sample(n, seeds[0])
-    aq = q_t.log_prob(zq) - log_joint_batch(model, zq)
+    aq = np.empty(n)
+    for b in sample_blocks(n):
+        aq[b] = q_t.log_prob(zq[b])
+    aq -= log_joint_batch(model, zq)
     # the probe: one more row, at the sample q_t covers worst
     locs = np.vstack([locs, _to_box(zq[int(np.argmin(aq))])])
     scales = np.vstack([scales, np.maximum(0.1 * q_t.scales.mean(axis=0), SCALE_FLOOR)])
-    comp_logs, logp = _atom_sample_table(q_t, locs, scales, model, (
-        standard_noise(q_t.family, n, q_t.dim, np.random.default_rng(s)) for s in seeds[1:]
-    ))
+    del zq  # freed before the rows draw their samples
     log_w = log_weights(q_t.weights)
-    as_ = np.empty_like(logp)  # (pool, n)
-    for i, (comp, lp) in enumerate(zip(comp_logs, logp)):
-        # one row's (n, K) log-sum-exp at a time: its temporaries stay (n, K)
-        as_[i] = logsumexp(comp + log_w, axis=1) - lp
+    as_ = np.empty((len(locs), n))
+    rows = _atom_sample_table(q_t, locs, scales, model, n, map(np.random.default_rng, seeds[1:]))
+    for i, (comp, lp) in enumerate(rows):
+        comp += log_w
+        as_[i] = logsumexp(comp, axis=1) - lp
     values = np.mean(aq) - np.mean(as_, axis=1)
     stderrs = np.sqrt(np.var(aq) / n + np.var(as_, axis=1) / n)
     return values, stderrs

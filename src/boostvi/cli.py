@@ -16,9 +16,8 @@ import sys
 from typing import Optional
 
 from .boosting import FwConfig, Variant
-from .densities import Family
+from .densities import DataError, Family, real_number, whole_number
 from .harness import ExperimentConfig, run_experiment
-from .models import DataError, real_number, whole_number
 from .lmo import LmoConfig
 from .probes import (
     PROBE_GRID,

@@ -4,13 +4,17 @@ Atoms are diagonal Gaussian or Laplace densities with a hard lower bound on
 every scale entry (non-degeneracy) and locations confined to a box.  A mixture
 is a family, the stacked locations and scales (K, D) of its atoms, one row per
 atom, and simplex weights (K,); all log-density evaluation goes through a
-max-shifted log-sum-exp.
+max-shifted log-sum-exp.  The rules every module reads counts and reals by
+(:func:`whole_number`, :func:`sample_count`, :func:`real_number`) and the
+Monte-Carlo block size ``SAMPLE_BLOCK`` live here, in the module the others
+import, so the samplers use them too.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +24,16 @@ LOG_2PI = math.log(2.0 * math.pi)
 SCALE_FLOOR = 1e-3  # smallest scale entry an atom may have
 PARAM_BOX = 1e3  # largest |loc| entry an atom may have
 ATOM_MERGE_TOL = 1e-9  # max-norm distance at which two atoms count as one
+SAMPLE_BLOCK = 256  # most rows of a Monte-Carlo batch evaluated in one call
 
 # trapezoid was renamed in numpy 2.0
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
+
+def sample_blocks(n: int):
+    """Consecutive slices of at most ``SAMPLE_BLOCK`` rows that cover range(n),
+    each ending at most at n."""
+    return (slice(i, min(i + SAMPLE_BLOCK, n)) for i in range(0, n, SAMPLE_BLOCK))
 
 
 def logsumexp(a, axis: int, keepdims: bool = False) -> np.ndarray:
@@ -42,12 +53,52 @@ def logsumexp(a, axis: int, keepdims: bool = False) -> np.ndarray:
         is_max = a == a_max
         shifted = a - a_max
         shifted[is_max] = -np.inf
-        # in place: on the certificate's (pool, n, K) table a second array
-        # of that size would raise the run's peak memory
+        # in place: no second array of a's size
         rest = np.exp(shifted, out=shifted).sum(axis=axis, keepdims=True)
+        # rest == 0 leaves NaN out of the row, so n_max >= 1 and rest / n_max
+        # is rest there: SciPy's zero guard needs no branch
         n_max = is_max.sum(axis=axis, keepdims=True, dtype=float)
-        out = np.log1p(np.where(rest == 0, rest, rest / n_max)) + np.log(n_max) + a_max
+        rest /= n_max
+        out = np.log1p(rest, out=rest)
+        out += np.log(n_max)
+        out += a_max
     return out if keepdims else np.squeeze(out, axis=axis)
+
+
+class DataError(ValueError):
+    """Input data that cannot be used: an unreadable or malformed file or
+    trace entry, an invalid value, or a split that leaves a side empty."""
+
+
+def whole_number(value, name: str = "value") -> int:
+    """A count given as an int or a whole float, as an int.  Any other value
+    raises a :class:`DataError` naming ``name``: a fraction, which ``int``
+    would truncate, a bool, which it would read as 0 or 1, or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        whole = False
+    else:
+        whole = isinstance(value, numbers.Integral) or float(value).is_integer()
+    if not whole:
+        raise DataError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def sample_count(value, name: str) -> int:
+    """A Monte-Carlo sample count, a whole number >= 1, as an int; any other
+    value raises a :class:`DataError` naming ``name``."""
+    n = whole_number(value, name)
+    if n < 1:
+        raise DataError(f"{name} must be >= 1, got {n}")
+    return n
+
+
+def real_number(value, name: str = "value") -> float:
+    """A real number given as an int or a float, as a float.  Any other value
+    raises a :class:`DataError` naming ``name``: a bool, which ``float``
+    would read as 0 or 1, or a string, which it would parse."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DataError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 class Family(str, enum.Enum):
@@ -183,8 +234,7 @@ class BaseDensity:
         return self.loc + self.scale * eps
 
     def sample(self, n: int, seed) -> np.ndarray:
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        n = sample_count(n, "n")
         rng = np.random.default_rng(seed)
         return self.transform(standard_noise(self.family, n, self.dim, rng))
 
@@ -300,15 +350,24 @@ class Mixture:
         return lse[:, 0], np.einsum("nk,nkd->nd", resp, comp_grads)
 
     def sample(self, n: int, seed) -> np.ndarray:
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        """``n`` draws (n, D) from the stream of ``seed``.  The noise is drawn
+        ``SAMPLE_BLOCK`` rows at a time straight into the output, the stream
+        of one draw, and transformed there in place, so no second (n, D)
+        array is formed."""
+        n = sample_count(n, "n")
         rng = np.random.default_rng(seed)
         idx = rng.choice(len(self.weights), size=n, p=self.weights)
         # one noise draw, its rows dealt to atom 0's samples first, then atom
         # 1's, and so on: the stream of one draw per atom in turn
-        noise = np.empty((n, self.dim))
-        noise[np.argsort(idx, kind="stable")] = standard_noise(self.family, n, self.dim, rng)
-        return self.locs[idx] + self.scales[idx] * noise
+        order = np.argsort(idx, kind="stable")
+        out = np.empty((n, self.dim))
+        for b in sample_blocks(n):
+            out[order[b]] = standard_noise(self.family, b.stop - b.start, self.dim, rng)
+        for b in sample_blocks(n):
+            # the bits of locs[idx] + scales[idx] * noise
+            out[b] *= self.scales[idx[b]]
+            out[b] += self.locs[idx[b]]
+        return out
 
 
 def quadrature_kl(q: Mixture, log_p, z: np.ndarray) -> float:

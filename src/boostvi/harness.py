@@ -18,16 +18,14 @@ from typing import Optional
 import numpy as np
 
 from .boosting import BoostTrace, FwConfig, check_kl_oracle_grid, run_boosting
+from .densities import DataError, real_number, whole_number
 from .models import (
-    DataError,
     Dataset,
     TargetModel,
     logistic_regression_model,
     matrix_factorization_model,
     predictive_metrics,
-    real_number,
     synthetic_bimodal_target,
-    whole_number,
 )
 
 

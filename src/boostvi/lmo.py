@@ -29,10 +29,13 @@ from .densities import (
     Mixture,
     coordinate_log_prob,
     log_normalizer,
+    real_number,
+    sample_count,
     standard_noise,
     standard_score,
+    whole_number,
 )
-from .models import TargetModel, real_number, sample_count, whole_number
+from .models import TargetModel
 
 
 # Adam squares the log-scale gradient, which carries lambda, so a larger
@@ -238,6 +241,14 @@ def _to_box(loc: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(loc, -PARAM_BOX), PARAM_BOX)
 
 
+def _child_seed(ss: np.random.SeedSequence, i: int) -> np.random.SeedSequence:
+    """Child ``i`` (from 0) of those that ``ss.spawn`` hands out, built on its
+    own: the atom solver makes each step's seed when the step runs, not all
+    ``n_steps`` of them up front."""
+    return np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, i),
+                                  pool_size=ss.pool_size)
+
+
 def lmo_solve(
     model: TargetModel,
     q_t: Optional[Mixture],
@@ -261,8 +272,8 @@ def lmo_solve(
     _check_inputs(d, model, q_t)
     family = cfg.family
     ss = np.random.SeedSequence(entropy=(seed, t))
-    init_rng = np.random.default_rng(ss.spawn(1)[0])
-    step_seeds = ss.spawn(cfg.n_steps)
+    # child 0 draws the initial points, child k + 1 step k's noise
+    init_rng = np.random.default_rng(_child_seed(ss, 0))
 
     for attempt in range(2):
         loc, u = _initial_params(d, init_rng)
@@ -277,7 +288,7 @@ def lmo_solve(
             softplus_u = _softplus(u)
             scale = SCALE_FLOOR + softplus_u
             g_loc, g_log_scale, value, f_mean = _relbo_grad_parts(
-                family, loc, scale, _noise(family, cfg.n_mc_samples, d, step_seeds[k]),
+                family, loc, scale, _noise(family, cfg.n_mc_samples, d, _child_seed(ss, k + 1)),
                 model, q_t, lam, baseline,
             )
             if not (np.isfinite(g_loc).all() and np.isfinite(g_log_scale).all()

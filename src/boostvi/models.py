@@ -6,9 +6,10 @@ callable that returns the log-joint and its gradient from one evaluation, and
 optional extras (a normalized 1-D posterior density for quadrature oracles, a
 training log-likelihood for iterate selection).  Every call takes a batch; a single
 point z is the batch ``z[None]``.  A large Monte-Carlo batch is evaluated
-``SAMPLE_BLOCK`` rows at a time and reassembled before any reduction across
-its samples, so its peak memory does not grow with n times the model's
-width.  The bimodal target is a
+``SAMPLE_BLOCK`` rows at a time; its samples' values are reassembled, or
+added to a running total in numpy's own order, before any reduction across
+them, so the results keep their bits while the peak memory does not grow
+with n times the model's width.  The bimodal target is a
 :class:`~boostvi.densities.Mixture` of Gaussian atoms, and its callables are
 that mixture's own methods.  Each model's posterior-predictive quantity
 is one module-level helper, shared by its training log-likelihood and
@@ -17,20 +18,13 @@ is one module-level helper, shared by its training log-likelihood and
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .densities import LOG_2PI, Family, Mixture, _as_loc, _as_scale, _check_points
-
-SAMPLE_BLOCK = 256  # most rows of a Monte-Carlo batch evaluated in one call
-
-
-def sample_blocks(n: int):
-    """Consecutive slices of at most ``SAMPLE_BLOCK`` rows that cover range(n)."""
-    return (slice(i, i + SAMPLE_BLOCK) for i in range(0, n, SAMPLE_BLOCK))
+from .densities import (LOG_2PI, SAMPLE_BLOCK, DataError, Family, Mixture, _as_loc, _as_scale,
+                        _check_points, sample_blocks, sample_count)
 
 
 @dataclass(frozen=True)
@@ -68,42 +62,6 @@ def log_joint_batch(model: TargetModel, Z: np.ndarray) -> np.ndarray:
         return np.asarray(model.log_joint_batch(Z))
     return np.concatenate([np.asarray(model.log_joint_batch(Z[b]))
                            for b in sample_blocks(len(Z))])
-
-
-class DataError(ValueError):
-    """Input data that cannot be used: an unreadable or malformed file or
-    trace entry, an invalid value, or a split that leaves a side empty."""
-
-
-def whole_number(value, name: str = "value") -> int:
-    """A count given as an int or a whole float, as an int.  Any other value
-    raises a :class:`DataError` naming ``name``: a fraction, which ``int``
-    would truncate, a bool, which it would read as 0 or 1, or a string."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        whole = False
-    else:
-        whole = isinstance(value, numbers.Integral) or float(value).is_integer()
-    if not whole:
-        raise DataError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
-
-
-def sample_count(value, name: str) -> int:
-    """A Monte-Carlo sample count, a whole number >= 1, as an int; any other
-    value raises a :class:`DataError` naming ``name``."""
-    n = whole_number(value, name)
-    if n < 1:
-        raise DataError(f"{name} must be >= 1, got {n}")
-    return n
-
-
-def real_number(value, name: str = "value") -> float:
-    """A real number given as an int or a float, as a float.  Any other value
-    raises a :class:`DataError` naming ``name``: a bool, which ``float``
-    would read as 0 or 1, or a string, which it would parse."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise DataError(f"{name} must be a real number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -269,14 +227,28 @@ def _reconstruct(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.matmul(U.transpose(0, 2, 1), V)
 
 
+def _mean_of_blocks(blocks, shape: tuple, n: int) -> np.ndarray:
+    """The mean over axis 0 of the n rows of ``shape`` that the consecutive
+    arrays ``blocks`` hold, with the bits of ``.mean(axis=0)`` of all n rows
+    at once, which adds them in turn onto +0.  One running total takes each
+    block: it is added to the block's first row, total + row, and the
+    block's sum adds the rest onto that.  The sum starts from +0 too, which
+    changes no total: a sum from +0 is never -0, as it reaches -0 only by
+    adding -0 to -0.  Overwrites each block's first row."""
+    total = np.zeros(shape)
+    for block in blocks:
+        np.add(total, block[0], out=block[0])
+        total = block.sum(axis=0)
+    return total / n
+
+
 def mean_reconstruction(samples: np.ndarray, latent_dim: int, rows: int, cols: int) -> np.ndarray:
     """Posterior-predictive mean matrix (rows, cols): U^T V averaged over the
-    latent samples (n, D).  The (n, rows, cols) products are filled a block of
-    samples at a time, then averaged whole."""
-    recon = np.empty((len(samples), rows, cols))
-    for b in sample_blocks(len(samples)):
-        recon[b] = _reconstruct(*_unpack_uv(samples[b], latent_dim, rows, cols))
-    return recon.mean(axis=0)
+    latent samples (n, D).  The products are formed a block of samples at a
+    time and averaged by one running total, with the bits of the mean of the
+    whole (n, rows, cols) array and without that array."""
+    return _mean_of_blocks((_reconstruct(*_unpack_uv(samples[b], latent_dim, rows, cols))
+                            for b in sample_blocks(len(samples))), (rows, cols), len(samples))
 
 
 def gaussian_log_likelihood(resid: np.ndarray) -> float:
@@ -350,7 +322,7 @@ def predictive_metrics(
     kind: str, posterior: Mixture, test: Dataset, n_samples: int, seed
 ) -> dict:
     """Monte-Carlo posterior-predictive metrics on held-out data."""
-    samples = posterior.sample(n_samples, seed)
+    samples = posterior.sample(sample_count(n_samples, "n_samples"), seed)
     if kind == "logistic":
         if test.features is None:
             raise ValueError("classification metrics need features")

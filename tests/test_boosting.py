@@ -921,3 +921,52 @@ class TestBlockedMemory:
         peak = self.traced_peak(
             lambda: fully_corrective_weights(q, model, n_samples=self.N_SAMPLES, seed=0))
         assert peak < wide
+
+
+class TestStreamedMemory:
+    """On the factorization model (D = 105) at n = 16384 samples, the
+    sampler, the certificate, the training log-likelihood and both step
+    solves hold at most about the one (n, D) array a caller keeps: none of
+    them forms a second (n, D) array or an (n, rows, cols) array."""
+
+    N_SAMPLES = 16384
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        model = matrix_factorization_model(make_lowrank_matrix(20, 15, 2, 0.1, 0.5, seed=1), 3)
+        q = mixture([BaseDensity(Family.GAUSSIAN, np.full(model.dim, 0.1 * i),
+                                 np.full(model.dim, 0.3 + 0.1 * i)) for i in range(2)], [0.5, 0.5])
+        return model, q, self.N_SAMPLES * model.dim * 8
+
+    def test_sample(self, case):
+        model, q, wide = case
+        assert wide == self.N_SAMPLES * 105 * 8
+        # the returned samples and block-sized temporaries
+        peak = TestBlockedMemory.traced_peak(lambda: q.sample(self.N_SAMPLES, 0))
+        assert peak < 1.25 * wide
+
+    def test_certificate_gap(self, case):
+        model, q, wide = case
+        # q_t's samples, held until the spike probe is placed
+        peak = TestBlockedMemory.traced_peak(
+            lambda: certificate_gap(q, q.locs, q.scales, model, self.N_SAMPLES, seed=0))
+        assert peak < 1.25 * wide
+
+    def test_train_log_likelihood(self, case):
+        model, q, wide = case
+        z = q.sample(self.N_SAMPLES, 0)
+        peak = TestBlockedMemory.traced_peak(lambda: model.train_log_likelihood(z))
+        assert peak < 0.25 * wide
+
+    def test_fully_corrective_weights(self, case):
+        model, q, wide = case
+        peak = TestBlockedMemory.traced_peak(
+            lambda: fully_corrective_weights(q, model, n_samples=self.N_SAMPLES, seed=0))
+        assert peak < 0.25 * wide
+
+    def test_line_search_gamma(self, case):
+        model, q, wide = case
+        peak = TestBlockedMemory.traced_peak(
+            lambda: line_search_gamma(Mixture.single(q.atom(0)), q.atom(1), model,
+                                      n_samples=self.N_SAMPLES, seed=0))
+        assert peak < 0.25 * wide

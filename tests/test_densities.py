@@ -14,7 +14,7 @@ from boostvi import (
     quadrature_kl,
 )
 
-from boostvi.densities import logsumexp, standard_noise
+from boostvi.densities import SAMPLE_BLOCK, logsumexp, sample_blocks, standard_noise
 
 from oracles import (
     BIMODAL_LOGPDF_AT_0,
@@ -326,6 +326,29 @@ class TestSampling:
         m = mixture(atoms, np.array([0.1, 0.0, 0.4, 0.3, 0.2]))
         for n, seed in ((1, 0), (7, 3), (500, 11)):
             np.testing.assert_array_equal(m.sample(n, seed), self.atom_by_atom(m, n, seed))
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("dim", [1, 105])
+    @pytest.mark.parametrize("n", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 2048])
+    def test_noise_in_blocks_is_one_draw(self, family, dim, n):
+        # the sampler and the certificate's rows draw their noise block by
+        # block; the blocks must be the rows of one draw, byte for byte
+        rng = np.random.default_rng((n, dim))
+        blocks = [standard_noise(family, b.stop - b.start, dim, rng) for b in sample_blocks(n)]
+        whole = standard_noise(family, n, dim, np.random.default_rng((n, dim)))
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5, True, "8"])
+    def test_bad_count_names_n(self, n):
+        m = mixture((gaussian(-1, 0.5), gaussian(1, 0.5)), np.array([0.4, 0.6]))
+        for density in (m, m.atom(0)):
+            with pytest.raises(ValueError, match="^n must be"):
+                density.sample(n, 0)
+
+    def test_whole_float_count(self):
+        m = mixture((gaussian(-1, 0.5), gaussian(1, 0.5)), np.array([0.4, 0.6]))
+        for density in (m, m.atom(0)):
+            np.testing.assert_array_equal(density.sample(3.0, 5), density.sample(3, 5))
 
     def test_same_seed_identical(self):
         m = mixture((gaussian(-1, 0.5), gaussian(1, 0.5)), np.array([0.4, 0.6]))

@@ -20,7 +20,7 @@ from boostvi import (
     synthetic_bimodal_target,
 )
 from boostvi.densities import PARAM_BOX, SCALE_FLOOR, standard_noise
-from boostvi.lmo import MAX_ENTROPY_WEIGHT, _Adam, _initial_params
+from boostvi.lmo import MAX_ENTROPY_WEIGHT, _Adam, _child_seed, _initial_params
 from boostvi.models import (
     Dataset,
     TargetModel,
@@ -440,3 +440,17 @@ class TestSolverMatchesReferenceLoop:
         assert res.relbo_estimate == relbo
         assert res.converged == converged
         assert res.atom.family is family
+
+
+class TestChildSeeds:
+    @pytest.mark.parametrize("entropy", [(4, 2), (0, 0), (2**40, 7)])
+    def test_children_are_the_spawned_ones(self, entropy):
+        # the solver's one initial-point child and then its n_steps step
+        # children, as spawn(1) and spawn(n_steps) hand them out
+        ss = np.random.SeedSequence(entropy=entropy)
+        spawned = ss.spawn(1) + ss.spawn(2000)
+        for i, child in enumerate(spawned):
+            built = _child_seed(ss, i)
+            assert (built.entropy, built.spawn_key, built.pool_size) == (
+                child.entropy, child.spawn_key, child.pool_size)
+            assert built.generate_state(4).tobytes() == child.generate_state(4).tobytes()

@@ -18,10 +18,11 @@ from boostvi import (
     predictive_metrics,
     synthetic_bimodal_target,
 )
-from boostvi.densities import LOG_2PI, BaseDensity, Family
+from boostvi.densities import LOG_2PI, BaseDensity, Family, sample_blocks
 from boostvi.models import (
     SAMPLE_BLOCK,
     _log_sigmoid,
+    _mean_of_blocks,
     _reconstruct,
     _sigmoid,
     _unpack_uv,
@@ -332,13 +333,28 @@ class TestSampleBlocks:
             assert_same_bits(class_probabilities(samples, features),
                              _sigmoid(samples @ features.T).mean(axis=0))
 
-    @pytest.mark.parametrize("n", [0, SAMPLE_BLOCK + 1])
+    @pytest.mark.parametrize("n", [0, 1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 2048])
     def test_mean_reconstruction(self, n):
         samples = np.random.default_rng(17).standard_normal((n, 3 * (20 + 15)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # the mean of no samples
             assert_same_bits(mean_reconstruction(samples, 3, 20, 15),
                              _reconstruct(*_unpack_uv(samples, 3, 20, 15)).mean(axis=0))
+
+    # the factorization products (n, 20, 15) and the logistic probabilities' (n, 280)
+    @pytest.mark.parametrize("shape", [(20, 15), (280,)])
+    @pytest.mark.parametrize("n", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 2048])
+    def test_running_mean_is_numpy_mean(self, n, shape):
+        rng = np.random.default_rng((n, len(shape)))
+        x = rng.standard_normal((n, *shape)) * 10.0 ** rng.uniform(-8.0, 8.0, (n, *shape))
+        # signed zeros, which a sum that started from a row instead of +0
+        # would keep, and a column summing to exactly 0
+        x[:, 0] = -0.0
+        x[::2, 1], x[1::2, 1] = -0.0, 0.0
+        x[:, 2] = 1.0
+        x[-1, 2] = -(n - 1.0)
+        got = _mean_of_blocks((x[b].copy() for b in sample_blocks(n)), shape, n)
+        assert_same_bits(got, x.mean(axis=0))
 
 
 class TestFactorizationKernels:
@@ -443,6 +459,13 @@ class TestPredictiveMetrics:
             metrics = predictive_metrics(kind, posterior, data, 64, 3)
             train_ll = model.train_log_likelihood(posterior.sample(64, 3))
             assert metrics["mean_log_likelihood"] == train_ll, kind
+
+    @pytest.mark.parametrize("n", [0, 2.5, True, "8"])
+    def test_bad_count_names_n_samples(self, n):
+        posterior = Mixture.single(BaseDensity(Family.GAUSSIAN, [0.0], [1.0]))
+        test = Dataset(features=np.ones((2, 1)), labels=np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="^n_samples must be"):
+            predictive_metrics("logistic", posterior, test, n, 0)
 
     def test_unknown_kind_rejected(self):
         posterior = Mixture.single(BaseDensity(Family.GAUSSIAN, [0.0], [1.0]))
