@@ -10,6 +10,13 @@ from the reparameterization trick when the model supplies its value-and-gradient
 callable, one model call per step, else from the score-function estimator with
 a baseline, which calls only the log-joint: the model alone picks the
 estimator.  The entropy term is always handled analytically.
+
+A solve draws its randomness from the children of ``SeedSequence((seed, t))``:
+child 0 draws the initial points and child k + 1 step k's noise, bit for bit
+the streams ``ss.spawn`` hands out.  The solve derives every child's PCG64
+state in one vectorized pass, a table of (n_steps + 1, 4) words, and sets one
+generator to step k's state before its draw, so no step builds a seed or a
+generator.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from .densities import (
     PARAM_BOX,
     SCALE_FLOOR,
     BaseDensity,
+    DataError,
     Family,
     Mixture,
     coordinate_log_prob,
@@ -241,12 +249,94 @@ def _to_box(loc: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(loc, -PARAM_BOX), PARAM_BOX)
 
 
-def _child_seed(ss: np.random.SeedSequence, i: int) -> np.random.SeedSequence:
-    """Child ``i`` (from 0) of those that ``ss.spawn`` hands out, built on its
-    own: the atom solver makes each step's seed when the step runs, not all
-    ``n_steps`` of them up front."""
-    return np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, i),
-                                  pool_size=ss.pool_size)
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _uint32_words(value) -> list[int]:
+    """The 32-bit words, least significant first, that SeedSequence reads a
+    whole number >= 0, or a sequence of them, as."""
+    if not isinstance(value, (int, np.integer)):
+        return [w for v in value for w in _uint32_words(v)]
+    value = int(value)
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's ``hashmix`` from hash constant ``init``, which each call
+    multiplies by ``mult``, on uint32 arrays: they wrap without the warning a
+    numpy scalar product gives."""
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+
+    return hashmix
+
+
+def _child_words(ss: np.random.SeedSequence, count: int) -> np.ndarray:
+    """``generate_state(4, np.uint64)`` of children 0..count-1 of ``ss``, the
+    ones ``ss.spawn`` hands out, as (count, 4) rows.
+
+    numpy's SeedSequence algorithm (entropy assembly, ``mix_entropy``,
+    ``generate_state``) run over all children at once: they differ only in
+    the last word of their spawn key.
+    """
+    run = _uint32_words(ss.entropy)
+    # a child has a spawn key, so numpy pads its run entropy to the pool size
+    run += [0] * (ss.pool_size - len(run))
+    # every child's entropy is these words and then its own index: the shared
+    # words hash once, as one-element arrays that broadcast against the index
+    entropy = [np.array([word], np.uint32) for word in run + _uint32_words(ss.spawn_key)]
+    entropy.append(np.arange(count, dtype=np.uint32))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> _XSHIFT)
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    # the entropy is longer than the pool, so the pool starts from its words
+    pool = [hashmix(word) for word in entropy[:ss.pool_size]]
+    for src in range(ss.pool_size):
+        for dst in range(ss.pool_size):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[ss.pool_size:]:
+        for dst in range(ss.pool_size):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    output = _hasher(_INIT_B, _MULT_B)
+    state = np.empty((count, 4), "<u8")
+    # as numpy reads them: uint64 word j is uint32 words 2j (low) and 2j + 1
+    halves = state.view("<u4")
+    for i in range(8):
+        halves[:, i] = output(pool[i % ss.pool_size])
+    return state.astype(np.uint64, copy=False)
+
+
+def _pcg64_state(row: np.ndarray) -> dict:
+    """``bit_generator.state`` of ``np.random.PCG64(child)``, where ``row`` is
+    the child's ``generate_state(4, np.uint64)``: PCG64's seeding
+    (``pcg64_set_seed``) on one row, in Python ints."""
+    state_high, state_low, seq_high, seq_low = row.tolist()
+    inc = ((seq_high << 64 | seq_low) << 1 | 1) & _MASK128
+    state = ((inc + (state_high << 64 | state_low)) * _PCG64_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
 
 
 def lmo_solve(
@@ -266,14 +356,25 @@ def lmo_solve(
     degenerate; locations are clipped to ``PARAM_BOX``.  The best iterate
     under an exponential moving average of the RELBO estimate is returned.
     Deterministic given (model, q_t, t, cfg, seed).
+
+    ``seed`` and ``t`` are whole numbers >= 0.  Child 0 of
+    ``SeedSequence((seed, t))`` draws the initial points, also the second one
+    after a non-finite attempt, and child k + 1 step k's noise: one table of
+    stream states per solve, bit for bit the children ``ss.spawn`` hands out.
     """
+    seed, t = whole_number(seed, "seed"), whole_number(t, "t")
+    for name, whole in (("seed", seed), ("t", t)):
+        if whole < 0:
+            raise DataError(f"{name} must be >= 0, got {whole}")
     lam = lambda_at(t, cfg.entropy_weight)
     d = model.dim
     _check_inputs(d, model, q_t)
     family = cfg.family
-    ss = np.random.SeedSequence(entropy=(seed, t))
-    # child 0 draws the initial points, child k + 1 step k's noise
-    init_rng = np.random.default_rng(_child_seed(ss, 0))
+    # each generator is set to the state default_rng(child) starts in
+    streams = _child_words(np.random.SeedSequence(entropy=(seed, t)), cfg.n_steps + 1)
+    init_rng, step_rng = np.random.default_rng(0), np.random.default_rng(0)
+    init_rng.bit_generator.state = _pcg64_state(streams[0])
+    step_bits = step_rng.bit_generator
 
     for attempt in range(2):
         loc, u = _initial_params(d, init_rng)
@@ -287,8 +388,9 @@ def lmo_solve(
         for k in range(cfg.n_steps):
             softplus_u = _softplus(u)
             scale = SCALE_FLOOR + softplus_u
+            step_bits.state = _pcg64_state(streams[k + 1])
             g_loc, g_log_scale, value, f_mean = _relbo_grad_parts(
-                family, loc, scale, _noise(family, cfg.n_mc_samples, d, _child_seed(ss, k + 1)),
+                family, loc, scale, standard_noise(family, cfg.n_mc_samples, d, step_rng),
                 model, q_t, lam, baseline,
             )
             if not (np.isfinite(g_loc).all() and np.isfinite(g_log_scale).all()

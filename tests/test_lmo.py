@@ -20,7 +20,13 @@ from boostvi import (
     synthetic_bimodal_target,
 )
 from boostvi.densities import PARAM_BOX, SCALE_FLOOR, standard_noise
-from boostvi.lmo import MAX_ENTROPY_WEIGHT, _Adam, _child_seed, _initial_params
+from boostvi.lmo import (
+    MAX_ENTROPY_WEIGHT,
+    _Adam,
+    _child_words,
+    _initial_params,
+    _pcg64_state,
+)
 from boostvi.models import (
     Dataset,
     TargetModel,
@@ -327,6 +333,45 @@ class TestLmoSolve:
         assert len(calls) == 1 + cfg.n_steps  # one failed step, then a clean attempt
         assert len(built) == 2 and built[1] is retried.atom
         assert np.isfinite(retried.relbo_estimate)
+        # the clean attempt starts from child 0's second initial point and
+        # replays the step streams from step 0
+        atom, relbo, converged = _reference_solve(base, None, 0, cfg, 1, failed_attempts=1)
+        np.testing.assert_array_equal(retried.atom.loc, atom.loc)
+        np.testing.assert_array_equal(retried.atom.scale, atom.scale)
+        assert (retried.relbo_estimate, retried.converged) == (relbo, converged)
+
+    def test_stream_objects_built_once_per_solve(self, monkeypatch):
+        # the step streams come from one table, not from a SeedSequence and a
+        # Generator built per step
+        counts = {}
+        for name in ("SeedSequence", "PCG64", "Generator", "default_rng"):
+            def counted(*args, _build=getattr(np.random, name), _name=name, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _build(*args, **kwargs)
+            monkeypatch.setattr(np.random, name, counted)
+        model = synthetic_bimodal_target()
+        per_solve = []
+        for n_steps in (10, 500):
+            counts.clear()
+            lmo_solve(model, None, 0, LmoConfig(n_steps=n_steps), 1)
+            per_solve.append(dict(counts))
+        assert per_solve[0] == per_solve[1]
+
+    @pytest.mark.parametrize("name", ["seed", "t"])
+    @pytest.mark.parametrize("value", ["3", True, None, 2.5, -1])
+    def test_bad_seed_or_t_names_it(self, name, value):
+        args = {"seed": 1, "t": 0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            lmo_solve(synthetic_bimodal_target(), None, args["t"], LmoConfig(n_steps=5),
+                      args["seed"])
+
+    def test_whole_float_seed_and_t_read_as_ints(self):
+        model, cfg = synthetic_bimodal_target(), LmoConfig(n_steps=30)
+        a = lmo_solve(model, None, 2.0, cfg, 3.0)
+        b = lmo_solve(model, None, 2, cfg, 3)
+        np.testing.assert_array_equal(a.atom.loc, b.atom.loc)
+        np.testing.assert_array_equal(a.atom.scale, b.atom.scale)
+        assert a.relbo_estimate == b.relbo_estimate
 
 
 def _counting_model(model):
@@ -372,15 +417,19 @@ class TestModelCallsPerStep:
         assert calls == {"log_joint": 2, "value_and_grad": 0}
 
 
-def _reference_solve(model, q_t, t, cfg, seed):
+def _reference_solve(model, q_t, t, cfg, seed, failed_attempts=0):
     """lmo_solve rebuilt from public pieces: a validated BaseDensity and a
     relbo_grad call per step, the RELBO value from the atom's own log_prob,
-    the same seed layout and the same Adam, EMA and box steps."""
+    the same seed layout and the same Adam, EMA and box steps.  The attempt
+    it runs follows ``failed_attempts`` failed ones, each of which drew one
+    initial point."""
     lam = lambda_at(t, cfg.entropy_weight)
     d, n, box, floor = model.dim, cfg.n_mc_samples, PARAM_BOX, SCALE_FLOOR
     ss = np.random.SeedSequence(entropy=(seed, t))
     init_rng = np.random.default_rng(ss.spawn(1)[0])
     step_seeds = ss.spawn(cfg.n_steps)
+    for _ in range(failed_attempts):
+        _initial_params(d, init_rng)
     loc, u = _initial_params(d, init_rng)
     opt = _Adam(2 * d, cfg.step_size)
     ema = baseline = checkpoint = best = None
@@ -442,15 +491,42 @@ class TestSolverMatchesReferenceLoop:
         assert res.atom.family is family
 
 
-class TestChildSeeds:
-    @pytest.mark.parametrize("entropy", [(4, 2), (0, 0), (2**40, 7)])
-    def test_children_are_the_spawned_ones(self, entropy):
-        # the solver's one initial-point child and then its n_steps step
-        # children, as spawn(1) and spawn(n_steps) hand them out
-        ss = np.random.SeedSequence(entropy=entropy)
-        spawned = ss.spawn(1) + ss.spawn(2000)
-        for i, child in enumerate(spawned):
-            built = _child_seed(ss, i)
-            assert (built.entropy, built.spawn_key, built.pool_size) == (
-                child.entropy, child.spawn_key, child.pool_size)
-            assert built.generate_state(4).tobytes() == child.generate_state(4).tobytes()
+# entropies of one to three words, one wider than the pool (the third mixing
+# loop), words at the 32-bit edges, and a parent that has a spawn key
+STREAM_SEEDS = {"4,2": ((4, 2), ()), "0,0": ((0, 0), ()), "2^40,7": ((2**40, 7), ()),
+                "2^40,2^70": ((2**40, 2**70), ()), "2^33": ((2**33,), ()),
+                "2^32-1,2^31": ((2**32 - 1, 2**31), ()), "5,3,key=1,2": ((5, 3), (1, 2))}
+
+
+class TestStepStreams:
+    @pytest.fixture(params=list(STREAM_SEEDS.values()), ids=list(STREAM_SEEDS))
+    def spawned(self, request):
+        # the solver's one initial-point child and then its 2000 step
+        # children, as spawn(1) and spawn(2000) hand them out
+        entropy, spawn_key = request.param
+        ss = np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key)
+        return ss, ss.spawn(1) + ss.spawn(2000)
+
+    def test_words_are_the_spawned_childrens(self, spawned):
+        ss, children = spawned
+        words = _child_words(ss, len(children))
+        assert words.shape == (len(children), 4) and words.dtype == np.uint64
+        for row, child in zip(words, children):
+            assert row.tobytes() == child.generate_state(4, np.uint64).tobytes()
+
+    def test_state_is_pcg64s(self, spawned):
+        ss, children = spawned
+        for row, child in zip(_child_words(ss, len(children)), children):
+            assert _pcg64_state(row) == np.random.PCG64(child).state
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_step_noise_is_default_rngs(self, spawned, family):
+        # one generator, set to each child's state in turn after draws from
+        # the previous one, as the solver's steps do
+        ss, children = spawned
+        rng = np.random.default_rng(0)
+        for i in (1, 2, 1000, 2000):
+            rng.bit_generator.state = _pcg64_state(_child_words(ss, i + 1)[i])
+            drawn = standard_noise(family, 16, 3, rng)
+            expected = standard_noise(family, 16, 3, np.random.default_rng(children[i]))
+            assert drawn.tobytes() == expected.tobytes()
