@@ -12,8 +12,8 @@ line-search step direction.  The certificate and both step solves estimate
 E_s[log q - log p] on one table of each atom's fixed samples
 (``_atom_sample_table``), built row by row and block by block from the
 samples' noise streams, so none holds an (n, D) array of a sampled atom's
-samples: the step solves stack the rows, and the certificate reduces each
-row as it is produced.
+samples: the step solves write each row into their one table as it is
+produced, and the certificate reduces each row as it is produced.
 """
 
 from __future__ import annotations
@@ -186,17 +186,23 @@ LINE_SEARCH_GRID = 21  # gammas 0, 0.05, ..., 1 tried before the refinement
 CORRECTIVE_ITERS = 200  # simplex Frank-Wolfe steps of the corrective weight solve
 
 
-def _atom_sample_table(q: Mixture, locs, scales, model: TargetModel, n: int, rngs):
+def _atom_sample_table(q: Mixture, locs, scales, model: TargetModel, n: int, rngs,
+                       table=None):
     """Each sampled atom's n fixed samples evaluated once, one row of the
     (P, D) ``locs`` and ``scales`` at a time.  Row i's samples are ``locs[i]
     + scales[i] * noise``, with the noise drawn from the Generator
     ``rngs[i]`` one block of ``sample_blocks(n)`` at a time: the rows of one
     (n, D) draw.  Each row yields ``(comp, logp)``: comp (n, K) the log
-    density of every atom of ``q`` there, logp (n,) the model's log-joint.
-    Only one block of samples is held at a time, so no (n, D) array and at
-    most one (SAMPLE_BLOCK, K, D) standardization."""
-    for loc, scale, rng in zip(locs, scales, rngs):
-        comp, logp = np.empty((n, len(q.weights))), np.empty(n)
+    density of every atom of ``q`` there, logp (n,) the model's log-joint,
+    written into row i of the (P, n, K) and (P, n) pair ``table`` when one
+    is given and into fresh arrays otherwise.  Only one block of samples is
+    held at a time, so no (n, D) array and at most one (SAMPLE_BLOCK, K, D)
+    standardization."""
+    for i, (loc, scale, rng) in enumerate(zip(locs, scales, rngs)):
+        if table is None:
+            comp, logp = np.empty((n, len(q.weights))), np.empty(n)
+        else:
+            comp, logp = table[0][i], table[1][i]
         for b in sample_blocks(n):
             z = loc + scale * standard_noise(q.family, b.stop - b.start, q.dim, rng)
             comp[b] = q.components(z)[0]
@@ -204,10 +210,15 @@ def _atom_sample_table(q: Mixture, locs, scales, model: TargetModel, n: int, rng
         yield comp, logp
 
 
-def _stacked_table(rows) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of :func:`_atom_sample_table` as (P, n, K) and (P, n) arrays."""
-    comp_logs, logp = zip(*rows)
-    return np.stack(comp_logs), np.stack(logp)
+def _stacked_table(q: Mixture, locs, scales, model: TargetModel, n: int,
+                   rngs) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of :func:`_atom_sample_table` as (P, n, K) and (P, n) arrays,
+    allocated once and each row written into them as it is produced: no row
+    is held beside the table or copied into it."""
+    table = np.empty((len(locs), n, len(q.weights))), np.empty((len(locs), n))
+    for _ in _atom_sample_table(q, locs, scales, model, n, rngs, table):
+        pass
+    return table
 
 
 def _crn_atom_index(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -242,8 +253,8 @@ def line_search_gamma(
     u = rng.uniform(size=n_samples)
     # every atom transforms the same noise, the stream after u: each row
     # draws it anew from its own copy of the generator there
-    comp_logs, logp = _stacked_table(_atom_sample_table(
-        q, q.locs, q.scales, model, n_samples, (copy.deepcopy(rng) for _ in range(k))))
+    comp_logs, logp = _stacked_table(q, q.locs, q.scales, model, n_samples,
+                                     (copy.deepcopy(rng) for _ in range(k)))
     rows = np.arange(n_samples)
 
     def objective(gamma: float) -> float:
@@ -296,10 +307,13 @@ def fully_corrective_weights(
     The weights depend on the gradients only through each step's argmin and
     the stopping test, so most steps take a cheap gradient, log q_w =
     M + log(E w) with E = exp(C - M) and M the row maxima, fixed for the
-    whole solve.  A step falls back to the direct log-sum-exp when E w gets
-    near underflow or when the cheap gradient leaves the argmin or the
-    stopping test within its rounding error; the returned weights are those
-    of the direct solve.
+    whole solve.  E w is one (k, n) array stepped with the weights, one
+    column of E per step (:class:`_SteppedMass`); its rounding drift stays
+    within about 1e-13 in log(E w) over the solve, which the tolerance, at
+    least 6.7e-10, covers many times over.  A step falls back to the direct
+    log-sum-exp when E w gets near underflow or when the cheap gradient
+    leaves the argmin or the stopping test within that tolerance; the
+    returned weights are those of the direct solve.
     """
     n_samples = sample_count(n_samples, "n_samples")
     k = len(q.weights)
@@ -307,8 +321,8 @@ def fully_corrective_weights(
         return np.array([1.0])
     ss = np.random.SeedSequence(entropy=(_entropy_int(seed), 1414))
     # fixed samples of each atom, from its own stream, and cached log densities
-    comp_logs, logp = _stacked_table(_atom_sample_table(
-        q, q.locs, q.scales, model, n_samples, map(np.random.default_rng, ss.spawn(k))))
+    comp_logs, logp = _stacked_table(q, q.locs, q.scales, model, n_samples,
+                                     map(np.random.default_rng, ss.spawn(k)))
 
     def direct_grad(w: np.ndarray) -> np.ndarray:
         # row by row: no (k, n, k) temporaries
@@ -317,27 +331,20 @@ def fully_corrective_weights(
                          for comp, lp in zip(comp_logs, logp)])
 
     row_max = comp_logs.max(axis=2)  # (k, n)
-    scaled = comp_logs - row_max[:, :, None]
-    np.exp(scaled, out=scaled)
-    scaled = scaled.reshape(-1, k)
     offset = row_max - logp
-    # rounding bound for either gradient: a wide margin over a few ulps of
-    # the largest term of log q - log p, where |log(E w)| <= 668 once
-    # E w >= 1e-290; not finite when a log density is, and then every step
-    # takes the direct gradient
-    tol = 1e-12 * (1.0 + np.abs(row_max).max() + np.abs(offset).max() + 668.0)
+    tol = _corrective_tolerance(row_max, offset)
+    offset = offset.mean(axis=1)  # the cheap gradient's M - log p, averaged once
 
     w = np.full(k, 1.0 / k)
+    stepped = _SteppedMass(comp_logs, row_max, w) if np.isfinite(tol) else None
     for it in range(CORRECTIVE_ITERS):
         exact = True
-        if np.isfinite(tol):
-            mass = scaled @ w
-            if mass.min() >= 1e-290:
-                grad = (offset + np.log(mass).reshape(k, -1)).mean(axis=1)
-                j = int(np.argmin(grad))
-                fw_gap = float(w @ grad - grad[j])
-                runner_up = np.partition(grad, 1)[1]
-                exact = not (runner_up - grad[j] > tol and abs(fw_gap - 1e-8) > tol)
+        if stepped is not None and stepped.mass.min() >= 1e-290:
+            grad = stepped.gradient(offset)
+            j = int(np.argmin(grad))
+            fw_gap = float(w @ grad - grad[j])
+            runner_up = np.partition(grad, 1)[1]
+            exact = not (runner_up - grad[j] > tol and abs(fw_gap - 1e-8) > tol)
         if exact:
             grad = direct_grad(w)
             j = int(np.argmin(grad))
@@ -347,7 +354,56 @@ def fully_corrective_weights(
         gamma = 2.0 / (it + 2.0)
         w = (1.0 - gamma) * w
         w[j] += gamma
+        if stepped is not None:
+            stepped.step(j, gamma)
     return w / w.sum()
+
+
+def _corrective_tolerance(row_max: np.ndarray, offset: np.ndarray) -> float:
+    """Rounding bound for either gradient of the corrective solve: a wide
+    margin over a few ulps of the largest term of log q - log p, where
+    |log(E w)| <= 668 once E w >= 1e-290, and over the stepped mass's
+    drift, about 1e-13 in log(E w).  Not finite when a log density is, and
+    then every step takes the direct gradient."""
+    return 1e-12 * (1.0 + np.abs(row_max).max() + np.abs(offset).max() + 668.0)
+
+
+class _SteppedMass:
+    """E w of the corrective solve's cheap gradient, for the (k, n, k)
+    table C, its (k, n) row maxima M and E = exp(C - M): one (k, n) array,
+    set from E's columns at the weights w and then stepped with them.  When
+    w becomes (1 - gamma) w + gamma e_j, E w becomes (1 - gamma) E w +
+    gamma E[:, :, j], so no (k, n, k) array beside the table is formed.
+
+    Stepping carries each step's rounding forward: a few ulps of E w per
+    step, and of the weights it tracks, none grown by the later (1 - gamma)
+    factors, so over ``CORRECTIVE_ITERS`` steps about 1e-13 relative and
+    about 1e-13 in log(E w), against a tolerance of at least 6.7e-10."""
+
+    def __init__(self, comp_logs: np.ndarray, row_max: np.ndarray, w: np.ndarray):
+        self._comp_logs, self._row_max = comp_logs, row_max
+        self._scratch = np.empty_like(row_max)
+        self.mass = np.zeros_like(row_max)
+        for j, w_j in enumerate(w):
+            self.mass += self._column(j, w_j)
+
+    def _column(self, j: int, factor: float) -> np.ndarray:
+        """factor * E[:, :, j], in the scratch array."""
+        out = np.subtract(self._comp_logs[:, :, j], self._row_max, out=self._scratch)
+        np.exp(out, out=out)
+        out *= factor
+        return out
+
+    def step(self, j: int, gamma: float) -> None:
+        """E w after w becomes (1 - gamma) w + gamma e_j."""
+        self.mass *= 1.0 - gamma
+        self.mass += self._column(j, gamma)
+
+    def gradient(self, offset: np.ndarray) -> np.ndarray:
+        """The cheap gradient, ``offset`` plus the row means of log(E w),
+        with ``offset`` the row means of M - log p: the row means of log q_w
+        - log p, rounded a few ulps of the largest term apart."""
+        return offset + np.log(self.mass, out=self._scratch).mean(axis=1)
 
 
 def certificate_gap(

@@ -129,16 +129,13 @@ def _exp_neg_abs(x: np.ndarray) -> np.ndarray:
     return np.exp(e, out=e)
 
 
-def _sigmoid(x: np.ndarray, e: Optional[np.ndarray] = None) -> np.ndarray:
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     """sigma(x) = where(x >= 0, 1, e) / (1 + e), elementwise, with e =
-    exp(-|x|) formed here unless given.  A given e is left as it is; one
-    formed here takes 1 + e in place, so no array beyond e and the result
+    exp(-|x|) taken to 1 + e in place, so no array beyond e and the result
     is made."""
-    formed = e is None
-    if formed:
-        e = _exp_neg_abs(x)
+    e = _exp_neg_abs(x)
     out = np.where(x >= 0, 1.0, e)
-    out /= np.add(e, 1.0, out=e if formed else None)
+    out /= np.add(e, 1.0, out=e)
     return out
 
 
@@ -182,8 +179,14 @@ def logistic_regression_model(data: Dataset) -> TargetModel:
         raise DataError("labels must be binary (0/1)")
     n_feat = X.shape[1]
     # y log sigma(l) + (1 - y) log sigma(-l) = log sigma(s) with s = sign * l
-    # for y in {0, 1}, and the residual y - sigma(l) is sign * sigma(-s)
+    # for y in {0, 1}, and the residual y - sigma(l) is sign * sigma(-s).
+    # The signs go into the features once: s = W @ XS.T and the gradient's
+    # sum is sigma(-s) @ XS, with the bits of scaling the logits and the
+    # residuals by the signs, as negation is exact and rounding symmetric
+    # in sign.  XS.T stays a transposed view: BLAS then sees the operand
+    # layout of X.T, which the bits depend on.
     sign = 2.0 * y - 1.0
+    XS = X * sign[:, None]
 
     def log_joint(W: np.ndarray, log_lik: np.ndarray) -> np.ndarray:
         prior = -0.5 * np.sum(W * W, axis=1) - 0.5 * n_feat * LOG_2PI
@@ -192,16 +195,17 @@ def logistic_regression_model(data: Dataset) -> TargetModel:
     def batch(W: np.ndarray) -> np.ndarray:
         # in place: two (n, N) arrays alive, s and e, on the n = 2048
         # certificate batches
-        s = W @ X.T
-        s *= sign
+        s = W @ XS.T
         return log_joint(W, _log_sigmoid(s, out=s))
 
     def value_and_grad(W: np.ndarray):
-        # one exp per element, shared by the value and the residual
-        s = (W @ X.T) * sign
+        # one exp per element, shared by the value and sigma(-s) =
+        # where(s <= 0, 1, e) / (1 + e), which needs no -s
+        s = W @ XS.T
         e = _exp_neg_abs(s)
-        resid = sign * _sigmoid(-s, e)
-        return log_joint(W, _log_sigmoid(s, e)), -W + resid @ X
+        sigma = np.where(s <= 0, 1.0, e)
+        sigma /= e + 1.0
+        return log_joint(W, _log_sigmoid(s, e)), -W + sigma @ XS
 
     def train_ll(samples: np.ndarray) -> float:
         return _mean_bernoulli_ll(class_probabilities(samples, X), y)

@@ -139,6 +139,33 @@ def reference_curvature_probe(s, q, gammas, z):
     return out
 
 
+def reference_logistic_kernel(X, y, W):
+    """The logistic model's log-joint at weight rows W (n, F) and its
+    log-joint and gradient, by the steps the package's kernel took when it
+    scaled the logits s = sign * (W @ X.T) and the residuals sign *
+    sigma(-s) by the label signs: a bit-for-bit oracle for a kernel that
+    folds the signs into the features instead.  The log-sigmoid is min(s, 0)
+    - log1p(exp(-|s|)) and the sigmoid where(x >= 0, 1, e) / (1 + e).
+    Returns ``(batch, (value, grad))``."""
+    sign = 2.0 * y - 1.0
+    prior = -0.5 * np.sum(W * W, axis=1) - 0.5 * X.shape[1] * math.log(2 * math.pi)
+
+    def exp_neg_abs(x):
+        return np.exp(-np.abs(x))
+
+    def log_sigmoid(x, e):
+        return np.minimum(x, 0.0) - np.log1p(e)
+
+    s = W @ X.T
+    s *= sign
+    batch = prior + log_sigmoid(s, exp_neg_abs(s)).sum(axis=1)
+    s = (W @ X.T) * sign
+    e = exp_neg_abs(s)
+    sigma = np.where(-s >= 0, 1.0, e) / (1.0 + e)
+    value = prior + log_sigmoid(s, e).sum(axis=1)
+    return batch, (value, -W + (sign * sigma) @ X)
+
+
 def relative_error(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp as scipy_logsumexp
 
 from boostvi import (
     BaseDensity,
@@ -29,7 +30,7 @@ from boostvi import (
 )
 from boostvi import boosting
 from boostvi.boosting import LINE_SEARCH_GRID, _crn_atom_index
-from boostvi.densities import PARAM_BOX, standard_noise
+from boostvi.densities import PARAM_BOX, log_weights, standard_noise
 from boostvi.harness import make_lowrank_matrix, make_separable_classification, split
 from boostvi.models import (
     SAMPLE_BLOCK,
@@ -372,6 +373,7 @@ class TestFullyCorrective:
         (-1.0, 1.0, 0.3, -0.2, 2.0),  # overlapping atoms
         (-30.0, -1.0, 1.0, 30.0),  # far atoms: exp(C - M) underflows
         (-1.0, -1.0, 1.0),  # duplicated atom
+        tuple(np.linspace(-2.5, 2.5, 12)),  # many atoms: the mass steps over many columns
     ])
     def test_matches_direct_solve(self, locs):
         model = synthetic_bimodal_target()
@@ -393,6 +395,40 @@ class TestFullyCorrective:
             uniform([gaussian(-1.0, 0.5), gaussian(1.0, 0.5)]), model, n_samples=4096, seed=0
         )
         np.testing.assert_allclose(w, [0.4, 0.6], atol=0.05)
+
+    @pytest.mark.parametrize("k", range(2, 14))
+    def test_stepped_mass_gradient_drift(self, k):
+        # the full solve, without its stopping test, on a random mixture: at
+        # every step whose mass is clear of underflow, the stepped mass's
+        # cheap gradient lies within half the solve's tolerance of the
+        # direct log-sum-exp gradient, so the two pick the same argmin and
+        # stopping test wherever the solve trusts the cheap one
+        model = synthetic_bimodal_target()
+        rng = np.random.default_rng((41, k))
+        q = uniform([gaussian(loc, scale) for loc, scale in
+                     zip(rng.uniform(-4.0, 4.0, k), rng.uniform(0.1, 2.0, k))])
+        comp_logs, logp = boosting._stacked_table(
+            q, q.locs, q.scales, model, 512, map(np.random.default_rng, range(k)))
+        row_max = comp_logs.max(axis=2)
+        offset = row_max - logp
+        tol = boosting._corrective_tolerance(row_max, offset)
+        offset = offset.mean(axis=1)
+        w = np.full(k, 1.0 / k)
+        stepped = boosting._SteppedMass(comp_logs, row_max, w)
+        checked = 0
+        for it in range(boosting.CORRECTIVE_ITERS):
+            log_w = log_weights(w)
+            direct = np.array([np.mean(scipy_logsumexp(c + log_w, axis=1) - lp)
+                               for c, lp in zip(comp_logs, logp)])
+            if stepped.mass.min() >= 1e-290:
+                assert np.max(np.abs(stepped.gradient(offset) - direct)) < tol / 2
+                checked += 1
+            j = int(np.argmin(direct))
+            gamma = 2.0 / (it + 2.0)
+            w = (1.0 - gamma) * w
+            w[j] += gamma
+            stepped.step(j, gamma)
+        assert checked > boosting.CORRECTIVE_ITERS // 2
 
     def test_duplicated_atom_density_invariance(self):
         model = synthetic_bimodal_target()
@@ -927,7 +963,10 @@ class TestStreamedMemory:
     """On the factorization model (D = 105) at n = 16384 samples, the
     sampler, the certificate, the training log-likelihood and both step
     solves hold at most about the one (n, D) array a caller keeps: none of
-    them forms a second (n, D) array or an (n, rows, cols) array."""
+    them forms a second (n, D) array or an (n, rows, cols) array.  On a
+    16-atom 1-D mixture, where the step solves' own (P, n, K) table is the
+    largest array, each holds that one table and a few (P, n) arrays: under
+    1.3 tables, where a second copy of the table would make 2."""
 
     N_SAMPLES = 16384
 
@@ -970,3 +1009,27 @@ class TestStreamedMemory:
             lambda: line_search_gamma(Mixture.single(q.atom(0)), q.atom(1), model,
                                       n_samples=self.N_SAMPLES, seed=0))
         assert peak < 0.25 * wide
+
+    @pytest.fixture(scope="class")
+    def many_atoms(self):
+        q = uniform([gaussian(loc, 0.3 + 0.05 * i)
+                     for i, loc in enumerate(np.linspace(-3.0, 3.0, 16))])
+        return synthetic_bimodal_target(), q
+
+    def test_fully_corrective_weights_one_table(self, many_atoms):
+        model, q = many_atoms
+        k = len(q.weights)
+        table = k * self.N_SAMPLES * k * 8
+        peak = TestBlockedMemory.traced_peak(
+            lambda: fully_corrective_weights(q, model, n_samples=self.N_SAMPLES, seed=0))
+        assert peak < 1.3 * table
+
+    def test_line_search_gamma_one_table(self, many_atoms):
+        model, q = many_atoms
+        k = len(q.weights)  # q_t's k - 1 atoms and the direction
+        q_t = Mixture(q.family, q.locs[:-1], q.scales[:-1], np.full(k - 1, 1.0 / (k - 1)))
+        table = k * self.N_SAMPLES * k * 8
+        peak = TestBlockedMemory.traced_peak(
+            lambda: line_search_gamma(q_t, q.atom(k - 1), model, n_samples=self.N_SAMPLES,
+                                      seed=0))
+        assert peak < 1.3 * table

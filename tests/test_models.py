@@ -37,6 +37,7 @@ from oracles import (
     einsum_factorization_log_joint_and_grad,
     finite_difference,
     gaussian_logpdf,
+    reference_logistic_kernel,
     relative_error,
 )
 
@@ -303,6 +304,40 @@ def assert_same_bits(got, expected):
     got, expected = np.asarray(got), np.asarray(expected)
     assert got.dtype == expected.dtype and got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+
+
+class TestLogisticKernelBytes:
+    """The logistic kernel, which folds the label signs into the features
+    once, against the oracle that scales the logits and the residuals by
+    them, byte for byte."""
+
+    @staticmethod
+    def assert_kernel_bits(X, y, W):
+        model = logistic_regression_model(Dataset(features=X, labels=y))
+        batch, (value, grad) = reference_logistic_kernel(X, y, W)
+        assert_same_bits(model.log_joint_batch(W), batch)
+        got_value, got_grad = model.grad_log_joint_batch(W)
+        assert_same_bits(got_value, value)
+        assert_same_bits(got_grad, grad)
+
+    @pytest.mark.parametrize("case", range(60))
+    def test_random_cases(self, case):
+        rng = np.random.default_rng((23, case))
+        N, F = (1, 1) if case == 0 else (int(rng.integers(1, 300)), int(rng.integers(1, 12)))
+        n = int(rng.choice([1, 2, 32, 257]))
+        X = rng.standard_normal((N, F)) * rng.uniform(0.1, 5.0, F)
+        y = (rng.uniform(size=N) < 0.5).astype(float)
+        # weight rows of every scale up to |W| = 30, saturated logits included
+        W = rng.uniform(-1.0, 1.0, (n, F)) * rng.choice([0.01, 1.0, 30.0], (n, 1))
+        self.assert_kernel_bits(X, y, W)
+
+    def test_exactly_zero_logits(self):
+        # a zero weight row, a zero feature row and a row whose terms cancel
+        X = np.array([[1.0, -1.0], [0.0, 0.0], [2.0, 2.0], [-3.0, 0.5]])
+        W = np.array([[0.0, 0.0], [2.0, 2.0], [-0.0, 0.0], [1.0, -1.0], [30.0, -30.0]])
+        for y in ([0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0], [0.0] * 4, [1.0] * 4):
+            self.assert_kernel_bits(X, np.array(y), W)
+        self.assert_kernel_bits(np.zeros((1, 1)), np.array([0.0]), np.zeros((3, 1)))
 
 
 class TestSampleBlocks:
