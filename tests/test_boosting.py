@@ -1,5 +1,9 @@
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -35,6 +39,7 @@ from boostvi.harness import make_lowrank_matrix, make_separable_classification, 
 from boostvi.models import (
     SAMPLE_BLOCK,
     TargetModel,
+    class_probabilities,
     log_joint_batch,
     logistic_regression_model,
     matrix_factorization_model,
@@ -923,15 +928,20 @@ class TestSampleBlockBound:
 class TestBlockedMemory:
     """On the logistic model of 280 training rows at n = 16384 samples, the
     certificate and the corrective solve hold less than one (n, N) float
-    array at once: their memory does not grow with the width times n."""
+    array at once, and the training log-likelihood and its posterior-predictive
+    probabilities under a quarter of one: their memory does not grow with the
+    width times n."""
 
     N_SAMPLES = 16384
 
     @pytest.fixture(scope="class")
-    def case(self):
+    def train(self):
         data = make_separable_classification(400, 5, margin=0.2, flip_fraction=0.1,
                                              seed=(1, 9001))
-        train, _ = split(data, 0.7, seed=(1, 777))
+        return split(data, 0.7, seed=(1, 777))[0]
+
+    @pytest.fixture(scope="class")
+    def case(self, train):
         q = mixture((BaseDensity(Family.GAUSSIAN, np.full(5, -0.2), np.full(5, 0.3)),
                      BaseDensity(Family.GAUSSIAN, np.full(5, 0.4), np.full(5, 0.2))), [0.5, 0.5])
         return logistic_regression_model(train), q, self.N_SAMPLES * train.n * 8
@@ -957,6 +967,52 @@ class TestBlockedMemory:
         peak = self.traced_peak(
             lambda: fully_corrective_weights(q, model, n_samples=self.N_SAMPLES, seed=0))
         assert peak < wide
+
+    def test_train_log_likelihood(self, case):
+        model, q, wide = case
+        z = q.sample(self.N_SAMPLES, 0)
+        peak = self.traced_peak(lambda: model.train_log_likelihood(z))
+        assert peak < 0.25 * wide
+
+    def test_class_probabilities(self, case, train):
+        _, q, wide = case
+        z = q.sample(self.N_SAMPLES, 0)
+        peak = self.traced_peak(lambda: class_probabilities(z, train.features))
+        assert peak < 0.25 * wide
+
+    def test_certificate_gap_page_faults(self):
+        # Each logistic log-joint call holds its logits and exp(-|s|) in one
+        # (2, n, 280) allocation.  As two separate (256, 280) arrays, glibc
+        # returned them to the kernel after each block and faulted them back
+        # in: 19,840 minor faults per certificate call (0.08 s) in a fresh
+        # interpreter, against 0 (0.05 s) with the one allocation.  A fresh
+        # interpreter, since a large free earlier in a process raises glibc's
+        # thresholds and hides the faults; call 1 pays the interpreter's own.
+        pytest.importorskip("resource")
+        check = """if True:
+            import json, resource
+            import numpy as np
+            from boostvi import Family, Mixture, certificate_gap
+            from boostvi.harness import make_separable_classification, split
+            from boostvi.models import logistic_regression_model
+            data = make_separable_classification(400, 5, margin=0.2, flip_fraction=0.1,
+                                                 seed=(1, 9001))
+            model = logistic_regression_model(split(data, 0.7, seed=(1, 777))[0])
+            locs = np.linspace(-0.5, 0.5, 8)[:, None] * np.ones(5)
+            q = Mixture(Family.GAUSSIAN, locs, np.full((8, 5), 0.3), np.full(8, 0.125))
+            faults = []
+            for seed in range(4):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                certificate_gap(q, q.locs, q.scales, model, 2048, seed=seed)
+                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            print(json.dumps(faults))
+        """
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        res = subprocess.run([sys.executable, "-c", check], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        faults = json.loads(res.stdout)
+        assert all(f < 2000 for f in faults[1:]), faults
 
 
 class TestStreamedMemory:

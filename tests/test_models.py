@@ -359,22 +359,32 @@ class TestSampleBlocks:
         assert_same_bits(got, model.log_joint_batch(Z))
         assert sizes == ([0] if n == 0 else [SAMPLE_BLOCK, 1])
 
-    @pytest.mark.parametrize("n", [0, SAMPLE_BLOCK + 1])
+    @pytest.mark.parametrize("n", [0, 1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 2048])
     def test_class_probabilities(self, n):
-        rng = np.random.default_rng(16)
-        samples, features = rng.standard_normal((n, 3)), rng.standard_normal((25, 3))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the mean of no samples
-            assert_same_bits(class_probabilities(samples, features),
-                             _sigmoid(samples @ features.T).mean(axis=0))
+        for m in (1, 25, 280):
+            rng = np.random.default_rng((16, n, m))
+            samples, features = rng.standard_normal((n, 4)), rng.standard_normal((m, 4))
+            # one sample row whose logits overflow to +inf or -inf on every
+            # feature row, through a coordinate that the other rows leave at 0
+            samples[:, 3] = 0.0
+            samples[n // 2:][:1] = [0.0, 0.0, 0.0, 1e308]
+            features[:, 3] = rng.choice([-3.0, 3.0], m)
+            with warnings.catch_warnings():
+                # the mean of no samples, and the overflowing row's logits
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert_same_bits(class_probabilities(samples, features),
+                                 _sigmoid(samples @ features.T).mean(axis=0))
 
     @pytest.mark.parametrize("n", [0, 1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 2048])
     def test_mean_reconstruction(self, n):
-        samples = np.random.default_rng(17).standard_normal((n, 3 * (20 + 15)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the mean of no samples
-            assert_same_bits(mean_reconstruction(samples, 3, 20, 15),
-                             _reconstruct(*_unpack_uv(samples, 3, 20, 15)).mean(axis=0))
+        # a 1 x 1 matrix's mean is numpy's pairwise sum, which no running
+        # total repeats
+        for rows, cols in ((20, 15), (1, 1)):
+            samples = np.random.default_rng(17).standard_normal((n, 3 * (rows + cols)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # the mean of no samples
+                assert_same_bits(mean_reconstruction(samples, 3, rows, cols),
+                                 _reconstruct(*_unpack_uv(samples, 3, rows, cols)).mean(axis=0))
 
     # the factorization products (n, 20, 15) and the logistic probabilities' (n, 280)
     @pytest.mark.parametrize("shape", [(20, 15), (280,)])
