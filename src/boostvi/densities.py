@@ -3,11 +3,12 @@
 Atoms are diagonal Gaussian or Laplace densities with a hard lower bound on
 every scale entry (non-degeneracy) and locations confined to a box.  A mixture
 is a family, the stacked locations and scales (K, D) of its atoms, one row per
-atom, and simplex weights (K,); all log-density evaluation goes through a
-max-shifted log-sum-exp.  The rules every module reads counts and reals by
-(:func:`whole_number`, :func:`sample_count`, :func:`real_number`) and the
-Monte-Carlo block size ``SAMPLE_BLOCK`` live here, in the module the others
-import, so the samplers use them too.
+atom, and simplex weights (K,); all log-density evaluation goes through one
+max-shifted exp pass (:func:`_shifted_exp`), the textbook log-sum-exp.  The
+rules every module reads counts and reals by (:func:`whole_number`,
+:func:`sample_count`, :func:`real_number`) and the Monte-Carlo block size
+``SAMPLE_BLOCK`` live here, in the module the others import, so the samplers
+use them too.
 """
 
 from __future__ import annotations
@@ -36,32 +37,39 @@ def sample_blocks(n: int):
     return (slice(i, min(i + SAMPLE_BLOCK, n)) for i in range(0, n, SAMPLE_BLOCK))
 
 
-def logsumexp(a, axis: int, keepdims: bool = False) -> np.ndarray:
-    """Max-shifted log-sum-exp of a real array along one axis.
+def _shifted_exp(a: np.ndarray, axis: int):
+    """The shift, e = exp(a - shift) and the sum of e along ``axis`` of a
+    float array ``a``, shift and sum with that axis kept at length 1.
 
-    Takes the same steps as ``scipy.special.logsumexp`` (the maximum is split
-    out of the sum and enters through ``log1p``), so the two agree bit for
-    bit, but skips SciPy's per-call array-API dispatch, which costs more than
-    the arithmetic at the (32, K) sizes of the atom solver.  Every mixture
-    evaluation comes here, the bimodal target's log-joint included.  A row
-    whose maximum is +-inf meets inf - inf only at its maximal entries, which
-    leave the sum, so the one computation also gives SciPy's +-inf or NaN.
+    The shift is the maximum along the axis where it is finite and 0 where it
+    is not, so every finite row has e in [0, 1] with one entry 1 and a sum in
+    [1, K], which cannot overflow.  A row whose maximum is +inf, or which
+    holds a NaN, sums to +inf or NaN, and a row of -inf to 0; the log of the
+    sum plus the shift then gives SciPy's +-inf and NaN.
     """
-    a = np.asarray(a, dtype=float)
-    a_max = a.max(axis=axis, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        is_max = a == a_max
-        shifted = a - a_max
-        shifted[is_max] = -np.inf
-        # in place: no second array of a's size
-        rest = np.exp(shifted, out=shifted).sum(axis=axis, keepdims=True)
-        # rest == 0 leaves NaN out of the row, so n_max >= 1 and rest / n_max
-        # is rest there: SciPy's zero guard needs no branch
-        n_max = is_max.sum(axis=axis, keepdims=True, dtype=float)
-        rest /= n_max
-        out = np.log1p(rest, out=rest)
-        out += np.log(n_max)
-        out += a_max
+    shift = a.max(axis=axis, keepdims=True)
+    with np.errstate(over="ignore"):
+        shift = np.where(np.isfinite(shift), shift, 0.0)
+        e = np.subtract(a, shift)
+        np.exp(e, out=e)  # in place: no second array of a's size
+    return shift, e, e.sum(axis=axis, keepdims=True)
+
+
+def logsumexp(a, axis: int, keepdims: bool = False) -> np.ndarray:
+    """Log-sum-exp of a real array along one axis: the log of the
+    :func:`_shifted_exp` sum plus its shift, one exp pass.
+
+    It gives ``scipy.special.logsumexp``'s +-inf and NaN exactly and its
+    finite values to within 2 eps max(1, |value|), but skips SciPy's
+    per-call array-API dispatch, which costs more than the arithmetic at the
+    (32, K) sizes of the atom solver.  A one-column input returns its column
+    (exp(0) = 1 and log(1) = 0), so a one-atom mixture's log density is its
+    atom's.
+    """
+    shift, _, total = _shifted_exp(np.asarray(a, dtype=float), axis)
+    with np.errstate(divide="ignore"):
+        out = np.log(total, out=total)
+    out += shift
     return out if keepdims else np.squeeze(out, axis=axis)
 
 
@@ -333,7 +341,8 @@ class Mixture:
     def log_prob(self, z):
         """Log density (n,) at a batch of points ``z`` (n, D)."""
         comp, _ = self.components(_check_points(z, self.dim))
-        return logsumexp(comp + self._log_weights, axis=1)
+        comp += self._log_weights
+        return logsumexp(comp, axis=1)
 
     def grad_log_prob(self, z):
         """Responsibility-weighted atom score (n, D) at a batch of points (n, D)."""
@@ -344,10 +353,10 @@ class Mixture:
         """:meth:`log_prob` and :meth:`grad_log_prob` at once, sharing the
         component evaluation."""
         comp, comp_grads = self.components(_check_points(z, self.dim), grads=True)
-        logits = comp + self._log_weights
-        lse = logsumexp(logits, axis=1, keepdims=True)
-        resp = np.exp(logits - lse)  # (n, K)
-        return lse[:, 0], np.einsum("nk,nkd->nd", resp, comp_grads)
+        comp += self._log_weights
+        shift, e, total = _shifted_exp(comp, axis=1)
+        e /= total  # the responsibilities (n, K), from the one exp pass
+        return np.log(total[:, 0]) + shift[:, 0], np.einsum("nk,nkd->nd", e, comp_grads)
 
     def sample(self, n: int, seed) -> np.ndarray:
         """``n`` draws (n, D) from the stream of ``seed``.  The noise is drawn

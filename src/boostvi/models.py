@@ -224,12 +224,14 @@ def logistic_regression_model(data: Dataset) -> TargetModel:
 
     def value_and_grad(W: np.ndarray):
         # one exp per element, shared by the value and sigma(-s) =
-        # where(s <= 0, 1, e) / (1 + e), which needs no -s
+        # where(s <= 0, 1, e) / (1 + e), which needs no -s; the select is
+        # max(s <= 0, e), as in _sigmoid, and the log-sigmoid goes into s
         s = W @ XS.T
         e = _exp_neg_abs(s)
-        sigma = np.where(s <= 0, 1.0, e)
+        sigma = np.less_equal(s, 0.0, out=np.empty_like(s))
+        np.maximum(sigma, e, out=sigma)
         sigma /= e + 1.0
-        return log_joint(W, _log_sigmoid(s, e)), -W + sigma @ XS
+        return log_joint(W, _log_sigmoid(s, e, out=s)), -W + sigma @ XS
 
     def train_ll(samples: np.ndarray) -> float:
         return _mean_bernoulli_ll(class_probabilities(samples, X), y)

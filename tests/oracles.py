@@ -34,19 +34,43 @@ def bimodal_logpdf(z, mu=(-1.0, 1.0), sigma=(0.5, 0.5), pi=(0.4, 0.6)):
     return out
 
 
+def _shifted_exp_reference(a, axis):
+    a = np.asarray(a, dtype=float)
+    a_max = np.max(a, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(a_max), a_max, 0.0)
+    with np.errstate(over="ignore"):
+        e = np.exp(a - shift)
+    return shift, e, np.sum(e, axis=axis, keepdims=True)
+
+
+def logsumexp_reference(a, axis, keepdims=False):
+    """Textbook log-sum-exp along one axis: log sum exp(a - shift) + shift,
+    with the shift the maximum along the axis where it is finite and 0 where
+    it is not."""
+    shift, _, total = _shifted_exp_reference(a, axis)
+    with np.errstate(divide="ignore"):
+        out = np.log(total) + shift
+    return out if keepdims else np.squeeze(out, axis=axis)
+
+
+def softmax_reference(a, axis):
+    """exp(a - shift) / sum exp(a - shift) along one axis, with the shift of
+    :func:`logsumexp_reference`."""
+    _, e, total = _shifted_exp_reference(a, axis)
+    return e / total
+
+
 def bimodal_closed_form(z, mu=(-1.0, 1.0), sigma=(0.5, 0.5), pi=(0.4, 0.6)):
     """Log density (n,) of the Gaussian-mixture target and its gradient (n, 1)
     at points z (n, 1), from per-component log terms: their log-sum-exp and
     the responsibility-weighted score -(z - mu) / sigma^2."""
-    from scipy.special import logsumexp
-
     mu, sigma, pi = (np.asarray(v, dtype=float) for v in (mu, sigma, pi))
     with np.errstate(divide="ignore"):
         log_pi = np.log(pi)
     logits = -0.5 * math.log(2 * math.pi) - np.log(sigma) - 0.5 * ((z - mu) / sigma) ** 2 + log_pi
-    lse = logsumexp(logits, axis=1, keepdims=True)
-    resp = np.exp(logits - lse)
-    return lse[:, 0], np.sum(resp * (-(z - mu) / sigma**2), axis=1, keepdims=True)
+    resp = softmax_reference(logits, axis=1)
+    return (logsumexp_reference(logits, axis=1),
+            np.sum(resp * (-(z - mu) / sigma**2), axis=1, keepdims=True))
 
 
 def gaussian_chi_square(loc_s, scale_s, loc_q, scale_q):

@@ -567,3 +567,18 @@ def test_cli_import_leaves_scipy_stats_out():
                          text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False []"
+
+
+def test_logistic_run_leaves_numpy_ma_out(tmp_path):
+    # numpy.ma costs a logistic fit process about 1.3 MB of peak RSS, and
+    # np.unique, which imports it, is not needed for a one-class check
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    check = ("import sys; from boostvi.cli import main; "
+             "code = main(['run', '--model', 'logistic', '--iters', '1', '--lmo-steps', '20', "
+             f"'--mc-samples', '8', '--seed', '1', '--out', {str(tmp_path / 'o')!r}]); "
+             "print(code, 'numpy.ma' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip().splitlines()[-1] == "0 False"

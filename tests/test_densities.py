@@ -22,6 +22,8 @@ from oracles import (
     bimodal_logpdf,
     gaussian_logpdf,
     laplace_logpdf,
+    logsumexp_reference,
+    softmax_reference,
 )
 
 
@@ -161,16 +163,13 @@ class TestStackedMixtureEvaluation:
 
     @staticmethod
     def atom_by_atom(m, Z):
-        from scipy.special import logsumexp as scipy_logsumexp
-
         atoms = [m.atom(k) for k in range(len(m.weights))]
         comp = np.stack([a.log_prob(Z) for a in atoms], axis=1)
         with np.errstate(divide="ignore"):
             logits = comp + np.log(m.weights)
-        lse = scipy_logsumexp(logits, axis=1, keepdims=True)
         grads = np.stack([a.grad_log_prob(Z) for a in atoms], axis=1)
-        grad = np.einsum("nk,nkd->nd", np.exp(logits - lse), grads)
-        return lse[:, 0], grad
+        grad = np.einsum("nk,nkd->nd", softmax_reference(logits, axis=1), grads)
+        return logsumexp_reference(logits, axis=1), grad
 
     @pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.LAPLACE])
     @pytest.mark.parametrize("dim", [1, 3, 105])  # 105: the factorization width
@@ -268,39 +267,67 @@ class TestStackedMixtureEvaluation:
                 call(np.array([0.5, 0.5]))
 
 
+def logsumexp_cases():
+    """(40, 6) rows at several scales, ties, -inf holes, +-inf and NaN
+    entries, entries near the float limit, and rows whose maximum is not
+    finite."""
+    rng = np.random.default_rng(7)
+    cases = [rng.normal(scale=s, size=(40, 6)) for s in (1e-3, 1.0, 50.0, 800.0)]
+    ties = np.round(rng.normal(size=(40, 6)))
+    cases.append(ties)
+    holes = rng.normal(size=(40, 6))
+    holes[rng.random((40, 6)) < 0.3] = -np.inf
+    holes[0, :] = -np.inf
+    cases.append(holes)
+    special = rng.normal(size=(40, 6))
+    special[1, 2], special[3, 4], special[5, :] = np.inf, np.nan, -np.inf
+    cases.append(special)
+    wide = np.full((4, 3), 1e308)
+    wide[0, 0] = -1e308
+    cases.append(wide)
+    cases.append(np.array([[np.inf, np.inf, 1.0], [np.inf, -np.inf, 0.0],
+                           [np.nan, np.inf, 0.0], [1e308, np.inf, 3.0],
+                           [-np.inf, -np.inf, -np.inf]]))
+    return cases
+
+
 class TestLogSumExp:
-    """The local log-sum-exp must agree with SciPy's bit for bit, edge cases
-    included."""
+    """The local log-sum-exp is the textbook max-shifted one bit for bit, and
+    agrees with SciPy's: exactly on every +-inf and NaN, and to within
+    2 eps max(1, |value|) on every finite value, edge cases included."""
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_matches_reference(self, axis, keepdims):
+        for a in logsumexp_cases():
+            out = logsumexp(a, axis=axis, keepdims=keepdims)
+            np.testing.assert_array_equal(out, logsumexp_reference(a, axis, keepdims))
 
     @pytest.mark.parametrize("axis", [0, 1])
     @pytest.mark.parametrize("keepdims", [False, True])
     def test_matches_scipy(self, axis, keepdims):
         from scipy.special import logsumexp as scipy_logsumexp
 
-        rng = np.random.default_rng(7)
-        cases = [rng.normal(scale=s, size=(40, 6)) for s in (1e-3, 1.0, 50.0, 800.0)]
-        ties = np.round(rng.normal(size=(40, 6)))
-        cases.append(ties)
-        holes = rng.normal(size=(40, 6))
-        holes[rng.random((40, 6)) < 0.3] = -np.inf
-        holes[0, :] = -np.inf
-        cases.append(holes)
-        special = rng.normal(size=(40, 6))
-        special[1, 2], special[3, 4], special[5, :] = np.inf, np.nan, -np.inf
-        cases.append(special)
-        wide = np.full((4, 3), 1e308)
-        wide[0, 0] = -1e308
-        cases.append(wide)
-        # rows whose maximum is not finite
-        cases.append(np.array([[np.inf, np.inf, 1.0], [np.inf, -np.inf, 0.0],
-                               [np.nan, np.inf, 0.0], [1e308, np.inf, 3.0],
-                               [-np.inf, -np.inf, -np.inf]]))
-        for a in cases:
+        for a in logsumexp_cases():
             with np.errstate(all="ignore"):
                 ref = scipy_logsumexp(a, axis=axis, keepdims=keepdims)
             out = logsumexp(a, axis=axis, keepdims=keepdims)
             assert out.shape == ref.shape
-            np.testing.assert_array_equal(out, ref)
+            finite = np.isfinite(ref)
+            np.testing.assert_array_equal(np.isfinite(out), finite)
+            np.testing.assert_array_equal(out[~finite], ref[~finite])  # NaN where SciPy's is
+            err = np.abs(out[finite] - ref[finite])
+            assert (err <= 2.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(ref[finite]))).all()
+
+    def test_one_column_is_the_column(self):
+        # exp(0) = 1 and log(1) = 0: a one-atom mixture's log-sum-exp adds
+        # nothing to its atom's log density
+        column = np.concatenate([np.random.default_rng(3).normal(scale=100.0, size=40),
+                                 [0.0, 1e-300, -1e308, 1e308, np.inf, -np.inf, np.nan]])[:, None]
+        for keepdims in (False, True):
+            out = logsumexp(column, axis=1, keepdims=keepdims)
+            np.testing.assert_array_equal(out, column if keepdims else column[:, 0])
+        np.testing.assert_array_equal(logsumexp(column.T, axis=0), column[:, 0])
 
 
 class TestSampling:
