@@ -3,12 +3,15 @@
 Atoms are diagonal Gaussian or Laplace densities with a hard lower bound on
 every scale entry (non-degeneracy) and locations confined to a box.  A mixture
 is a family, the stacked locations and scales (K, D) of its atoms, one row per
-atom, and simplex weights (K,); all log-density evaluation goes through one
-max-shifted exp pass (:func:`_shifted_exp`), the textbook log-sum-exp.  The
-rules every module reads counts and reals by (:func:`whole_number`,
-:func:`sample_count`, :func:`real_number`) and the Monte-Carlo block size
-``SAMPLE_BLOCK`` live here, in the module the others import, so the samplers
-use them too.
+atom, and simplex weights (K,).  It caches its per-atom kernel constants at
+construction: 1 / scale, the score factor and the log normalizer summed over
+D.  One evaluation at n points forms one (n, K, D) array of offsets z - loc,
+two with the scores, and works in it in place; the log-sum-exp over atoms is
+one max-shifted exp pass (:func:`_shifted_exp`), the textbook one.  An atom evaluates with the same helpers, so its log density and
+score are a mixture row's bit for bit.  The rules every module reads counts
+and reals by (:func:`whole_number`, :func:`sample_count`,
+:func:`real_number`) and the Monte-Carlo block size ``SAMPLE_BLOCK`` live
+here, in the module the others import, so the samplers use them too.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ def _shifted_exp(a: np.ndarray, axis: int):
     return shift, e, e.sum(axis=axis, keepdims=True)
 
 
-def logsumexp(a, axis: int, keepdims: bool = False) -> np.ndarray:
+def logsumexp(a, axis: int) -> np.ndarray:
     """Log-sum-exp of a real array along one axis: the log of the
     :func:`_shifted_exp` sum plus its shift, one exp pass.
 
@@ -70,7 +73,7 @@ def logsumexp(a, axis: int, keepdims: bool = False) -> np.ndarray:
     with np.errstate(divide="ignore"):
         out = np.log(total, out=total)
     out += shift
-    return out if keepdims else np.squeeze(out, axis=axis)
+    return np.squeeze(out, axis=axis)
 
 
 class DataError(ValueError):
@@ -174,20 +177,48 @@ def log_normalizer(family: Family, scale: np.ndarray) -> np.ndarray:
     return -np.log(2.0 * scale)
 
 
-def coordinate_log_prob(family: Family, norm: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per-coordinate log density at standardized points ``u = (z - loc) / scale``,
-    given the :func:`log_normalizer` ``norm``."""
-    if family is Family.GAUSSIAN:
-        return norm - 0.5 * u * u
-    return norm - np.abs(u)
+def _kernel_constants(family: Family, scale: np.ndarray):
+    """The per-atom constants of the density kernel for scales (..., D): 1 /
+    scale, the score factor and the log normalizer summed over D (...).
+
+    The score factor turns offsets z - loc into the score: -1/scale^2 times
+    the offset for Gaussians, -1/scale times its sign for Laplace.
+    """
+    inv_scale = 1.0 / scale
+    factor = -(inv_scale * inv_scale) if family is Family.GAUSSIAN else -inv_scale
+    return inv_scale, factor, np.add.reduce(log_normalizer(family, scale), axis=-1)
 
 
-def standard_score(family: Family, u: np.ndarray) -> np.ndarray:
-    """d log density / du of the standardized density at points ``u``; divided
-    by the scale it is the score d log density / dz."""
+def _score(family: Family, diff: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """The score d log density / dz (..., D) at offsets ``diff = z - loc``,
+    given the :func:`_kernel_constants` score factor: one new array."""
     if family is Family.GAUSSIAN:
-        return -u
-    return -np.sign(u)
+        return np.multiply(diff, factor)
+    score = np.sign(diff)
+    score *= factor
+    return score
+
+
+def _log_prob_in_place(family: Family, diff: np.ndarray, inv_scale: np.ndarray,
+                       norm_sum) -> np.ndarray:
+    """Log density (...) at offsets ``diff = z - loc`` (..., D), given the
+    :func:`_kernel_constants` 1 / scale and the summed log normalizer
+    ``norm_sum`` (...).
+
+    ``diff`` is overwritten: standardized, squared (Gaussian) or made absolute
+    (Laplace), then reduced over D, so the only new array is the result.
+    The scale and the shift by ``norm_sum`` happen on the reduced array.
+    """
+    diff *= inv_scale
+    if family is Family.GAUSSIAN:
+        np.multiply(diff, diff, out=diff)
+        out = np.add.reduce(diff, axis=-1)
+        out *= -0.5
+        out += norm_sum
+        return out
+    np.abs(diff, out=diff)
+    out = np.add.reduce(diff, axis=-1)
+    return np.subtract(norm_sum, out, out=out)
 
 
 @dataclass(frozen=True)
@@ -196,7 +227,9 @@ class BaseDensity:
 
     ``scale`` is the standard deviation for Gaussians and the diversity b for
     Laplace.  Every entry must sit at or above ``SCALE_FLOOR`` and every
-    location inside ``[-PARAM_BOX, PARAM_BOX]``.
+    location inside ``[-PARAM_BOX, PARAM_BOX]``.  Its log density and score
+    take a mixture row's arithmetic, through the same helpers, with the
+    kernel constants formed per call.
     """
 
     family: Family
@@ -216,14 +249,14 @@ class BaseDensity:
     def log_prob(self, z):
         """Log density (n,) at a batch of points ``z`` (n, D)."""
         Z = _check_points(z, self.dim)
-        u = (Z - self.loc) / self.scale
-        lp = coordinate_log_prob(self.family, log_normalizer(self.family, self.scale), u)
-        return lp.sum(axis=1)
+        inv_scale, _, norm_sum = _kernel_constants(self.family, self.scale)
+        return _log_prob_in_place(self.family, Z - self.loc, inv_scale, norm_sum)
 
     def grad_log_prob(self, z):
         """Gradient of the log density in z (n, D) at a batch of points (n, D)."""
         Z = _check_points(z, self.dim)
-        return standard_score(self.family, (Z - self.loc) / self.scale) / self.scale
+        _, factor, _ = _kernel_constants(self.family, self.scale)
+        return _score(self.family, Z - self.loc, factor)
 
     def entropy(self) -> float:
         """Closed-form differential entropy."""
@@ -269,7 +302,16 @@ def kl_gaussian_closed(p: BaseDensity, q: BaseDensity) -> float:
 @dataclass(frozen=True)
 class Mixture:
     """Convex combination of K atoms of one ``family`` with simplex ``weights``
-    (K,): atom k is row k of ``locs`` and ``scales`` (K, D)."""
+    (K,): atom k is row k of ``locs`` and ``scales`` (K, D).
+
+    Construction caches, read-only like ``locs`` and ``scales``, the log
+    weights and the kernel constants of every atom (:func:`_kernel_constants`):
+    1 / scales and the score factors (K, D) and the summed log normalizers
+    (K,).  An evaluation at n points allocates one (n, K, D) array of offsets,
+    two with the scores, standardizes and reduces it in place, and scales and
+    shifts the reduced (n, K) array; the responsibilities contract with the
+    scores as one (1, K) @ (K, D) product per point, and a one-atom mixture
+    skips the exp pass, which would return its component and score."""
 
     family: Family
     locs: np.ndarray
@@ -290,8 +332,11 @@ class Mixture:
         object.__setattr__(self, "locs", locs)
         object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_log_weights", log_weights(w))
-        object.__setattr__(self, "_norm", log_normalizer(self.family, scales))
+        inv_scales, factors, norm_sums = _kernel_constants(self.family, scales)
+        for name, value in (("_log_weights", log_weights(w)), ("_inv_scales", inv_scales),
+                            ("_score_factors", factors), ("_norm_sums", norm_sums)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_unnormalized(cls, atoms, weights) -> "Mixture":
@@ -333,10 +378,11 @@ class Mixture:
 
     def components(self, Z: np.ndarray, grads: bool = False):
         """Per-atom log densities (n, K) at ``Z`` (n, D) and, with ``grads``,
-        per-atom scores (n, K, D), else None, from one standardization of ``Z``."""
-        u = (Z[:, None, :] - self.locs) / self.scales  # (n, K, D)
-        g = standard_score(self.family, u) / self.scales if grads else None
-        return coordinate_log_prob(self.family, self._norm, u).sum(axis=2), g
+        per-atom scores (n, K, D), else None, from one (n, K, D) array of
+        offsets worked in place."""
+        diff = np.subtract(Z[:, None, :], self.locs)
+        scores = _score(self.family, diff, self._score_factors) if grads else None
+        return _log_prob_in_place(self.family, diff, self._inv_scales, self._norm_sums), scores
 
     def log_prob(self, z):
         """Log density (n,) at a batch of points ``z`` (n, D)."""
@@ -352,11 +398,16 @@ class Mixture:
     def log_prob_and_grad(self, z):
         """:meth:`log_prob` and :meth:`grad_log_prob` at once, sharing the
         component evaluation."""
-        comp, comp_grads = self.components(_check_points(z, self.dim), grads=True)
+        comp, scores = self.components(_check_points(z, self.dim), grads=True)
         comp += self._log_weights
+        if len(self.weights) == 1:
+            # a one-column log-sum-exp is its column and the one
+            # responsibility is 1, so the pass below returns these bits
+            return comp[:, 0], scores[:, 0]
         shift, e, total = _shifted_exp(comp, axis=1)
         e /= total  # the responsibilities (n, K), from the one exp pass
-        return np.log(total[:, 0]) + shift[:, 0], np.einsum("nk,nkd->nd", e, comp_grads)
+        grad = np.matmul(e[:, None, :], scores)[:, 0]
+        return np.log(total[:, 0]) + shift[:, 0], grad
 
     def sample(self, n: int, seed) -> np.ndarray:
         """``n`` draws (n, D) from the stream of ``seed``.  The noise is drawn

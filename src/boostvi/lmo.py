@@ -9,7 +9,11 @@ lambda = 1 this is exactly the ELBO, i.e. plain black-box VI.  Gradients come
 from the reparameterization trick when the model supplies its value-and-gradient
 callable, one model call per step, else from the score-function estimator with
 a baseline, which calls only the log-joint: the model alone picks the
-estimator.  The entropy term is always handled analytically.
+estimator.  The entropy term's gradient is always handled analytically, and
+the RELBO value's Monte-Carlo E_s[log s] is read off the step's standardized
+noise eps: the log normalizer summed over D plus the mean standardized log
+density of eps, so the samples z = loc + scale * eps are never standardized
+again.
 
 A solve draws its randomness from the children of ``SeedSequence((seed, t))``:
 child 0 draws the initial points and child k + 1 step k's noise, bit for bit
@@ -35,12 +39,10 @@ from .densities import (
     DataError,
     Family,
     Mixture,
-    coordinate_log_prob,
     log_normalizer,
     real_number,
     sample_count,
     standard_noise,
-    standard_score,
     whole_number,
 )
 from .models import TargetModel
@@ -136,6 +138,18 @@ def elbo_estimate(s: BaseDensity, model: TargetModel, n: int, seed) -> float:
     return relbo_estimate(s, model, None, 1.0, n, seed)
 
 
+def _mean_log_density(family: Family, scale: np.ndarray, eps: np.ndarray) -> float:
+    """Monte-Carlo E_s[log s] of an atom with ``scale`` on its samples loc +
+    scale * eps, read off the noise ``eps`` (n, D): the summed log normalizer
+    plus the mean standardized log density of eps, with no standardization
+    of the samples."""
+    if family is Family.GAUSSIAN:
+        standardized = -0.5 * np.vdot(eps, eps)
+    else:
+        standardized = -np.abs(eps).sum()
+    return np.add.reduce(log_normalizer(family, scale)) + standardized / len(eps)
+
+
 def _relbo_grad_parts(
     family: Family,
     loc: np.ndarray,
@@ -170,21 +184,21 @@ def _relbo_grad_parts(
         f = model.log_joint_batch(z)
         if q_t is not None:
             f = f - q_t.log_prob(z)
-    u = (z - loc) / scale
-    log_s = coordinate_log_prob(family, log_normalizer(family, scale), u).sum(axis=1)
     f_mean = f.sum() / n
-    value = float(f_mean - lam * (log_s.sum() / n))
+    value = float(f_mean - lam * _mean_log_density(family, scale, eps))
 
     if reparam:
         g_loc = g.sum(axis=0) / n
         g_log_scale = (g * eps).sum(axis=0) / n * scale
     else:
         b = f_mean if baseline is None else baseline
-        # d log s / d loc = -psi / scale, d log s / d log-scale = -psi u - 1
-        neg_psi = -standard_score(family, u)
+        # d log s / d loc = -psi / scale, d log s / d log-scale = -psi u - 1,
+        # at the standardized points u = (z - loc) / scale, which are eps;
+        # -psi, minus the standardized score, is u (Gaussian) or sign(u)
+        neg_psi = eps if family is Family.GAUSSIAN else np.sign(eps)
         centered = (f - b)[:, None]
         g_loc = (centered * (neg_psi / scale)).sum(axis=0) / n
-        g_log_scale = (centered * (neg_psi * u - 1.0)).sum(axis=0) / n
+        g_log_scale = (centered * (neg_psi * eps - 1.0)).sum(axis=0) / n
     # entropy term handled analytically: d(lam * H)/d log-scale = lam per coordinate
     g_log_scale = g_log_scale + lam
     return g_loc, g_log_scale, value, float(f_mean)

@@ -43,14 +43,14 @@ def _shifted_exp_reference(a, axis):
     return shift, e, np.sum(e, axis=axis, keepdims=True)
 
 
-def logsumexp_reference(a, axis, keepdims=False):
+def logsumexp_reference(a, axis):
     """Textbook log-sum-exp along one axis: log sum exp(a - shift) + shift,
     with the shift the maximum along the axis where it is finite and 0 where
     it is not."""
     shift, _, total = _shifted_exp_reference(a, axis)
     with np.errstate(divide="ignore"):
         out = np.log(total) + shift
-    return out if keepdims else np.squeeze(out, axis=axis)
+    return np.squeeze(out, axis=axis)
 
 
 def softmax_reference(a, axis):
@@ -62,15 +62,49 @@ def softmax_reference(a, axis):
 
 def bimodal_closed_form(z, mu=(-1.0, 1.0), sigma=(0.5, 0.5), pi=(0.4, 0.6)):
     """Log density (n,) of the Gaussian-mixture target and its gradient (n, 1)
-    at points z (n, 1), from per-component log terms: their log-sum-exp and
-    the responsibility-weighted score -(z - mu) / sigma^2."""
+    at points z (n, 1), from per-component log terms -((z - mu) (1 / sigma))^2
+    / 2 + (-log(2 pi) / 2 - log sigma) + log pi: their log-sum-exp and the
+    responsibility-weighted score (z - mu) (-(1 / sigma)^2), contracted as a
+    (1, K) @ (K, 1) product per point."""
     mu, sigma, pi = (np.asarray(v, dtype=float) for v in (mu, sigma, pi))
     with np.errstate(divide="ignore"):
         log_pi = np.log(pi)
-    logits = -0.5 * math.log(2 * math.pi) - np.log(sigma) - 0.5 * ((z - mu) / sigma) ** 2 + log_pi
+    inv_sigma = 1.0 / sigma
+    logits = (-0.5 * ((z - mu) * inv_sigma) ** 2
+              + (-0.5 * math.log(2 * math.pi) - np.log(sigma)) + log_pi)
     resp = softmax_reference(logits, axis=1)
+    score = (z - mu) * -(inv_sigma * inv_sigma)
     return (logsumexp_reference(logits, axis=1),
-            np.sum(resp * (-(z - mu) / sigma**2), axis=1, keepdims=True))
+            np.matmul(resp[:, None, :], score[:, :, None])[:, 0])
+
+
+def mixture_closed_form(family, locs, scales, weights, z):
+    """Log density (n,) and gradient (n, D) at points z (n, D) of the
+    mean-field ``family`` ("gaussian" or "laplace") mixture with atoms
+    (locs[k], scales[k]) and ``weights``, from the textbook formulas: per
+    coordinate -(z - mu)^2 / (2 sigma^2) - log sigma - log(2 pi) / 2 or
+    -|z - mu| / b - log(2 b), summed over D, the log-sum-exp of those sums
+    plus log weights, and the responsibility-weighted scores -(z - mu) /
+    sigma^2 or -sign(z - mu) / b.  Also returns the responsibilities (n, K)
+    and the per-atom sums of the absolute per-coordinate terms (n, K), which
+    scale the rounding error of any evaluation of the logits."""
+    locs, scales = np.asarray(locs, dtype=float), np.asarray(scales, dtype=float)
+    diff = np.asarray(z, dtype=float)[:, None, :] - locs  # (n, K, D)
+    if family == "gaussian":
+        quad = 0.5 * (diff / scales) ** 2
+        norm = np.log(scales) + 0.5 * math.log(2 * math.pi)
+        score = -diff / scales**2
+    else:
+        quad = np.abs(diff) / scales
+        norm = np.log(2.0 * scales)
+        score = -np.sign(diff) / scales
+    with np.errstate(divide="ignore"):
+        log_w = np.log(np.asarray(weights, dtype=float))
+    logits = -(quad + norm).sum(axis=2) + log_w
+    resp = softmax_reference(logits, axis=1)
+    magnitude = (quad + np.abs(norm)).sum(axis=2) + np.abs(np.where(np.isfinite(log_w), log_w, 0.0))
+    return (logsumexp_reference(logits, axis=1), np.einsum("nk,nkd->nd", resp, score),
+            resp, magnitude)
 
 
 def gaussian_chi_square(loc_s, scale_s, loc_q, scale_q):

@@ -141,6 +141,46 @@ class TestRelboEstimate:
             assert np.isfinite(a)
             assert a == b
 
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("dim", [1, 105])
+    @pytest.mark.parametrize("atom", ["inside", "box_edge"])
+    def test_matches_log_prob_of_samples(self, family, dim, atom):
+        # E_s[log s] is read off the noise; the atom's own log_prob at its
+        # samples z = loc + scale * eps gives it up to the rounding of z and
+        # of z - loc.  With eps_m the float epsilon, u = (z - loc) / scale
+        # is within du = 2 eps_m ((|z| + |loc|) / scale + |eps|) of eps per
+        # coordinate, so the two forms agree to within lam * mean sum_d
+        # (|eps| + 1) du plus (D + 16) eps_m (mean |f| + lam * T + 1), T the
+        # mean over samples of the summed absolute per-coordinate terms.
+        # At the location box's edge with the floor scale, du is about 1e-9.
+        eps_m = np.finfo(float).eps
+        rng = np.random.default_rng((dim, 17))
+        if atom == "inside":
+            s = BaseDensity(family, rng.standard_normal(dim), rng.uniform(0.3, 1.5, dim))
+        else:
+            s = BaseDensity(family, PARAM_BOX * np.where(np.arange(dim) % 2, -1.0, 1.0),
+                            np.full(dim, SCALE_FLOOR))
+        # centred on the atom, so the log-joint is small and the entropy
+        # term's rounding shows in the estimate
+        model = TargetModel(dim=dim,
+                            log_joint_batch=lambda Z: -0.5 * np.sum((Z - s.loc) ** 2, axis=1))
+        n = 64
+        for lam in (1.0, 0.3):
+            est = relbo_estimate(s, model, None, lam, n, seed=2)
+            eps = standard_noise(family, n, dim, np.random.default_rng(2))
+            z = s.transform(eps)
+            f = model.log_joint_batch(z)
+            reference = float(np.mean(f - lam * s.log_prob(z)))
+            du = 2.0 * eps_m * ((np.abs(z) + np.abs(s.loc)) / s.scale + np.abs(eps))
+            if family is Family.GAUSSIAN:
+                terms = 0.5 * eps * eps + np.abs(0.5 * math.log(2 * math.pi) + np.log(s.scale))
+            else:
+                terms = np.abs(eps) + np.abs(np.log(2.0 * s.scale))
+            bound = (lam * np.mean(np.sum((np.abs(eps) + 1.0) * du, axis=1))
+                     + (dim + 16) * eps_m * (np.mean(np.abs(f))
+                                             + lam * np.mean(terms.sum(axis=1)) + 1.0))
+            assert abs(est - reference) <= bound
+
     def test_dimension_mismatch(self):
         model = synthetic_bimodal_target()
         with pytest.raises(ValueError, match="dimension"):
@@ -419,10 +459,10 @@ class TestModelCallsPerStep:
 
 def _reference_solve(model, q_t, t, cfg, seed, failed_attempts=0):
     """lmo_solve rebuilt from public pieces: a validated BaseDensity and a
-    relbo_grad call per step, the RELBO value from the atom's own log_prob,
-    the same seed layout and the same Adam, EMA and box steps.  The attempt
-    it runs follows ``failed_attempts`` failed ones, each of which drew one
-    initial point."""
+    relbo_grad call per step, the RELBO value with E_s[log s] written out
+    from the step's noise, the same seed layout and the same Adam, EMA and
+    box steps.  The attempt it runs follows ``failed_attempts`` failed ones,
+    each of which drew one initial point."""
     lam = lambda_at(t, cfg.entropy_weight)
     d, n, box, floor = model.dim, cfg.n_mc_samples, PARAM_BOX, SCALE_FLOOR
     ss = np.random.SeedSequence(entropy=(seed, t))
@@ -439,12 +479,19 @@ def _reference_solve(model, q_t, t, cfg, seed, failed_attempts=0):
         scale = floor + softplus_u
         s = BaseDensity(cfg.family, loc, scale)
         g_loc, g_log_scale = relbo_grad(s, model, q_t, lam, n, step_seeds[k], baseline)
-        rng = np.random.default_rng(step_seeds[k])
-        z = s.transform(standard_noise(cfg.family, n, d, rng))
+        eps = standard_noise(cfg.family, n, d, np.random.default_rng(step_seeds[k]))
+        z = s.transform(eps)
         f = model.log_joint_batch(z)
         if q_t is not None:
             f = f - q_t.log_prob(z)
-        value = float(np.mean(f) - lam * np.mean(s.log_prob(z)))
+        # E_s[log s] from the noise: the summed log normalizer plus the mean
+        # standardized log density of eps
+        if cfg.family is Family.GAUSSIAN:
+            norm = -0.5 * math.log(2 * math.pi) - np.log(scale)
+            standardized = -0.5 * np.vdot(eps, eps)
+        else:
+            norm, standardized = -np.log(2.0 * scale), -np.abs(eps).sum()
+        value = float(np.mean(f) - lam * (np.sum(norm) + standardized / n))
         f_mean = float(np.mean(f))
         baseline = f_mean if baseline is None else 0.9 * baseline + 0.1 * f_mean
         ema = value if ema is None else 0.9 * ema + 0.1 * value

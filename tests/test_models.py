@@ -90,8 +90,8 @@ class TestBimodalTarget:
 
     @pytest.mark.parametrize("n", [32, 2048])
     def test_gradient_at_other_sigma(self, n):
-        # mixture scores divide by sigma twice where the closed form divides
-        # by sigma^2 once, so a sigma that is not a power of two rounds apart
+        # at a sigma that is not a power of two, 1 / sigma rounds: the closed
+        # form takes the same steps, so the value still agrees bit for bit
         sigma = (0.3, 0.7)
         model = synthetic_bimodal_target(sigma=sigma)
         Z = 2.0 * np.random.default_rng(n).standard_normal((n, 1))
